@@ -14,22 +14,21 @@ from .errors import (AccuracyError, DegenerateWeights, DomainError, GouestError,
                      GridMismatch, PoleError, TruncationError)
 from .models import (CPExp, SubordinatorModel, TruncNormCP, complex_erf,
                      complex_log_gamma, laplace_exponent, levy_density,
-                     model_from_config, model_to_config, normal_cdf)
+                     model_from_config, model_to_config)
 from .kernels import (FLAT_TOP_PLATEAU, KernelSpec, WeightSpec, flat_top, kernel,
-                      kernel_from_name, verify_kernel_condition, weight,
-                      weight_from_name)
+                      verify_kernel_condition, weight)
 from .sampling import (Sample, SeriesTruncationPolicy, density_pi3, make_generator,
                        read_sample_csv, sample_beta_case, sample_gamma_case,
-                       sample_series_cp, sample_stationary, write_sample_csv)
-from .mellin import (LaplaceCurve, LaplacePoint, MellinValue, default_floor,
-                     empirical_mellin, laplace_curve, laplace_curve_from_mellin,
-                     laplace_estimate, mellin_theoretical_beta,
-                     mellin_theoretical_gamma, write_laplace_curve_csv)
+                       sample_series_cp, sample_stationary, write_columns_csv,
+                       write_sample_csv)
+from .mellin import (LaplaceCurve, default_floor, laplace_curve, laplace_curve_from_mellin,
+                     mellin_theoretical_beta, mellin_theoretical_gamma,
+                     write_laplace_curve_csv)
 from .estimators import (EstimationConfig, LevyDensityEstimate, TripletEstimate,
                          default_x_grid, estimate_fourier_nu_bar, estimate_lambda,
                          estimate_mu, fit_alphas, invert_levy_density,
-                         inversion_alphas, positive_part, run_algorithm1,
-                         run_algorithm2, write_levy_density_csv, write_triplet_json)
+                         inversion_alphas, run_algorithm1, run_algorithm2,
+                         write_levy_density_csv, write_triplet_json)
 from .rates import (MiseReport, RateStudyConfig, choose_vn_exponential,
                     choose_vn_polynomial, mise, rate_study, write_mise_report_json)
 
@@ -41,23 +40,20 @@ __all__ = [
     # models
     "SubordinatorModel", "CPExp", "TruncNormCP", "laplace_exponent", "levy_density",
     "model_from_config", "model_to_config", "complex_erf", "complex_log_gamma",
-    "normal_cdf",
     # kernels
     "WeightSpec", "KernelSpec", "FLAT_TOP_PLATEAU", "weight", "kernel", "flat_top",
-    "verify_kernel_condition", "weight_from_name", "kernel_from_name",
+    "verify_kernel_condition",
     # sampling
     "Sample", "SeriesTruncationPolicy", "make_generator", "sample_gamma_case",
     "sample_beta_case", "sample_series_cp", "sample_stationary", "density_pi3",
-    "write_sample_csv", "read_sample_csv",
+    "write_columns_csv", "write_sample_csv", "read_sample_csv",
     # mellin
-    "MellinValue", "LaplacePoint", "LaplaceCurve", "default_floor", "empirical_mellin",
-    "laplace_estimate", "laplace_curve", "laplace_curve_from_mellin",
+    "LaplaceCurve", "default_floor", "laplace_curve", "laplace_curve_from_mellin",
     "mellin_theoretical_beta", "mellin_theoretical_gamma", "write_laplace_curve_csv",
     # estimators
     "EstimationConfig", "TripletEstimate", "LevyDensityEstimate", "fit_alphas",
     "inversion_alphas", "estimate_mu", "estimate_lambda", "estimate_fourier_nu_bar",
-    "invert_levy_density", "run_algorithm1", "run_algorithm2", "positive_part",
-    "default_x_grid", "write_levy_density_csv", "write_triplet_json",
+    "invert_levy_density", "run_algorithm1", "run_algorithm2", "default_x_grid", "write_levy_density_csv", "write_triplet_json",
     # rates
     "RateStudyConfig", "MiseReport", "choose_vn_polynomial", "choose_vn_exponential",
     "mise", "rate_study", "write_mise_report_json",

@@ -9,7 +9,6 @@ seed, timestamps, and all output files — on failure as well as success.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -21,16 +20,14 @@ import numpy as np
 from . import __version__
 from .errors import (AccuracyError, DegenerateWeights, DomainError, GouestError,
                      PoleError, TruncationError)
-from .estimators import (EstimationConfig, default_x_grid, invert_levy_density,
-                         inversion_alphas, estimate_fourier_nu_bar, run_algorithm1,
-                         run_algorithm2, write_levy_density_csv, write_triplet_json)
-from .kernels import kernel_from_name, weight_from_name
+from .estimators import (EstimationConfig, default_x_grid, run_algorithm2,
+                         write_levy_density_csv, write_triplet_json)
+from .kernels import WeightSpec
 from .mellin import laplace_curve, write_laplace_curve_csv
-from .models import (CPExp, TruncNormCP, laplace_exponent, levy_density,
-                     model_from_config, model_to_config)
+from .models import CPExp, TruncNormCP, laplace_exponent, levy_density, model_to_config
 from .rates import RateStudyConfig, rate_study, write_mise_report_json
 from .sampling import (SeriesTruncationPolicy, read_sample_csv, sample_stationary,
-                       write_sample_csv)
+                       write_columns_csv, write_sample_csv)
 
 __all__ = ["main"]
 
@@ -108,10 +105,7 @@ def _estimation_config_from_args(args, file_config: dict) -> EstimationConfig:
         eps=float(_merge(args.eps, section, "eps", 0.1)),
         m_fit=int(_merge(None, section, "m_fit", 50)),
         m_inv=int(_merge(None, section, "m_inv", 200)),
-        weight=weight_from_name(
-            str(_merge(args.weight, section, "weight", "flat")),
-            eps=float(_merge(args.eps, section, "eps", 0.1))),
-        kernel=kernel_from_name(str(_merge(args.kernel, section, "kernel", "flat_top"))),
+        weight=WeightSpec(str(_merge(args.weight, section, "weight", "flat"))),
         floor=_merge(getattr(args, "floor", None), section, "floor", None),
     )
     if kwargs["floor"] is not None:
@@ -135,20 +129,11 @@ def _x_grid_from_args(args, file_config: dict) -> np.ndarray:
 def _write_curve_with_theory(curve, model, path: Path) -> Path:
     """Laplace-curve CSV with theoretical columns alongside the estimates."""
     phi = np.asarray([laplace_exponent(model, curve.u0 + 1j * v) for v in curve.v])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["v", "re_Y", "im_Y", "re_phi", "im_phi", "denom_abs", "ill_flag"])
-        for m in range(curve.v.size):
-            writer.writerow([
-                f"{curve.v[m]:.17g}",
-                f"{curve.y[m].real:.17g}",
-                f"{curve.y[m].imag:.17g}",
-                f"{phi[m].real:.17g}",
-                f"{phi[m].imag:.17g}",
-                f"{curve.denom_abs[m]:.17g}",
-                int(curve.ill[m]),
-            ])
-    return path
+    return write_columns_csv(path, {
+        "v": curve.v, "re_Y": curve.y.real, "im_Y": curve.y.imag,
+        "re_phi": phi.real, "im_phi": phi.imag,
+        "denom_abs": curve.denom_abs, "ill_flag": curve.ill,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -184,41 +169,14 @@ def _cmd_estimate(args, out_dir: Path, outputs: list) -> dict:
     config = _estimation_config_from_args(args, file_config)
     x_grid = _x_grid_from_args(args, file_config)
 
-    triplet = run_algorithm1(sample, config)
-    sym_curve = laplace_curve(sample, config.u0, inversion_alphas(config) * config.vn,
-                              floor=config.floor)
-    fhat = estimate_fourier_nu_bar(sym_curve, triplet.mu_hat, triplet.lambda_hat)
-    density = invert_levy_density(fhat, config, x_grid)
-
+    density = run_algorithm2(sample, config, x_grid)
+    triplet = density.triplet
     outputs.append(write_triplet_json(triplet, out_dir / "triplet.json"))
-    outputs.append(write_laplace_curve_csv(sym_curve, out_dir / "laplace_curve.csv"))
+    outputs.append(write_laplace_curve_csv(density.curve, out_dir / "laplace_curve.csv"))
     outputs.append(write_levy_density_csv(density, out_dir / "levy_density.csv"))
     return {"sample": str(args.sample), "n": sample.n, "estimation": config.to_dict(),
             "mu_hat": triplet.mu_hat, "lambda_hat": triplet.lambda_hat,
             "ill_count": triplet.ill_count}
-
-
-def _replicate_rows(model, ladder, replicates, seed, make_config):
-    rows = []
-    for i_n, n in enumerate(ladder):
-        config = make_config(n)
-        for r in range(replicates):
-            stream = i_n * replicates + r
-            sample = sample_stationary(model, n, seed=seed, stream=stream)
-            triplet = run_algorithm1(sample, config)
-            rows.append((n, r, config.vn, triplet.mu_hat, triplet.lambda_hat,
-                         triplet.ill_count))
-    return rows
-
-
-def _write_replicate_csv(rows, path: Path) -> Path:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "replicate", "vn", "mu_hat", "lambda_hat", "ill_count"])
-        for n, r, vn, mu_hat, lambda_hat, ill in rows:
-            writer.writerow([n, r, f"{vn:.17g}", f"{mu_hat:.17g}",
-                             f"{lambda_hat:.17g}", ill])
-    return path
 
 
 def _cmd_experiment1(args, out_dir: Path, outputs: list) -> dict:
@@ -236,17 +194,15 @@ def _cmd_experiment1(args, out_dir: Path, outputs: list) -> dict:
     outputs.append(_write_curve_with_theory(curve, model, out_dir / "fig1_laplace.csv"))
 
     beta = model.jump_mass / model.mu
-    base = EstimationConfig(u0=_EXAMPLE1_U0, vn=_EXAMPLE1_V)
-
-    def make_config(n):
-        from .rates import choose_vn_polynomial
-        return replace(base, vn=choose_vn_polynomial(n, beta, 0))
-
-    rows = _replicate_rows(model, _FIG_LADDER, replicates, seed, make_config)
-    outputs.append(_write_replicate_csv(rows, out_dir / "fig2_estimates.csv"))
+    study = RateStudyConfig(n_ladder=_FIG_LADDER, replicates=replicates, beta=beta)
+    template = EstimationConfig(u0=_EXAMPLE1_U0, vn=_EXAMPLE1_V)
+    report = rate_study(study, model, template, seed=seed, with_mise=False)
+    header = ("n", "replicate", "vn", "mu_hat", "lambda_hat", "ill_count")
+    columns = dict(zip(header, zip(*report.rows)))
+    outputs.append(write_columns_csv(out_dir / "fig2_estimates.csv", columns))
     return {"model": model_to_config(model), "seed": seed, "n_curve": n_fig,
             "replicates": replicates, "n_ladder": list(_FIG_LADDER),
-            "u0": _EXAMPLE1_U0, "beta": beta}
+            "u0": _EXAMPLE1_U0, "beta": beta, "failures": len(report.failures)}
 
 
 def _cmd_experiment2(args, out_dir: Path, outputs: list) -> dict:
@@ -266,20 +222,10 @@ def _cmd_experiment2(args, out_dir: Path, outputs: list) -> dict:
     config = EstimationConfig(u0=_EXAMPLE2_U0, vn=vn, eps=_EXAMPLE2_EPS)
     x_grid = default_x_grid(0.0, 3.0, 301)
     density = run_algorithm2(sample, config, x_grid)
-    truth = levy_density(model, x_grid)
-    path = out_dir / "fig4_density.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "nu_hat", "nu_bar_hat", "imag_residual", "nu_true"])
-        for i in range(x_grid.size):
-            writer.writerow([
-                f"{x_grid[i]:.17g}",
-                f"{density.nu_hat[i]:.17g}",
-                f"{density.nu_bar_hat[i]:.17g}",
-                f"{density.imag_residual[i]:.17g}",
-                f"{truth[i]:.17g}",
-            ])
-    outputs.append(path)
+    outputs.append(write_columns_csv(out_dir / "fig4_density.csv", {
+        "x": density.x, "nu_hat": density.nu_hat, "nu_bar_hat": density.nu_bar_hat,
+        "imag_residual": density.imag_residual, "nu_true": levy_density(model, x_grid),
+    }))
     return {"model": model_to_config(model), "seed": seed, "n": n,
             "estimation": config.to_dict(),
             "mu_hat": density.triplet.mu_hat, "lambda_hat": density.triplet.lambda_hat}
@@ -362,7 +308,6 @@ def _add_estimation_flags(parser: argparse.ArgumentParser, with_x: bool = True) 
     parser.add_argument("--grid-m", type=int, default=None, dest="grid_m",
                         help="grid count for both the fitting and inversion grids")
     parser.add_argument("--weight", choices=["flat", "epanechnikov"], default=None)
-    parser.add_argument("--kernel", choices=["flat_top"], default=None)
     parser.add_argument("--floor", type=float, default=None,
                         help="ill-conditioning floor (default 10/sqrt(n))")
     if with_x:

@@ -14,9 +14,8 @@ a kernel-regularized inverse Fourier sum turns back into a density estimate.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .errors import DegenerateWeights, DomainError, GridMismatch
 from .kernels import KernelSpec, WeightSpec, kernel, weight
 from .mellin import LaplaceCurve, laplace_curve
-from .sampling import Sample
+from .sampling import Sample, write_columns_csv
 
 __all__ = [
     "EstimationConfig",
@@ -38,7 +37,6 @@ __all__ = [
     "invert_levy_density",
     "run_algorithm1",
     "run_algorithm2",
-    "positive_part",
     "default_x_grid",
     "write_levy_density_csv",
     "write_triplet_json",
@@ -60,8 +58,8 @@ class EstimationConfig:
     eps: float = 0.1
     m_fit: int = 50
     m_inv: int = 200
-    weight: WeightSpec = None
-    kernel: KernelSpec = None
+    weight: WeightSpec = WeightSpec()
+    kernel: KernelSpec = KernelSpec()
     floor: float | None = None
 
     def __post_init__(self) -> None:
@@ -76,12 +74,6 @@ class EstimationConfig:
                 f"grid counts must be >= 2, got m_fit={self.m_fit}, m_inv={self.m_inv}")
         if self.floor is not None and not (self.floor > 0.0):
             raise DomainError(f"floor must be positive, got {self.floor}")
-        if self.weight is None:
-            object.__setattr__(self, "weight", WeightSpec(variant="flat", eps=self.eps))
-        if self.kernel is None:
-            object.__setattr__(self, "kernel", KernelSpec())
-        if self.weight.eps != self.eps:
-            object.__setattr__(self, "weight", replace(self.weight, eps=self.eps))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -115,7 +107,8 @@ class LevyDensityEstimate:
     e^{-u0 x} nu_hat used by the integrated-error theory; ``imag_residual``
     the imaginary part of the inversion on the same scale as ``nu_hat``,
     recorded and never dropped (an honest diagnostic of estimation noise
-    and grid asymmetry).
+    and grid asymmetry). :func:`run_algorithm2` also keeps the fitted
+    ``triplet`` and the symmetric-band ``curve`` it inverted.
     """
 
     x: np.ndarray
@@ -124,6 +117,7 @@ class LevyDensityEstimate:
     imag_residual: np.ndarray
     config: EstimationConfig
     triplet: TripletEstimate | None = None
+    curve: LaplaceCurve | None = None
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
@@ -163,7 +157,7 @@ def _check_fit_grid(curve: LaplaceCurve, config: EstimationConfig) -> np.ndarray
 
 def _fit_weights(config: EstimationConfig, alphas: np.ndarray, weights) -> np.ndarray:
     if weights is None:
-        w = weight(config.weight, alphas)
+        w = weight(config.weight, alphas, config.eps)
     else:
         w = np.asarray(weights, dtype=float)
         if w.shape != alphas.shape:
@@ -207,26 +201,19 @@ def _check_symmetric(curve: LaplaceCurve) -> None:
         raise GridMismatch("Fourier estimation requires an exactly symmetric v-grid")
 
 
-def estimate_fourier_nu_bar(curve: LaplaceCurve, mu_hat: float, lambda_hat: float, v=None):
+def estimate_fourier_nu_bar(curve: LaplaceCurve, mu_hat: float, lambda_hat: float):
     """Estimate of the Fourier transform of the tilted jump density,
-    F[nu_bar](-v) = integral e^{ivx} e^{-u0 x} nu(x) dx.
+    F[nu_bar](-v) = integral e^{ivx} e^{-u0 x} nu(x) dx, at every v of the
+    curve's symmetric grid.
 
     Computed as -Y(u0 - iv) + mu_hat*(u0 - iv) + lambda_hat: subtracting the
     fitted affine part of the Laplace exponent leaves exactly this transform
-    when the plug-ins are exact. ``v=None`` evaluates the whole curve grid
-    (requires a symmetric grid); a scalar ``v`` must have its mirror -v on
-    the grid.
+    when the plug-ins are exact.
     """
-    if v is None:
-        _check_symmetric(curve)
-        y_mirror = curve.y[::-1]
-        z_mirror = curve.u0 - 1j * curve.v
-        return -y_mirror + mu_hat * z_mirror + lambda_hat
-    idx = int(np.argmin(np.abs(curve.v + v)))
-    if not np.isclose(curve.v[idx], -v, rtol=1e-9, atol=1e-12):
-        raise GridMismatch(f"-v = {-v} not on the curve grid")
-    z = curve.u0 - 1j * float(v)
-    return complex(-curve.y[idx] + mu_hat * z + lambda_hat)
+    _check_symmetric(curve)
+    y_mirror = curve.y[::-1]
+    z_mirror = curve.u0 - 1j * curve.v
+    return -y_mirror + mu_hat * z_mirror + lambda_hat
 
 
 def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEstimate:
@@ -274,29 +261,17 @@ def run_algorithm1(sample: Sample, config: EstimationConfig) -> TripletEstimate:
 
 
 def run_algorithm2(sample: Sample, config: EstimationConfig, x_grid) -> LevyDensityEstimate:
-    """Full density pipeline: fit (mu, lambda) on the one-sided band, form
-    the Fourier-transform estimate on the symmetric band, invert."""
+    """The estimation pipeline: fit (mu, lambda) on the one-sided band, form
+    the Fourier-transform estimate on the symmetric band, invert. The
+    result keeps the fitted triplet and the symmetric-band curve."""
     triplet = run_algorithm1(sample, config)
     v_grid = inversion_alphas(config) * config.vn
     curve = laplace_curve(sample, config.u0, v_grid, floor=config.floor)
     fhat = estimate_fourier_nu_bar(curve, triplet.mu_hat, triplet.lambda_hat)
     estimate = invert_levy_density(fhat, config, x_grid)
     estimate.triplet = triplet
+    estimate.curve = curve
     return estimate
-
-
-def positive_part(estimate: LevyDensityEstimate) -> LevyDensityEstimate:
-    """Optional post-hoc clipping of negative density values (off by
-    default everywhere; raw estimates are reported as computed)."""
-    clipped = np.maximum(estimate.nu_hat, 0.0)
-    return LevyDensityEstimate(
-        x=estimate.x,
-        nu_hat=clipped,
-        nu_bar_hat=np.exp(-estimate.config.u0 * estimate.x) * clipped,
-        imag_residual=estimate.imag_residual,
-        config=estimate.config,
-        triplet=estimate.triplet,
-    )
 
 
 def default_x_grid(x_min: float = 0.0, x_max: float = 3.0, x_points: int = 301) -> np.ndarray:
@@ -309,18 +284,10 @@ def default_x_grid(x_min: float = 0.0, x_max: float = 3.0, x_points: int = 301) 
 
 def write_levy_density_csv(estimate: LevyDensityEstimate, path: str | Path) -> Path:
     """Write the density estimate as CSV: x, nu_hat, nu_bar_hat, imag_residual."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "nu_hat", "nu_bar_hat", "imag_residual"])
-        for i in range(estimate.x.size):
-            writer.writerow([
-                f"{estimate.x[i]:.17g}",
-                f"{estimate.nu_hat[i]:.17g}",
-                f"{estimate.nu_bar_hat[i]:.17g}",
-                f"{estimate.imag_residual[i]:.17g}",
-            ])
-    return path
+    return write_columns_csv(path, {
+        "x": estimate.x, "nu_hat": estimate.nu_hat, "nu_bar_hat": estimate.nu_bar_hat,
+        "imag_residual": estimate.imag_residual,
+    })
 
 
 def write_triplet_json(triplet: TripletEstimate, path: str | Path) -> Path:

@@ -21,20 +21,18 @@ FLAT_TOP_PLATEAU = 0.05
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Weight function on [eps, 1] used by the weighted least-squares fit.
+    """Weight function on [eps, 1] used by the weighted least-squares fit;
+    the support edge eps is the fitting band's (``EstimationConfig.eps``).
 
     variant: "flat" (w = 1 on the support) or "epanechnikov" (parabola
     vanishing at both ends of [eps, 1], peak value 1 at the midpoint).
     """
 
     variant: str = "flat"
-    eps: float = 0.1
 
     def __post_init__(self) -> None:
         if self.variant not in ("flat", "epanechnikov"):
             raise DomainError(f"unknown weight variant {self.variant!r}")
-        if not (0.0 < self.eps < 1.0):
-            raise DomainError(f"weight support needs 0 < eps < 1, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -48,18 +46,18 @@ class KernelSpec:
             raise DomainError(f"unknown kernel variant {self.variant!r}")
 
 
-def weight(spec: WeightSpec, alpha) -> np.ndarray | float:
-    """Evaluate the weight function at grid fraction(s) ``alpha``.
+def weight(spec: WeightSpec, alpha, eps: float) -> np.ndarray | float:
+    """Evaluate the weight function on [eps, 1] at grid fraction(s) ``alpha``.
 
     Zero outside [eps, 1]; vectorized over ``alpha``.
     """
     a = np.asarray(alpha, dtype=float)
-    inside = (a >= spec.eps) & (a <= 1.0)
+    inside = (a >= eps) & (a <= 1.0)
     if spec.variant == "flat":
         out = np.where(inside, 1.0, 0.0)
     else:
         # parabola on [eps, 1], rescaled to peak at 1 in the midpoint
-        t = (2.0 * a - (1.0 + spec.eps)) / (1.0 - spec.eps)
+        t = (2.0 * a - (1.0 + eps)) / (1.0 - eps)
         out = np.where(inside, np.maximum(1.0 - t**2, 0.0), 0.0)
     if np.ndim(alpha) == 0:
         return float(out)
@@ -104,13 +102,3 @@ def verify_kernel_condition(spec: KernelSpec, s: int, big_a: float, grid_points:
     lhs = np.abs(1.0 - np.asarray(kernel(spec, x)))
     rhs = big_a * np.abs(x) ** s
     return bool(np.all(lhs <= rhs + 1e-15))
-
-
-def weight_from_name(name: str, eps: float) -> WeightSpec:
-    """Build a WeightSpec from a config name ("flat" | "epanechnikov")."""
-    return WeightSpec(variant=name, eps=eps)
-
-
-def kernel_from_name(name: str) -> KernelSpec:
-    """Build a KernelSpec from a config name ("flat_top")."""
-    return KernelSpec(variant=name)

@@ -10,7 +10,6 @@ stage of both estimation pipelines.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,45 +17,17 @@ import numpy as np
 
 from .errors import DomainError, PoleError
 from .models import complex_log_gamma
-from .sampling import Sample
+from .sampling import Sample, write_columns_csv
 
 __all__ = [
-    "MellinValue",
-    "LaplacePoint",
     "LaplaceCurve",
     "default_floor",
-    "empirical_mellin",
-    "laplace_estimate",
     "laplace_curve",
     "laplace_curve_from_mellin",
     "mellin_theoretical_beta",
     "mellin_theoretical_gamma",
     "write_laplace_curve_csv",
 ]
-
-
-@dataclass(frozen=True)
-class MellinValue:
-    """One evaluation of the empirical moment M_n(z) = (1/n) sum X_k^{z-1}."""
-
-    z: complex
-    value: complex
-    n: int
-
-
-@dataclass(frozen=True)
-class LaplacePoint:
-    """One ratio-estimator value Y_n(z) = z*M_n(z)/M_n(z+1) with diagnostics.
-
-    ``denom_abs`` is |M_n(z+1)|; ``ill`` flags points where it fell below the
-    conditioning floor (the ratio is then noise-dominated but still
-    reported so curves remain plottable).
-    """
-
-    z: complex
-    value: complex
-    denom_abs: float
-    ill: bool
 
 
 @dataclass
@@ -93,68 +64,8 @@ def default_floor(n: int) -> float:
 
 
 def _values_of(sample) -> np.ndarray:
-    values = sample.values if isinstance(sample, Sample) else np.asarray(sample, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise DomainError("need a nonempty 1-d sample")
-    if not np.all(values > 0.0):
-        raise DomainError("empirical Mellin transform requires strictly positive values")
-    return values
-
-
-def _mellin_upper(log_x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Mean of exp((z-1) log x) for z with nonnegative imaginary part."""
-    return np.mean(np.exp(np.multiply.outer(z - 1.0, log_x)), axis=-1)
-
-
-def _mellin_array(log_x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Empirical Mellin values, conjugate symmetry enforced structurally.
-
-    Points in the lower half-plane are evaluated as conj(M_n(conj z)) so
-    the identity M_n(conj z) = conj M_n(z) holds bit-for-bit regardless of
-    libm symmetries.
-    """
-    z = np.asarray(z, dtype=complex)
-    lower = z.imag < 0.0
-    out = _mellin_upper(log_x, np.where(lower, np.conj(z), z))
-    np.conj(out, out=out, where=lower)
-    return out
-
-
-def empirical_mellin(sample, z):
-    """Empirical moment M_n(z) = (1/n) sum X_k^{z-1}.
-
-    Scalar ``z`` returns a :class:`MellinValue`; an array of z returns the
-    matching complex array. Powers are computed as exp((z-1) log X) in one
-    pass (at u0 = 29 the powers span ~12 decades across a unit-scale
-    sample) with pairwise-accurate summation via numpy's mean.
-    """
-    values = _values_of(sample)
-    log_x = np.log(values)
-    if np.ndim(z) == 0:
-        result = complex(_mellin_array(log_x, np.asarray([z]))[0])
-        return MellinValue(z=complex(z), value=result, n=values.size)
-    return _mellin_array(log_x, z)
-
-
-def laplace_estimate(sample, z: complex, floor: float | None = None) -> LaplacePoint:
-    """Ratio estimator Y_n(z) = z * M_n(z) / M_n(z+1) at a single point.
-
-    Flags (never aborts on) ill-conditioning when |M_n(z+1)| < floor
-    (default 10/sqrt(n)). Raises PoleError only if the denominator is
-    exactly zero.
-    """
-    values = _values_of(sample)
-    if floor is None:
-        floor = default_floor(values.size)
-    if not (floor > 0.0):
-        raise DomainError(f"floor must be positive, got {floor}")
-    log_x = np.log(values)
-    pair = _mellin_array(log_x, np.asarray([z, z + 1.0], dtype=complex))
-    denom_abs = float(abs(pair[1]))
-    if denom_abs == 0.0:
-        raise PoleError(f"empirical Mellin denominator vanished at z+1 = {z + 1}")
-    value = complex(z) * pair[0] / pair[1]
-    return LaplacePoint(z=complex(z), value=value, denom_abs=denom_abs, ill=denom_abs < floor)
+    """Observations of a Sample, or of a raw array validated as one."""
+    return (sample if isinstance(sample, Sample) else Sample(values=sample)).values
 
 
 _CHUNK_ELEMENTS = 4_000_000
@@ -275,18 +186,8 @@ def mellin_theoretical_gamma(z, a: float, b: float):
 
 def write_laplace_curve_csv(curve: LaplaceCurve, path: str | Path) -> Path:
     """Write the curve as CSV: v, re_Y, im_Y, abs_Y, denom_abs, ill_flag."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["v", "re_Y", "im_Y", "abs_Y", "denom_abs", "ill_flag"])
-        for m in range(curve.v.size):
-            y = curve.y[m]
-            writer.writerow([
-                f"{curve.v[m]:.17g}",
-                f"{y.real:.17g}",
-                f"{y.imag:.17g}",
-                f"{abs(y):.17g}",
-                f"{curve.denom_abs[m]:.17g}",
-                int(curve.ill[m]),
-            ])
-    return path
+    return write_columns_csv(path, {
+        "v": curve.v, "re_Y": curve.y.real, "im_Y": curve.y.imag,
+        "abs_Y": np.hypot(curve.y.real, curve.y.imag),
+        "denom_abs": curve.denom_abs, "ill_flag": curve.ill,
+    })

@@ -85,18 +85,6 @@ def complex_log_gamma(z: complex) -> complex:
     return complex(special.loggamma(z))
 
 
-def normal_cdf(z: complex) -> complex:
-    """Standard normal distribution function, extended to complex argument.
-
-    Computed as (erf(z/sqrt(2)) + 1)/2; real arguments use the dedicated
-    real routine for full accuracy in the tails.
-    """
-    z = complex(z)
-    if z.imag == 0.0:
-        return complex(special.ndtr(z.real))
-    return (complex_erf(z / _SQRT2) + 1.0) / 2.0
-
-
 @dataclass(frozen=True)
 class CPExp:
     """Subordinator with drift ``mu`` and exponential jump density a*b*exp(-b*x).

@@ -38,8 +38,7 @@ class RateStudyConfig:
 
     ``decay_class`` selects the bandwidth rule; ``beta`` (polynomial Mellin
     decay) or ``alpha`` (exponential decay) feeds it; ``smoothness`` is the
-    kernel-order parameter s; ``radius`` is recorded metadata describing the
-    density class, never used numerically.
+    kernel-order parameter s.
     """
 
     n_ladder: tuple
@@ -48,7 +47,6 @@ class RateStudyConfig:
     beta: float | None = None
     alpha: float | None = None
     decay_class: str = "polynomial"
-    radius: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_ladder", tuple(int(n) for n in self.n_ladder))
@@ -75,7 +73,11 @@ class RateStudyConfig:
 
 @dataclass
 class MiseReport:
-    """Per-n medians/quartiles of squared errors plus fitted log-log slopes."""
+    """Per-n medians/quartiles of squared errors plus fitted log-log slopes.
+
+    ``rows`` holds one (n, replicate, vn, mu_hat, lambda_hat, ill_count)
+    tuple per successful replicate, in ladder order.
+    """
 
     n: list
     median_sq_err_mu: list
@@ -86,6 +88,7 @@ class MiseReport:
     quartiles: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    rows: list = field(default_factory=list)
 
 
 def choose_vn_polynomial(n: int, beta: float, s: int) -> float:
@@ -141,18 +144,15 @@ def _log_log_slope(n_values, medians) -> float:
 def rate_study(study: RateStudyConfig, model: SubordinatorModel,
                config_template: EstimationConfig, seed: int = 0,
                x_range=(0.0, 3.0), x_points: int = 151,
-               triplet_estimator=None, with_mise: bool = True) -> MiseReport:
+               with_mise: bool = True) -> MiseReport:
     """Replicated error study across the n-ladder with the matching bandwidth
     rule applied at every n.
 
-    Per replicate: draw a fresh stationary sample (independent stream),
-    fit (mu, lambda), and, when ``with_mise``, run the full density pipeline
-    and integrate its squared error. Replicate failures are recorded in the
-    report, not fatal. ``triplet_estimator`` optionally replaces the fitting
-    pipeline (same signature as run_algorithm1) for diagnostics.
+    Per replicate: draw a fresh stationary sample (independent stream), then
+    either run the density pipeline, which fits (mu, lambda) on the way, and
+    integrate its squared error (``with_mise``), or only fit (mu, lambda).
+    Replicate failures are recorded in the report, not fatal.
     """
-    if triplet_estimator is None:
-        triplet_estimator = run_algorithm1
     mu_true = float(getattr(model, "mu", 0.0))
     lambda_true = model.jump_mass
     x_grid = default_x_grid(x_range[0], x_range[1], x_points)
@@ -163,7 +163,7 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
 
     med_mu, med_lam, med_mise_list = [], [], []
     quartiles = {"sq_err_mu": [], "sq_err_lambda": [], "mise": []}
-    failures = []
+    failures, rows = [], []
     for i_n, n in enumerate(study.n_ladder):
         config = replace(config_template, vn=study.bandwidth(n))
         sq_mu, sq_lam, mise_vals = [], [], []
@@ -171,15 +171,20 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
             stream = i_n * study.replicates + r
             try:
                 sample = sample_stationary(model, n, seed=seed, stream=stream)
-                triplet = triplet_estimator(sample, config)
-                sq_mu.append((triplet.mu_hat - mu_true) ** 2)
-                sq_lam.append((triplet.lambda_hat - lambda_true) ** 2)
                 if with_mise:
                     estimate = run_algorithm2(sample, config, x_grid)
+                    triplet = estimate.triplet
                     mise_vals.append(mise(estimate, truth, x_range))
+                else:
+                    triplet = run_algorithm1(sample, config)
             except GouestError as exc:
                 failures.append({"n": n, "replicate": r,
                                  "error": type(exc).__name__, "message": str(exc)})
+                continue
+            sq_mu.append((triplet.mu_hat - mu_true) ** 2)
+            sq_lam.append((triplet.lambda_hat - lambda_true) ** 2)
+            rows.append((n, r, config.vn, triplet.mu_hat, triplet.lambda_hat,
+                         triplet.ill_count))
         if not sq_mu:
             raise DomainError(f"all {study.replicates} replicates failed at n={n}")
         med_mu.append(float(np.median(sq_mu)))
@@ -202,6 +207,7 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
         meta={"seed": seed, "x_range": [float(x_range[0]), float(x_range[1])],
               "x_points": x_points, "decay_class": study.decay_class,
               "replicates": study.replicates},
+        rows=rows,
     )
 
 

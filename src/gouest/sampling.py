@@ -12,6 +12,7 @@ Gaussian component and jumps are present (evaluation only, never sampled).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +32,7 @@ __all__ = [
     "sample_series_cp",
     "sample_stationary",
     "density_pi3",
+    "write_columns_csv",
     "write_sample_csv",
     "read_sample_csv",
 ]
@@ -62,6 +64,8 @@ class Sample:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or self.values.size == 0:
             raise DomainError("Sample.values must be a nonempty 1-d array")
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("Sample.values contain non-finite entries (inf or nan)")
         if not np.all(self.values > 0.0):
             raise DomainError("Sample.values must be strictly positive")
         if not (self.delta > 0.0):
@@ -197,6 +201,14 @@ _GL_NODES = 4096
 _pi3_cache: dict[tuple[float, float], float] = {}
 
 
+@functools.cache
+def _gauss_legendre_unit() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights mapped from [-1,1] to (0,1); built
+    once per process, since they do not depend on the density's parameters."""
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
 def _pi3_raw(x: np.ndarray, a: float, b: float) -> np.ndarray:
     """Unnormalized density x^{b-1/2} e^{-1/(2x)} I_mu(1/(2x)), mu = sqrt(a+1/4).
 
@@ -239,10 +251,7 @@ def _pi3_mass(a: float, b: float) -> float:
     infinite mass the scheme still returns a finite positive number, and
     normalization is then relative to this scheme by construction.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
-    # map [-1,1] -> (0,1)
-    t = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
+    t, w = _gauss_legendre_unit()
     near = np.sum(w * 2.0 * t * _pi3_raw(t**2, a, b))
     # x = t^{-6}: integral over x in (1,inf) becomes 6 t^{-7} dt on (0,1)
     far = np.sum(w * 6.0 * t ** (-7.0) * _pi3_raw(t ** (-6.0), a, b))
@@ -277,7 +286,22 @@ def density_pi3(x, a: float, b: float):
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one-column CSV plus a JSON metadata sibling.
+# Serialization: the shared columnar CSV writer, and the sample CSV plus its
+# JSON metadata sibling.
+
+
+def write_columns_csv(path: str | Path, columns: dict) -> Path:
+    """Write equal-length 1-d columns as CSV, headed by the mapping's keys in
+    order: floats as %.17g, ints and bools as %d, LF line endings."""
+    path = Path(path)
+    arrays = [np.asarray(c) for c in columns.values()]
+    if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
+        raise DomainError("CSV columns must be 1-d arrays of equal length")
+    row = ",".join("%d" if a.dtype.kind in "biu" else "%.17g" for a in arrays) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(row % values for values in zip(*(a.tolist() for a in arrays)))
+    return path
 
 
 def _json_sibling(csv_path: Path) -> Path:
@@ -287,12 +311,7 @@ def _json_sibling(csv_path: Path) -> Path:
 def write_sample_csv(sample: Sample, csv_path: str | Path) -> tuple[Path, Path]:
     """Write observations to CSV (header ``x``, LF endings, 17 significant
     digits) and metadata (model, seed, n, delta) to a sibling JSON file."""
-    csv_path = Path(csv_path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x"])
-        for value in sample.values:
-            writer.writerow([f"{value:.17g}"])
+    csv_path = write_columns_csv(csv_path, {"x": sample.values})
     meta_path = _json_sibling(csv_path)
     meta = {
         "model": sample.meta.get("model"),
@@ -313,7 +332,8 @@ def read_sample_csv(csv_path: str | Path) -> Sample:
     """Read a sample written by :func:`write_sample_csv`.
 
     The JSON sibling is optional; without it the sample gets delta=1 and no
-    seed. Raises DomainError on a malformed header or nonpositive values.
+    seed. Raises DomainError on a malformed header or on non-finite or
+    nonpositive values.
     """
     csv_path = Path(csv_path)
     with open(csv_path, newline="") as fh:

@@ -196,6 +196,15 @@ class TestEstimate:
         rc = main(["estimate", str(empty), "--out", str(tmp_path / "est")])
         assert rc == 2
 
+    def test_non_finite_sample_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "inf.csv"
+        bad.write_text("x\n0.5\ninf\n0.2\n")
+        out = tmp_path / "est"
+        rc = main(["estimate", str(bad), "--out", str(out)])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert "non-finite" in _manifest(out)["error"]["message"]
+
     def test_constant_sample_flagged_not_fatal(self, tmp_path):
         # constant observations c are the pure-drift degenerate case: the
         # estimate is exactly 1/c, and a small c puts the Mellin denominator

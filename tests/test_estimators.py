@@ -24,6 +24,7 @@ from gouest import (
     EstimationConfig,
     GridMismatch,
     LaplaceCurve,
+    WeightSpec,
     default_x_grid,
     estimate_fourier_nu_bar,
     estimate_lambda,
@@ -34,10 +35,10 @@ from gouest import (
     invert_levy_density,
     laplace_exponent,
     levy_density,
-    positive_part,
     run_algorithm1,
     run_algorithm2,
     sample_beta_case,
+    weight,
     write_levy_density_csv,
     write_triplet_json,
 )
@@ -74,8 +75,13 @@ class TestConfig:
         assert cfg.kernel.variant == "flat_top"
 
     def test_weight_eps_synced(self):
-        cfg = EstimationConfig(eps=0.3)
-        assert cfg.weight.eps == 0.3
+        # the fit weights take their support edge from the config's eps
+        cfg = EstimationConfig(eps=0.3, weight=WeightSpec("epanechnikov"))
+        a = fit_alphas(cfg)
+        curve = _curve_on(cfg.vn * a, 1j * a**2, u0=cfg.u0)  # not affine: weights matter
+        mu_hat = estimate_mu(curve, cfg)
+        assert mu_hat == estimate_mu(curve, cfg, weights=weight(cfg.weight, a, 0.3))
+        assert mu_hat != estimate_mu(curve, cfg, weights=weight(cfg.weight, a, 0.1))
 
     def test_validation(self):
         for kw in [
@@ -193,26 +199,29 @@ class TestFourierData:
         np.testing.assert_allclose(out, want, rtol=1e-13)
 
     def test_scalar_lookup_matches_grid(self):
+        # the value at v_m reads the curve at its mirror point -v_m
         cfg = EstimationConfig()
         curve = self._plugin_curve(cfg)
         grid = estimate_fourier_nu_bar(curve, EX1.mu, EX1.a)
         v = cfg.vn * inversion_alphas(cfg)
         for idx in (0, 57, 100, 143, 200):
-            got = estimate_fourier_nu_bar(curve, EX1.mu, EX1.a, v=v[idx])
-            assert got == pytest.approx(grid[idx], rel=1e-13)
+            mirror = cfg.m_inv - idx
+            assert v[mirror] == pytest.approx(-v[idx], abs=1e-12)
+            want = -curve.y[mirror] + EX1.mu * (cfg.u0 - 1j * v[idx]) + EX1.a
+            assert grid[idx] == want
 
     def test_zero_frequency_value(self):
         cfg = EstimationConfig()
         curve = self._plugin_curve(cfg)
-        got = estimate_fourier_nu_bar(curve, EX1.mu, EX1.a, v=0.0)
+        got = estimate_fourier_nu_bar(curve, EX1.mu, EX1.a)[cfg.m_inv // 2]
         assert got == pytest.approx(EX1.a * EX1.b / (EX1.b + cfg.u0), rel=1e-13)
 
     def test_high_frequency_decay(self):
         # the transform of an integrable tilted density must be small far out
         cfg = EstimationConfig(vn=1000.0, m_inv=2)
         curve = self._plugin_curve(cfg)
-        out = estimate_fourier_nu_bar(curve, EX1.mu, EX1.a, v=1000.0)
-        assert abs(out) < 1e-2
+        out = estimate_fourier_nu_bar(curve, EX1.mu, EX1.a)
+        assert abs(out[0]) < 1e-2 and abs(out[-1]) < 1e-2
 
     def test_requires_symmetric_grid(self):
         cfg = EstimationConfig()
@@ -336,21 +345,13 @@ class TestPipelines:
         s = sample_beta_case(2000, a=0.7, b=1.8, mu=1.8, seed=0)
         est = run_algorithm2(s, cfg, default_x_grid())
         assert est.triplet is not None
+        # the kept curve is the symmetric inversion band the density came from
+        np.testing.assert_array_equal(est.curve.v, cfg.vn * inversion_alphas(cfg))
+        tri = run_algorithm1(s, cfg)
+        assert (est.triplet.mu_hat, est.triplet.lambda_hat) == (tri.mu_hat, tri.lambda_hat)
         assert est.x.shape == est.nu_hat.shape == est.imag_residual.shape
         # symmetric grids force a numerically vanishing imaginary part
         assert np.abs(est.imag_residual).max() <= 1e-10 * np.abs(est.nu_hat).max()
-
-    def test_positive_part(self):
-        cfg = EstimationConfig()
-        rng = np.random.default_rng(9)
-        f = rng.normal(size=cfg.m_inv + 1) + 1j * rng.normal(size=cfg.m_inv + 1)
-        est = invert_levy_density(f, cfg, default_x_grid(0.0, 2.0, 41))
-        clipped = positive_part(est)
-        assert clipped.nu_hat.min() >= 0.0
-        assert clipped.nu_bar_hat.min() >= 0.0
-        # untouched where already nonnegative
-        keep = est.nu_hat >= 0.0
-        np.testing.assert_array_equal(clipped.nu_hat[keep], est.nu_hat[keep])
 
 
 class TestSerialization:

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from gouest import (
     FLAT_TOP_PLATEAU,
     DomainError,
+    EstimationConfig,
     KernelSpec,
     WeightSpec,
     flat_top,
     kernel,
-    kernel_from_name,
     verify_kernel_condition,
     weight,
-    weight_from_name,
 )
 
 
@@ -67,29 +66,29 @@ class TestFlatTop:
 
 class TestKernelSpec:
     def test_from_name(self):
-        spec = kernel_from_name("flat_top")
+        spec = KernelSpec("flat_top")
         assert spec == KernelSpec()
         assert kernel(spec, 0.5) == flat_top(0.5)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(DomainError):
-            kernel_from_name("triangle")
+            KernelSpec("triangle")
 
 
 class TestWeights:
     def test_flat_indicator(self):
-        spec = weight_from_name("flat", 0.1)
+        spec = WeightSpec("flat")
         alphas = np.array([0.05, 0.1, 0.5, 1.0, 1.0001, -0.2])
-        np.testing.assert_array_equal(weight(spec, alphas), [0, 1, 1, 1, 0, 0])
+        np.testing.assert_array_equal(weight(spec, alphas, 0.1), [0, 1, 1, 1, 0, 0])
 
     def test_epanechnikov_shape(self):
-        spec = weight_from_name("epanechnikov", 0.1)
+        spec = WeightSpec("epanechnikov")
         # parabola on [eps, 1]: 1 at the midpoint, 0 at both endpoints
-        assert weight(spec, 0.55) == pytest.approx(1.0, abs=1e-14)
-        assert weight(spec, 0.1) == pytest.approx(0.0, abs=1e-14)
-        assert weight(spec, 1.0) == pytest.approx(0.0, abs=1e-14)
-        assert weight(spec, 0.05) == 0.0
-        assert weight(spec, 1.2) == 0.0
+        assert weight(spec, 0.55, 0.1) == pytest.approx(1.0, abs=1e-14)
+        assert weight(spec, 0.1, 0.1) == pytest.approx(0.0, abs=1e-14)
+        assert weight(spec, 1.0, 0.1) == pytest.approx(0.0, abs=1e-14)
+        assert weight(spec, 0.05, 0.1) == 0.0
+        assert weight(spec, 1.2, 0.1) == 0.0
 
     @given(
         eps=st.floats(0.01, 0.9),
@@ -97,21 +96,21 @@ class TestWeights:
         name=st.sampled_from(["flat", "epanechnikov"]),
     )
     def test_nonnegative_and_supported(self, eps, alpha, name):
-        spec = weight_from_name(name, eps)
-        val = float(weight(spec, alpha))
+        val = float(weight(WeightSpec(name), alpha, eps))
         assert val >= 0.0
         if not (eps <= alpha <= 1.0):
             assert val == 0.0
 
     def test_unknown_name_rejected(self):
         with pytest.raises(DomainError):
-            weight_from_name("uniformish", 0.1)
+            WeightSpec("uniformish")
 
     def test_weight_spec_validation(self):
-        with pytest.raises(DomainError):
-            WeightSpec(variant="flat", eps=0.0)
-        with pytest.raises(DomainError):
-            WeightSpec(variant="flat", eps=1.0)
+        # the weight's support edge is the fitting band's eps, which the
+        # estimation config keeps inside (0, 1)
+        for eps in (0.0, 1.0):
+            with pytest.raises(DomainError):
+                EstimationConfig(eps=eps, weight=WeightSpec("flat"))
 
 
 class TestKernelCondition:

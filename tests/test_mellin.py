@@ -1,7 +1,8 @@
 """Tests for empirical Mellin moments, the ratio estimator, and closed forms.
 
 Oracles:
-  * Hand-computable Mellin moments of tiny explicit samples.
+  * Hand-computable Mellin moments of tiny explicit samples, and a direct
+    np.mean(x**(z-1)) evaluation of the empirical moments written here.
   * Closed-form stationary Mellin transforms (Beta and Gamma cases), which
     must satisfy z * M(z) / M(z+1) = phi(z) exactly.
   * The modulus of the Gamma-case transform on a vertical line, against the
@@ -18,10 +19,8 @@ from gouest import (
     DomainError,
     Sample,
     default_floor,
-    empirical_mellin,
     laplace_curve,
     laplace_curve_from_mellin,
-    laplace_estimate,
     laplace_exponent,
     mellin_theoretical_beta,
     mellin_theoretical_gamma,
@@ -38,57 +37,79 @@ def _sample_of(values):
     return Sample(values=np.asarray(values, dtype=float), delta=1.0, seed=0)
 
 
+def _ratio_reference(values, z):
+    """Y_n(z) = z M_n(z) / M_n(z+1) and |M_n(z+1)|, with the empirical moment
+    M_n(z) = mean(x**(z-1)) summed directly, one point at a time."""
+    x = np.asarray(values, dtype=float)
+    numer, denom = np.mean(x ** (z - 1.0)), np.mean(x**z)
+    return z * numer / denom, abs(denom)
+
+
 class TestEmpiricalMellin:
+    """The moments M_n(z) and M_n(z+1) behind laplace_curve, read back
+    through its ratio and its denominator |M_n(u0+1+iv)|."""
+
     def test_unit_moment_is_exact(self):
-        s = _sample_of([0.3, 1.7, 42.0, 0.001])
-        assert empirical_mellin(s, 1.0 + 0j).value == 1.0 + 0j
+        # M_n(1) = 1, so Y_n(1) = 1 / M_n(2) = 1 / mean(x)
+        x = [0.3, 1.7, 42.0, 0.001]
+        curve = laplace_curve(_sample_of(x), 1.0, np.array([0.0]))
+        assert curve.y[0].imag == 0.0
+        assert curve.y[0].real == pytest.approx(1.0 / np.mean(x), rel=1e-15)
+        assert curve.denom_abs[0] == pytest.approx(np.mean(x), rel=1e-15)
 
     def test_hand_computed_moment(self):
-        s = _sample_of([1.0, 2.0, 4.0])
-        got = empirical_mellin(s, 2.0 + 0j)
-        assert got.value == pytest.approx((1.0 + 2.0 + 4.0) / 3.0, rel=1e-15)
-        assert got.n == 3
-        assert got.z == 2.0 + 0j
+        # M_n(2) = 7/3 and M_n(3) = 7 for the sample (1, 2, 4)
+        curve = laplace_curve(_sample_of([1.0, 2.0, 4.0]), 2.0, np.array([0.0]))
+        assert curve.denom_abs[0] == pytest.approx(7.0, rel=1e-15)
+        assert curve.y[0] == pytest.approx(2.0 * (7.0 / 3.0) / 7.0, rel=1e-15)
+        assert curve.n == 3
 
     def test_constant_sample_power(self):
-        s = _sample_of(np.full(50, 3.0))
-        got = empirical_mellin(s, 2.0 + 3.0j).value
-        assert got == pytest.approx(3.0 ** (1.0 + 3.0j), rel=1e-14)
+        # constant 3: M_n(z+1) = 3**z, so |M_n(2+3i)| = 3
+        curve = laplace_curve(_sample_of(np.full(50, 3.0)), 1.0, np.array([3.0]))
+        want, want_denom = _ratio_reference(np.full(50, 3.0), 1.0 + 3.0j)
+        assert curve.denom_abs[0] == pytest.approx(3.0, rel=1e-14)
+        assert curve.denom_abs[0] == pytest.approx(want_denom, rel=1e-14)
+        assert curve.y[0] == pytest.approx(want, rel=1e-14)
 
     def test_array_argument(self):
-        s = _sample_of([1.0, 2.0, 4.0])
-        zs = np.array([1.0 + 0j, 2.0 + 0j, 3.0 + 0j])
-        got = empirical_mellin(s, zs)
-        np.testing.assert_allclose(got, [1.0, 7.0 / 3.0, 7.0], rtol=1e-14)
+        x = [1.0, 2.0, 4.0]
+        v = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
+        curve = laplace_curve(_sample_of(x), 2.0, v)
+        for j, vj in enumerate(v):
+            want, want_denom = _ratio_reference(x, complex(2.0, vj))
+            assert curve.y[j] == pytest.approx(want, rel=1e-14)
+            assert curve.denom_abs[j] == pytest.approx(want_denom, rel=1e-14)
 
     @settings(max_examples=30)
     @given(
         seed=st.integers(0, 10_000),
-        re=st.floats(-3.0, 4.0),
+        re=st.floats(0.01, 4.0),
         im=st.floats(0.01, 20.0),
     )
     def test_conjugate_symmetry_is_exact(self, seed, re, im):
         rng = np.random.default_rng(seed)
-        s = _sample_of(rng.lognormal(size=17))
-        z = complex(re, im)
-        assert empirical_mellin(s, np.conj(z)).value == np.conj(
-            empirical_mellin(s, z).value
-        )
+        curve = laplace_curve(_sample_of(rng.lognormal(size=17)), re, np.array([-im, im]))
+        assert curve.y[0] == np.conj(curve.y[1])
+        assert curve.denom_abs[0] == curve.denom_abs[1]
 
 
 class TestRatioEstimator:
     def test_constant_sample_gives_z_over_c(self):
         s = _sample_of(np.full(200, 3.0))
+        curve = laplace_curve(s, 1.0, np.array([1.0]))
         z = 1.0 + 1.0j
-        got = laplace_estimate(s, z)
-        assert got.value == pytest.approx(z / 3.0, rel=1e-14)
-        assert not got.ill
+        assert curve.y[0] == pytest.approx(z / 3.0, rel=1e-14)
+        assert curve.y[0] == pytest.approx(_ratio_reference(s.values, z)[0], rel=1e-14)
+        assert not curve.ill[0]
 
     def test_zero_is_zero(self):
+        # Y_n vanishes at the origin, where the denominator M_n(1) is 1; the
+        # curve needs u0 > 0, so approach it along the real axis
         s = _sample_of(np.full(200, 3.0))
-        got = laplace_estimate(s, 0j)
-        assert got.value == 0j
-        assert got.denom_abs == pytest.approx(1.0)
+        curve = laplace_curve(s, 1e-12, np.array([0.0]))
+        assert abs(curve.y[0]) <= 1e-12
+        assert curve.denom_abs[0] == pytest.approx(1.0, rel=1e-11)
 
     def test_default_floor(self):
         assert default_floor(10_000) == pytest.approx(0.1)
@@ -97,9 +118,12 @@ class TestRatioEstimator:
     def test_ill_flag_on_tiny_denominator(self):
         # constant 0.01 sample: |M_n(2+i)| = 0.01 < 10/sqrt(100)
         s = _sample_of(np.full(100, 0.01))
-        got = laplace_estimate(s, 1.0 + 1.0j)
-        assert got.ill
-        assert got.denom_abs == pytest.approx(0.01, rel=1e-12)
+        curve = laplace_curve(s, 1.0, np.array([1.0]))
+        assert curve.ill[0]
+        assert curve.denom_abs[0] == pytest.approx(0.01, rel=1e-12)
+        assert curve.denom_abs[0] == pytest.approx(
+            _ratio_reference(s.values, 1.0 + 1.0j)[1], rel=1e-12
+        )
 
     def test_plugin_beta_matches_laplace_exponent(self):
         z = 29.0 + 5.0j
@@ -170,10 +194,10 @@ class TestLaplaceCurve:
         v = np.linspace(-2.0, 2.0, 9)
         curve = laplace_curve(s, 1.0, v)
         for j, vj in enumerate(v):
-            point = laplace_estimate(s, complex(1.0, vj))
-            assert abs(curve.y[j] - point.value) <= 1e-12 * max(1.0, abs(point.value))
-            assert curve.denom_abs[j] == pytest.approx(point.denom_abs, rel=1e-12)
-            assert curve.ill[j] == point.ill
+            want, want_denom = _ratio_reference(s.values, complex(1.0, vj))
+            assert abs(curve.y[j] - want) <= 1e-12 * max(1.0, abs(want))
+            assert curve.denom_abs[j] == pytest.approx(want_denom, rel=1e-12)
+            assert curve.ill[j] == (want_denom < default_floor(s.n))
 
     def test_conjugate_symmetry_bitwise(self):
         s = sample_gamma_case(300, a=0.7, b=1.8, seed=2)

@@ -30,7 +30,6 @@ from gouest import (
     levy_density,
     model_from_config,
     model_to_config,
-    normal_cdf,
 )
 
 
@@ -97,23 +96,6 @@ class TestComplexLogGamma:
         for bad in [0.0 + 0j, -1.0 + 0j, -2.0 + 0j]:
             with pytest.raises(PoleError):
                 complex_log_gamma(bad)
-
-
-class TestNormalCdf:
-    def test_real_matches_scipy(self):
-        for x in [-3.0, -0.5, 0.0, 0.5, 3.0]:
-            assert normal_cdf(complex(x, 0.0)).real == pytest.approx(
-                float(norm.cdf(x)), abs=1e-14
-            )
-
-    def test_half_at_zero(self):
-        assert normal_cdf(0j).real == pytest.approx(0.5, abs=1e-15)
-
-    def test_erf_relation_at_complex_points(self):
-        for z in _random_points(20, -4, 4, -4, 4):
-            z = complex(z)
-            want = 0.5 * (1.0 + complex_erf(z / math.sqrt(2.0)))
-            assert abs(normal_cdf(z) - want) <= 1e-13 * max(1.0, abs(want))
 
 
 class TestCPExp:

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import gouest.estimators
+import gouest.rates
 from gouest import (
     CPExp,
     DomainError,
@@ -145,24 +147,43 @@ class TestRateStudy:
         b = rate_study(self.STUDY, BETA_MODEL, self.TEMPLATE, seed=3, with_mise=False)
         assert a.median_sq_err_mu == b.median_sq_err_mu
 
-    def test_constant_estimator_has_flat_errors(self):
+    def test_constant_estimator_has_flat_errors(self, monkeypatch):
         # a sample-independent estimator must show zero slope across n
         def const(sample, config):
             return TripletEstimate(
                 mu_hat=2.0, lambda_hat=1.0, ill_count=0, n=sample.n, config=config
             )
 
+        monkeypatch.setattr(gouest.rates, "run_algorithm1", const)
         report = rate_study(
-            self.STUDY,
-            BETA_MODEL,
-            self.TEMPLATE,
-            seed=0,
-            triplet_estimator=const,
-            with_mise=False,
+            self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0, with_mise=False
         )
         assert report.slope_mu == pytest.approx(0.0, abs=1e-12)
         for med in report.median_sq_err_mu:
             assert med == pytest.approx((2.0 - 1.8) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("with_mise, per_replicate", [(True, 2), (False, 1)])
+    def test_one_fit_per_replicate(self, monkeypatch, with_mise, per_replicate):
+        # the fit band's curve is computed once per replicate; the density
+        # pipeline adds only the symmetric band's curve
+        calls = []
+        original = gouest.estimators.laplace_curve
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].size)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gouest.estimators, "laplace_curve", counting)
+        report = rate_study(
+            self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0, x_points=21,
+            with_mise=with_mise,
+        )
+        replicates = len(self.STUDY.n_ladder) * self.STUDY.replicates
+        assert report.failures == []
+        assert len(calls) == per_replicate * replicates
+        assert [row[:2] for row in report.rows] == [
+            (n, r) for n in self.STUDY.n_ladder for r in range(self.STUDY.replicates)
+        ]
 
     def test_json_schema_is_pinned(self, tmp_path):
         report = rate_study(

@@ -34,6 +34,7 @@ from gouest import (
     sample_gamma_case,
     sample_series_cp,
     sample_stationary,
+    write_columns_csv,
     write_sample_csv,
 )
 from gouest.sampling import _pi3_mass, _pi3_raw
@@ -55,6 +56,12 @@ class TestSampleContainer:
     def test_n_property(self):
         s = Sample(values=np.array([1.0, 2.0, 3.0]), delta=1.0, seed=0)
         assert s.n == 3
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_non_finite_rejected_as_such(self, bad):
+        # checked before positivity, so the message names the real fault
+        with pytest.raises(DomainError, match="non-finite"):
+            Sample(values=np.array([0.5, bad, 0.2]))
 
 
 class TestGenerators:
@@ -227,6 +234,16 @@ class TestSampleIO:
         assert raw.startswith(b"x\n")
         assert b"\r" not in raw
         assert raw.count(b"\n") == 4  # header + 3 rows
+
+    def test_columns_csv_formats(self, tmp_path):
+        path = write_columns_csv(tmp_path / "c.csv", {
+            "a": np.array([0.1 + 0.2, -0.0]),
+            "k": np.array([3, -4]),
+            "flag": np.array([True, False]),
+        })
+        assert path.read_bytes() == b"a,k,flag\n0.30000000000000004,3,1\n-0,-4,0\n"
+        with pytest.raises(DomainError):
+            write_columns_csv(tmp_path / "d.csv", {"a": np.ones(2), "b": np.ones(3)})
 
     def test_read_without_metadata(self, tmp_path):
         p = tmp_path / "bare.csv"
