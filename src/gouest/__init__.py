@@ -22,7 +22,7 @@ from .sampling import (Sample, SeriesTruncationPolicy, density_pi3, make_generat
                        sample_series_cp, sample_stationary, write_columns_csv,
                        write_sample_csv)
 from .mellin import (LaplaceCurve, default_floor, laplace_curve, laplace_curve_from_mellin,
-                     mellin_theoretical_beta, mellin_theoretical_gamma,
+                     mellin_theoretical_beta, mellin_theoretical_gamma, symmetric_grid,
                      write_laplace_curve_csv)
 from .estimators import (EstimationConfig, LevyDensityEstimate, TripletEstimate,
                          default_x_grid, estimate_fourier_nu_bar, estimate_lambda,
@@ -49,7 +49,8 @@ __all__ = [
     "write_columns_csv", "write_sample_csv", "read_sample_csv",
     # mellin
     "LaplaceCurve", "default_floor", "laplace_curve", "laplace_curve_from_mellin",
-    "mellin_theoretical_beta", "mellin_theoretical_gamma", "write_laplace_curve_csv",
+    "mellin_theoretical_beta", "mellin_theoretical_gamma", "symmetric_grid",
+    "write_laplace_curve_csv",
     # estimators
     "EstimationConfig", "TripletEstimate", "LevyDensityEstimate", "fit_alphas",
     "inversion_alphas", "estimate_mu", "estimate_lambda", "estimate_fourier_nu_bar",

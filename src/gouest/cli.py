@@ -23,7 +23,7 @@ from .errors import (AccuracyError, DegenerateWeights, DomainError, GouestError,
 from .estimators import (EstimationConfig, default_x_grid, run_algorithm2,
                          write_levy_density_csv, write_triplet_json)
 from .kernels import WeightSpec
-from .mellin import laplace_curve, write_laplace_curve_csv
+from .mellin import laplace_curve, symmetric_grid, write_laplace_curve_csv
 from .models import CPExp, TruncNormCP, laplace_exponent, levy_density, model_to_config
 from .rates import RateStudyConfig, rate_study, write_mise_report_json
 from .sampling import (SeriesTruncationPolicy, read_sample_csv, sample_stationary,
@@ -189,7 +189,7 @@ def _cmd_experiment1(args, out_dir: Path, outputs: list) -> dict:
     model = _EXAMPLE1_MODEL
 
     sample = sample_stationary(model, n_fig, seed=seed, stream=_FIG_STREAM)
-    v_grid = np.linspace(-_EXAMPLE1_V, _EXAMPLE1_V, 601)
+    v_grid = symmetric_grid(_EXAMPLE1_V, 600)
     curve = laplace_curve(sample, _EXAMPLE1_U0, v_grid)
     outputs.append(_write_curve_with_theory(curve, model, out_dir / "fig1_laplace.csv"))
 
@@ -215,7 +215,7 @@ def _cmd_experiment2(args, out_dir: Path, outputs: list) -> dict:
     model = _EXAMPLE2_MODEL
 
     sample = sample_stationary(model, n, seed=seed, stream=_FIG_STREAM)
-    v_grid = np.linspace(-_EXAMPLE2_V, _EXAMPLE2_V, 501)
+    v_grid = symmetric_grid(_EXAMPLE2_V, 500)
     curve = laplace_curve(sample, _EXAMPLE2_U0, v_grid)
     outputs.append(_write_curve_with_theory(curve, model, out_dir / "fig3_laplace.csv"))
 

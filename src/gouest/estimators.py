@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateWeights, DomainError, GridMismatch
 from .kernels import KernelSpec, WeightSpec, kernel, weight
-from .mellin import LaplaceCurve, laplace_curve
+from .mellin import LaplaceCurve, laplace_curve, symmetric_grid
 from .sampling import Sample, write_columns_csv
 
 __all__ = [
@@ -106,8 +106,10 @@ class LevyDensityEstimate:
     density estimate); ``nu_bar_hat`` its exponentially tilted version
     e^{-u0 x} nu_hat used by the integrated-error theory; ``imag_residual``
     the imaginary part of the inversion on the same scale as ``nu_hat``,
-    recorded and never dropped (an honest diagnostic of estimation noise
-    and grid asymmetry). :func:`run_algorithm2` also keeps the fitted
+    recorded and never dropped: the inversion grid has exact mirror pairs
+    and the transform estimate is conjugate-symmetric on it, so the residual
+    is rounding-level and a larger one flags a broken symmetry.
+    :func:`run_algorithm2` also keeps the fitted
     ``triplet`` and the symmetric-band ``curve`` it inverted.
     """
 
@@ -138,9 +140,9 @@ def fit_alphas(config: EstimationConfig) -> np.ndarray:
 
 
 def inversion_alphas(config: EstimationConfig) -> np.ndarray:
-    """Symmetric inversion grid alpha_m = -1 + 2m/M, m = 0..M."""
-    m = np.arange(config.m_inv + 1, dtype=float)
-    return -1.0 + 2.0 * m / config.m_inv
+    """Symmetric inversion grid alpha_m = (2m - M)/M, m = 0..M, with exact
+    mirror pairs alpha_{M-m} = -alpha_m."""
+    return symmetric_grid(1.0, config.m_inv)
 
 
 def _check_fit_grid(curve: LaplaceCurve, config: EstimationConfig) -> np.ndarray:
@@ -220,7 +222,7 @@ def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEs
     """Kernel-regularized inverse Fourier sum recovering the jump density.
 
     nu_n(x) = e^{u0 x} * (2 V / (2 pi (M+1))) * sum_m e^{-i v_m x} fhat_m K(a_m)
-    over the symmetric grid v_m = a_m V, a_m = -1 + 2m/M. The real part is
+    over the symmetric grid v_m = a_m V, a_m = (2m - M)/M. The real part is
     the density estimate; the imaginary part (tilted scale) is stored as a
     residual. ``fhat`` must hold the transform estimate at -v_m for each
     grid point, as produced by :func:`estimate_fourier_nu_bar`.

@@ -11,6 +11,7 @@ stage of both estimation pipelines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "laplace_curve_from_mellin",
     "mellin_theoretical_beta",
     "mellin_theoretical_gamma",
+    "symmetric_grid",
     "write_laplace_curve_csv",
 ]
 
@@ -68,15 +70,96 @@ def _values_of(sample) -> np.ndarray:
     return (sample if isinstance(sample, Sample) else Sample(values=sample)).values
 
 
-_CHUNK_ELEMENTS = 4_000_000
+# Phase recurrence of the empirical moments (see laplace_curve): rows between
+# direct reseeds, and observations per block, so one block of phases is at most
+# 64 x 4096 complex values (4 MB) whatever the grid and the sample size.
+_RESEED_ROWS = 64
+_BLOCK = 4096
+# A row stays in a run while it lies within this many ulps of the run's
+# progression. The offset is corrected to first order, which leaves an error
+# of (offset * log x)^2 / 2, far below rounding; an irregular grid reseeds.
+_PROGRESSION_ULPS = 64
+
+
+def symmetric_grid(v_max: float, m: int) -> np.ndarray:
+    """The m+1 points v_max*(2k - m)/m, k = 0..m, built from integer indices
+    so that v and -v are exact negatives and laplace_curve computes each
+    |v| once."""
+    k = np.arange(m + 1)
+    return (2 * k - m) / m * v_max
+
+
+def _recurrence_runs(w: np.ndarray):
+    """Split the ascending rows w into runs (start, stop, step) of at most 64
+    rows: row start is reseeded, and row start+j lies on the progression
+    w[start] + j*step up to an offset of at most _PROGRESSION_ULPS ulps. A
+    run needs three rows on its progression, so every row of an irregular
+    grid is a reseed. Returns the runs and every row's exact offset from its progression
+    (0 at a reseed)."""
+    tol = _PROGRESSION_ULPS * np.finfo(float).eps
+    runs, offsets, start = [], np.zeros(w.size), 0
+    while start < w.size:
+        stop = start + 1
+        step = w[stop] - w[start] if stop < w.size else 0.0
+        while stop < w.size and stop - start < _RESEED_ROWS:
+            offset = float(Fraction(w[stop]) - Fraction(w[start])
+                           - (stop - start) * Fraction(step))
+            if abs(offset) > tol * w[stop]:
+                break
+            offsets[stop] = offset
+            stop += 1
+        if stop - start == 2:
+            # a single step costs an exp like a reseed and is not exact
+            stop, offsets[start + 1] = start + 1, 0.0
+        runs.append((start, stop, step))
+        start = stop
+    return runs, offsets
+
+
+def _phase_moments(log_x: np.ndarray, weights: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k weights[k, j] exp(i w_r log x_k) for every row r of the ascending,
+    nonnegative w: a (rows, columns) complex array.
+
+    Per block of observations, each run from _recurrence_runs starts from a
+    direct exp and advances by one complex multiply per row,
+    e^{i(w+step)t} = e^{iwt} e^{i step t}. The filled block meets the real
+    weights c and c*t in one matrix product; the second set applies the
+    first-order offset correction e^{i offset t} = 1 + i offset t.
+    """
+    runs, offsets = _recurrence_runs(w)
+    columns = weights.shape[1]
+    sums = np.zeros((w.size, 2 * columns), dtype=complex)
+    phase = np.empty((_RESEED_ROWS, min(_BLOCK, log_x.size)), dtype=complex)
+    for lo in range(0, log_x.size, _BLOCK):
+        t = log_x[lo:lo + _BLOCK]
+        c = weights[lo:lo + _BLOCK]
+        block_weights = np.hstack([c, c * t[:, None]]).astype(complex)
+        for start, stop, step in runs:
+            rows = phase[:stop - start, :t.size]
+            np.exp(1j * w[start] * t, out=rows[0])
+            if stop - start > 1:
+                advance = np.exp(1j * step * t)
+                for j in range(1, stop - start):
+                    np.multiply(rows[j - 1], advance, out=rows[j])
+            sums[start:stop] += rows @ block_weights
+    return sums[:, :columns] + 1j * offsets[:, None] * sums[:, columns:]
 
 
 def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> LaplaceCurve:
     """Ratio-estimator curve Y_n(u0+iv) over an ordered v-grid.
 
-    Both moment grids (at u0+iv and u0+1+iv) are computed in one pass over
-    the sample, sharing the real factors exp((u0-1) log x) and x across all
-    grid points; negative v come from the positive half by conjugation.
+    Both moments, M_n(u0+iv) and M_n(u0+1+iv), come from one pass over the
+    sample against the stacked real weights x^{u0-1}/n and x^{u0}/n. The
+    phases e^{iv log x} are built by recurrence over the sorted unique |v|:
+    a direct exp at a reseed row (every 64 rows, and wherever the spacing of
+    |v| changes, so an irregular grid is all reseeds), one complex multiply
+    by e^{i dv log x} per row in between, with the rows' ulp-sized offsets
+    from an exact progression corrected to first order. Each phase thus
+    carries an error of the order of the rounding of v log x that a direct
+    exp makes; on the estimators' grids the curve agrees with a direct sum
+    to 1e-12 relative in Y and in |M_n(u0+1+iv)|. Negative v come from the
+    positive half by conjugation. Raises DomainError when a weight
+    overflows float64.
     """
     values = _values_of(sample)
     if not (u0 > 0.0):
@@ -88,25 +171,19 @@ def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> Lapl
         raise DomainError("need a nonempty 1-d v-grid")
 
     log_x = np.log(values)
-    r1 = np.exp((u0 - 1.0) * log_x)
-    r2 = r1 * values
+    with np.errstate(over="ignore"):
+        r1 = np.exp((u0 - 1.0) * log_x)
+        weights = np.stack([r1, r1 * values], axis=1)
+    if not np.all(np.isfinite(weights)):
+        raise DomainError(
+            f"empirical Mellin weight x^u0 or x^(u0-1) overflows float64 at u0={u0:g} "
+            f"(min x = {values.min():.6g}, max x = {values.max():.6g})")
+    weights /= values.size
 
     v_abs, inverse = np.unique(np.abs(v), return_inverse=True)
-    m1_u = np.empty(v_abs.size, dtype=complex)
-    m2_u = np.empty(v_abs.size, dtype=complex)
-    chunk = max(1, _CHUNK_ELEMENTS // values.size)
-    inv_n = 1.0 / values.size
-    for start in range(0, v_abs.size, chunk):
-        stop = min(start + chunk, v_abs.size)
-        phase = np.exp(1j * np.multiply.outer(v_abs[start:stop], log_x))
-        m1_u[start:stop] = phase @ r1 * inv_n
-        m2_u[start:stop] = phase @ r2 * inv_n
-
-    m1 = m1_u[inverse]
-    m2 = m2_u[inverse]
-    neg = v < 0.0
-    np.conj(m1, out=m1, where=neg)
-    np.conj(m2, out=m2, where=neg)
+    moments = _phase_moments(log_x, weights, v_abs)[inverse]
+    np.conj(moments, out=moments, where=(v < 0.0)[:, None])
+    m1, m2 = moments[:, 0], moments[:, 1]
 
     z = u0 + 1j * v
     if np.any(m2 == 0.0):

@@ -216,7 +216,9 @@ def _json_safe(value: float):
 
 
 def write_mise_report_json(report: MiseReport, path: str | Path) -> Path:
-    """Serialize the study summary with the documented flat schema."""
+    """Serialize the study summary: the per-n medians and slopes, the
+    interquartile ranges behind them (``quartiles``), the failed replicates
+    (``failures``) and the study's settings (``meta``)."""
     payload = {
         "n": report.n,
         "median_sq_err_mu": report.median_sq_err_mu,
@@ -224,6 +226,9 @@ def write_mise_report_json(report: MiseReport, path: str | Path) -> Path:
         "median_mise": report.median_mise,
         "slope_mu": _json_safe(report.slope_mu),
         "slope_mise": _json_safe(report.slope_mise),
+        "quartiles": report.quartiles,
+        "failures": report.failures,
+        "meta": report.meta,
     }
     path = Path(path)
     with open(path, "w", newline="") as fh:

@@ -205,6 +205,18 @@ class TestEstimate:
         assert "non-finite" in capsys.readouterr().err
         assert "non-finite" in _manifest(out)["error"]["message"]
 
+    def test_overflowing_mellin_weight_exits_2(self, tmp_path, capsys):
+        # 1e12**29 overflows float64; the error must say so, not blame the
+        # conditioning diagnostics downstream
+        big = tmp_path / "big.csv"
+        big.write_text("x\n0.5\n1e12\n0.2\n")
+        out = tmp_path / "est"
+        rc = main(["estimate", str(big), "--u0", "29", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "overflows" in err and "u0=29" in err and "max x = 1e+12" in err
+        assert _manifest(out)["error"]["type"] == "DomainError"
+
     def test_constant_sample_flagged_not_fatal(self, tmp_path):
         # constant observations c are the pure-drift degenerate case: the
         # estimate is exactly 1/c, and a small c puts the Mellin denominator
@@ -230,6 +242,8 @@ class TestExperiments:
         assert len(fig1) == 602  # 601 grid points on [-30, 30]
         first, last = fig1[1].split(","), fig1[-1].split(",")
         assert float(first[0]) == -30.0 and float(last[0]) == 30.0
+        v = np.array([float(line.split(",")[0]) for line in fig1[1:]])
+        np.testing.assert_array_equal(v, -v[::-1])  # exact mirror pairs
         fig2 = (out / "fig2_estimates.csv").read_text().splitlines()
         assert fig2[0] == "n,replicate,vn,mu_hat,lambda_hat,ill_count"
         assert len(fig2) == 1 + 3 * 2  # ladder of three sizes, two replicates
@@ -243,6 +257,8 @@ class TestExperiments:
         assert len(fig3) == 502  # 501 grid points on [-5, 5]
         first, last = fig3[1].split(","), fig3[-1].split(",")
         assert float(first[0]) == -5.0 and float(last[0]) == 5.0
+        v = np.array([float(line.split(",")[0]) for line in fig3[1:]])
+        np.testing.assert_array_equal(v, -v[::-1])  # exact mirror pairs
         fig4 = (out / "fig4_density.csv").read_text().splitlines()
         assert fig4[0] == "x,nu_hat,nu_bar_hat,imag_residual,nu_true"
         # jump density of the truncated-normal model vanishes below alpha
@@ -294,6 +310,9 @@ class TestRateStudyCommand:
             "median_mise",
             "slope_mu",
             "slope_mise",
+            "quartiles",
+            "failures",
+            "meta",
         }
         assert payload["n"] == [200, 400]
 

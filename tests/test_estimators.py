@@ -118,6 +118,14 @@ class TestGrids:
         assert a[0] == -1.0 and a[-1] == 1.0
         assert np.abs(a + a[::-1]).max() <= 1e-15
 
+    @pytest.mark.parametrize("m_inv, vn", [(200, 30.0), (200, 6.0), (201, 5.0), (600, 30.0)])
+    def test_inversion_grid_mirrors_are_exact(self, m_inv, vn):
+        # laplace_curve computes one phase row per distinct |v|, so every
+        # mirror pair must collapse to one value
+        v = vn * inversion_alphas(EstimationConfig(vn=vn, m_inv=m_inv))
+        np.testing.assert_array_equal(v, -v[::-1])
+        assert np.unique(np.abs(v)).size == m_inv // 2 + 1
+
     def test_default_x_grid(self):
         x = default_x_grid()
         assert x[0] == 0.0 and x[-1] == 3.0 and len(x) == 301

@@ -7,6 +7,8 @@ Oracles:
     must satisfy z * M(z) / M(z+1) = phi(z) exactly.
   * The modulus of the Gamma-case transform on a vertical line, against the
     Stirling envelope.
+  * A direct sum with one complex exp per observation and grid point, the
+    reference for laplace_curve's phase recurrence.
 """
 
 import numpy as np
@@ -17,8 +19,11 @@ from hypothesis import strategies as st
 from gouest import (
     CPExp,
     DomainError,
+    EstimationConfig,
     Sample,
+    TruncNormCP,
     default_floor,
+    fit_alphas,
     laplace_curve,
     laplace_curve_from_mellin,
     laplace_exponent,
@@ -26,8 +31,11 @@ from gouest import (
     mellin_theoretical_gamma,
     sample_beta_case,
     sample_gamma_case,
+    sample_stationary,
+    symmetric_grid,
     write_laplace_curve_csv,
 )
+from gouest.mellin import _recurrence_runs
 
 BETA_MODEL = CPExp(a=0.7, b=1.8, mu=1.8)
 GAMMA_MODEL = CPExp(a=0.7, b=1.8, mu=0.0)
@@ -43,6 +51,21 @@ def _ratio_reference(values, z):
     x = np.asarray(values, dtype=float)
     numer, denom = np.mean(x ** (z - 1.0)), np.mean(x**z)
     return z * numer / denom, abs(denom)
+
+
+def _direct_curve(values, u0, v):
+    """Y_n(u0+iv) and |M_n(u0+1+iv)| with every phase exp(i v log x) taken
+    directly, one grid point at a time."""
+    log_x = np.log(values)
+    r1 = np.exp((u0 - 1.0) * log_x)
+    r2 = r1 * values
+    y = np.empty(v.size, dtype=complex)
+    denom = np.empty(v.size)
+    for j, vj in enumerate(v):
+        phase = np.exp(1j * vj * log_x)
+        m1, m2 = phase @ r1 / values.size, phase @ r2 / values.size
+        y[j], denom[j] = (u0 + 1j * vj) * m1 / m2, abs(m2)
+    return y, denom
 
 
 class TestEmpiricalMellin:
@@ -251,3 +274,42 @@ class TestLaplaceCurve:
         first = lines[1].split(",")
         assert float(first[0]) == -2.0
         assert int(first[5]) in (0, 1)
+
+
+class TestPhaseRecurrence:
+    """laplace_curve builds phases by recurrence; a direct exp per point is
+    the reference, and both must agree to 1e-12 relative."""
+
+    TOL = 1e-12
+
+    def _assert_matches_direct(self, values, u0, v):
+        curve = laplace_curve(_sample_of(values), u0, v)
+        y, denom = _direct_curve(values, u0, v)
+        assert np.max(np.abs(curve.y - y) / np.abs(y)) <= self.TOL
+        assert np.max(np.abs(curve.denom_abs - denom) / denom) <= self.TOL
+
+    def test_reseed_rule(self):
+        # an irregular grid is all reseeds; a uniform one takes runs of 64
+        runs, offsets = _recurrence_runs(np.array([1.0, 5.0, 10.0]))
+        assert [(start, stop) for start, stop, _ in runs] == [(0, 1), (1, 2), (2, 3)]
+        assert not offsets.any()
+        runs, _ = _recurrence_runs(np.unique(np.abs(symmetric_grid(30.0, 200))))
+        assert [stop - start for start, stop, _ in runs] == [64, 37]
+
+    def test_example1_fit_and_inversion_bands(self):
+        config = EstimationConfig(u0=29.0, vn=30.0)
+        x = sample_beta_case(10**5, a=0.7, b=0.2, mu=1.8, seed=5).values
+        self._assert_matches_direct(x, 29.0, config.vn * fit_alphas(config))
+        self._assert_matches_direct(x, 29.0, symmetric_grid(config.vn, config.m_inv))
+
+    def test_example2_grid_longer_than_a_reseed_interval(self):
+        # 251 distinct |v|: runs of 64 rows, each from a direct exp
+        x = sample_stationary(TruncNormCP(lam=1.0, q=0.5, alpha=0.1), 10**4, seed=6).values
+        self._assert_matches_direct(x, 1.0, symmetric_grid(5.0, 500))
+
+    def test_smallest_positive_observation(self):
+        # log(tiny) = -708, the most negative log of a normal float, so the
+        # largest phase error any rounding produces
+        rng = np.random.default_rng(7)
+        x = np.append(rng.lognormal(size=999), np.finfo(float).tiny)
+        self._assert_matches_direct(x, 1.0, symmetric_grid(30.0, 600))

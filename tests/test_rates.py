@@ -198,8 +198,25 @@ class TestRateStudy:
             "median_mise",
             "slope_mu",
             "slope_mise",
+            "quartiles",
+            "failures",
+            "meta",
         }
         assert payload["n"] == [200, 400]
+
+    def test_json_keeps_quartiles_failures_and_meta(self, tmp_path):
+        report = rate_study(self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0, x_points=21)
+        report.failures.append({"n": 400, "replicate": 9, "error": "PoleError",
+                                "message": "denominator vanished"})
+        payload = json.loads(
+            write_mise_report_json(report, tmp_path / "report.json").read_text()
+        )
+        assert payload["quartiles"] == report.quartiles
+        assert len(payload["quartiles"]["mise"]) == 2
+        assert payload["failures"] == report.failures
+        assert payload["meta"] == report.meta
+        assert payload["meta"]["x_points"] == 21
+        assert payload["median_mise"] == report.median_mise
 
     def test_without_mise_marks_missing(self):
         report = rate_study(
