@@ -253,11 +253,15 @@ def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEs
     )
 
 
-def run_algorithm1(sample: Sample, config: EstimationConfig) -> TripletEstimate:
+def run_algorithm1(sample: Sample, config: EstimationConfig,
+                   curve: LaplaceCurve | None = None) -> TripletEstimate:
     """Fitting pipeline: ratio-estimator curve on the one-sided band, then
-    the closed-form weighted estimates of drift and intensity."""
-    v_grid = fit_alphas(config) * config.vn
-    curve = laplace_curve(sample, config.u0, v_grid, floor=config.floor)
+    the closed-form weighted estimates of drift and intensity. A caller that
+    already holds the band's ``curve`` passes it instead of a second pass
+    over the sample."""
+    if curve is None:
+        v_grid = fit_alphas(config) * config.vn
+        curve = laplace_curve(sample, config.u0, v_grid, floor=config.floor)
     mu_hat = estimate_mu(curve, config)
     lambda_hat = estimate_lambda(curve, mu_hat, config)
     return TripletEstimate(mu_hat=mu_hat, lambda_hat=lambda_hat,
@@ -265,13 +269,25 @@ def run_algorithm1(sample: Sample, config: EstimationConfig) -> TripletEstimate:
                            config=config, curve=curve)
 
 
+def _band(curve: LaplaceCurve, v: np.ndarray) -> LaplaceCurve:
+    """The points of ``curve`` at the grid v, which its own grid contains."""
+    i = np.searchsorted(curve.v, v)
+    return LaplaceCurve(u0=curve.u0, v=curve.v[i], y=curve.y[i],
+                        denom_abs=curve.denom_abs[i], ill=curve.ill[i], n=curve.n,
+                        meta=dict(curve.meta))
+
+
 def run_algorithm2(sample: Sample, config: EstimationConfig, x_grid) -> LevyDensityEstimate:
-    """The estimation pipeline: fit (mu, lambda) on the one-sided band, form
-    the Fourier-transform estimate on the symmetric band, invert. The
-    result keeps the fitted triplet and the symmetric-band curve."""
-    triplet = run_algorithm1(sample, config)
-    v_grid = inversion_alphas(config) * config.vn
-    curve = laplace_curve(sample, config.u0, v_grid, floor=config.floor)
+    """The estimation pipeline: one curve over the union of the one-sided
+    fitting band and the symmetric band (one pass over the sample), the fit
+    of (mu, lambda) on the first, the Fourier-transform estimate on the
+    second, and its inversion. The result keeps the fitted triplet and the
+    symmetric-band curve."""
+    v_fit = fit_alphas(config) * config.vn
+    v_inv = inversion_alphas(config) * config.vn
+    both = laplace_curve(sample, config.u0, np.union1d(v_fit, v_inv), floor=config.floor)
+    triplet = run_algorithm1(sample, config, curve=_band(both, v_fit))
+    curve = _band(both, v_inv)
     fhat = estimate_fourier_nu_bar(curve, triplet.mu_hat, triplet.lambda_hat)
     estimate = invert_levy_density(fhat, config, x_grid)
     estimate.triplet = triplet

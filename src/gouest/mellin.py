@@ -11,13 +11,12 @@ stage of both estimation pipelines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError, PoleError
-from .models import complex_log_gamma
 from .sampling import Sample, write_columns_csv
 
 __all__ = [
@@ -70,15 +69,12 @@ def _values_of(sample) -> np.ndarray:
     return (sample if isinstance(sample, Sample) else Sample(values=sample)).values
 
 
-# Phase recurrence of the empirical moments (see laplace_curve): rows between
-# direct reseeds, and observations per block, so one block of phases is at most
-# 64 x 4096 complex values (4 MB) whatever the grid and the sample size.
-_RESEED_ROWS = 64
-_BLOCK = 4096
-# A row stays in a run while it lies within this many ulps of the run's
-# progression. The offset is corrected to first order, which leaves an error
-# of (offset * log x)^2 / 2, far below rounding; an irregular grid reseeds.
-_PROGRESSION_ULPS = 64
+# Binned Taylor kernel of the empirical moments (see laplace_curve):
+# observations per block of the sorted sample, complex phases per chunk of
+# rows x bins of a block (4 MB), and the bound on the Taylor remainder.
+_BLOCK = 8192
+_PHASES = 2**18
+_TAYLOR_TAIL = 2.0**-60
 
 
 def symmetric_grid(v_max: float, m: int) -> np.ndarray:
@@ -89,77 +85,82 @@ def symmetric_grid(v_max: float, m: int) -> np.ndarray:
     return (2 * k - m) / m * v_max
 
 
-def _recurrence_runs(w: np.ndarray):
-    """Split the ascending rows w into runs (start, stop, step) of at most 64
-    rows: row start is reseeded, and row start+j lies on the progression
-    w[start] + j*step up to an offset of at most _PROGRESSION_ULPS ulps. A
-    run needs three rows on its progression, so every row of an irregular
-    grid is a reseed. Returns the runs and every row's exact offset from its progression
-    (0 at a reseed)."""
-    tol = _PROGRESSION_ULPS * np.finfo(float).eps
-    runs, offsets, start = [], np.zeros(w.size), 0
-    while start < w.size:
-        stop = start + 1
-        step = w[stop] - w[start] if stop < w.size else 0.0
-        while stop < w.size and stop - start < _RESEED_ROWS:
-            offset = float(Fraction(w[stop]) - Fraction(w[start])
-                           - (stop - start) * Fraction(step))
-            if abs(offset) > tol * w[stop]:
-                break
-            offsets[stop] = offset
-            stop += 1
-        if stop - start == 2:
-            # a single step costs an exp like a reseed and is not exact
-            stop, offsets[start + 1] = start + 1, 0.0
-        runs.append((start, stop, step))
-        start = stop
-    return runs, offsets
+def _bin_plan(w_max: float) -> tuple[float, int]:
+    """Bin width h and Taylor order P for frequencies up to w_max: h is the
+    largest power of two, at most 1, with w_max*h <= 1, and P the smallest
+    order whose remainder bound (w_max*h/2)^P / P! is at most 2^-60."""
+    h = 2.0 ** -np.ceil(np.log2(max(w_max, 1.0)))
+    half_width = w_max * h / 2.0
+    order, tail = 1, half_width
+    while tail > _TAYLOR_TAIL:
+        order += 1
+        tail *= half_width / order
+    return h, order
 
 
-def _phase_moments(log_x: np.ndarray, weights: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_k weights[k, j] exp(i w_r log x_k) for every row r of the ascending,
-    nonnegative w: a (rows, columns) complex array.
+def _binned_moments(x_sorted: np.ndarray, u0: float, w: np.ndarray) -> np.ndarray:
+    """sum_k c_kj exp(i w_r log x_k) over the sorted sample for every row r
+    of the ascending, nonnegative w and the weights c_k = (x_k^(u0-1),
+    x_k^u0)/n: a (rows, 2) complex array.
 
-    Per block of observations, each run from _recurrence_runs starts from a
-    direct exp and advances by one complex multiply per row,
-    e^{i(w+step)t} = e^{iwt} e^{i step t}. The filled block meets the real
-    weights c and c*t in one matrix product; the second set applies the
-    first-order offset correction e^{i offset t} = 1 + i offset t.
+    Each t = log x lies in a bin b of width h (_bin_plan) with centre
+    tau_b = (q + 1/2)h, at u = (t - tau_b)/(h/2) in [-1, 1]. One blocked pass
+    sums the moments mu_bpj = sum_{k in b} c_kj u_k^p for p < P; then
+    exp(i w t) = exp(i w tau_b) sum_p (i w h/2)^p u^p / p! up to the
+    remainder bound, so every row comes from the bins alone.
     """
-    runs, offsets = _recurrence_runs(w)
-    columns = weights.shape[1]
-    sums = np.zeros((w.size, 2 * columns), dtype=complex)
-    phase = np.empty((_RESEED_ROWS, min(_BLOCK, log_x.size)), dtype=complex)
-    for lo in range(0, log_x.size, _BLOCK):
-        t = log_x[lo:lo + _BLOCK]
-        c = weights[lo:lo + _BLOCK]
-        block_weights = np.hstack([c, c * t[:, None]]).astype(complex)
-        for start, stop, step in runs:
-            rows = phase[:stop - start, :t.size]
-            np.exp(1j * w[start] * t, out=rows[0])
-            if stop - start > 1:
-                advance = np.exp(1j * step * t)
-                for j in range(1, stop - start):
-                    np.multiply(rows[j - 1], advance, out=rows[j])
-            sums[start:stop] += rows @ block_weights
-    return sums[:, :columns] + 1j * offsets[:, None] * sums[:, columns:]
+    n = x_sorted.size
+    h, order = _bin_plan(w[-1])
+    # sums[r, j, p] = sum_b exp(i w_r tau_b) mu_bpj
+    sums = np.zeros((w.size, 2 * order), dtype=complex)
+    for lo in range(0, n, _BLOCK):
+        x = x_sorted[lo:lo + _BLOCK]
+        t = np.log(x)
+        with np.errstate(over="ignore"):
+            r1 = np.exp((u0 - 1.0) * t)
+            c = np.stack([r1, r1 * x])
+        if not np.all(np.isfinite(c)):
+            raise DomainError(
+                f"empirical Mellin weight x^u0 or x^(u0-1) overflows float64 at u0={u0:g} "
+                f"(min x = {x_sorted[0]:.6g}, max x = {x_sorted[-1]:.6g})")
+        c /= n
+        q = np.floor(t / h)
+        u = 2.0 * (t / h - q) - 1.0
+        starts = np.flatnonzero(np.diff(q)) + 1
+        starts = np.concatenate(([0], starts))
+        mu = np.empty((2, order, starts.size))
+        for p in range(order):
+            mu[:, p] = np.add.reduceat(c, starts, axis=1)
+            c = c * u
+        mu = mu.reshape(2 * order, starts.size)
+        tau = (q[starts] + 0.5) * h
+        # einsum, unlike a BLAS product, gives each row the same rounding
+        # whatever the other rows are, so a band's curve is bitwise the same
+        # alone as inside a union grid
+        chunk = max(1, _PHASES // tau.size)
+        for r in range(0, w.size, chunk):
+            phase = np.exp(1j * np.multiply.outer(w[r:r + chunk], tau))
+            sums[r:r + chunk] += np.einsum("rb,kb->rk", phase, mu)
+    p = np.arange(order)
+    taylor = (w[:, None] * (h / 2.0)) ** p / special.factorial(p) * 1j**p
+    return np.einsum("rp,rjp->rj", taylor, sums.reshape(w.size, 2, order))
 
 
 def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> LaplaceCurve:
     """Ratio-estimator curve Y_n(u0+iv) over an ordered v-grid.
 
     Both moments, M_n(u0+iv) and M_n(u0+1+iv), come from one pass over the
-    sample against the stacked real weights x^{u0-1}/n and x^{u0}/n. The
-    phases e^{iv log x} are built by recurrence over the sorted unique |v|:
-    a direct exp at a reseed row (every 64 rows, and wherever the spacing of
-    |v| changes, so an irregular grid is all reseeds), one complex multiply
-    by e^{i dv log x} per row in between, with the rows' ulp-sized offsets
-    from an exact progression corrected to first order. Each phase thus
-    carries an error of the order of the rounding of v log x that a direct
-    exp makes; on the estimators' grids the curve agrees with a direct sum
-    to 1e-12 relative in Y and in |M_n(u0+1+iv)|. Negative v come from the
-    positive half by conjugation. Raises DomainError when a weight
-    overflows float64.
+    sorted sample against the real weights x^{u0-1}/n and x^{u0}/n, with a
+    binned Taylor expansion of the phases e^{iv log x} (the Taylor-series
+    NDFT of Anderson & Dahleh, 1996): log x is binned at a power-of-two
+    width h with h max|v| <= 1, the pass sums each bin's weighted powers of
+    the offset from its centre up to order P, and every |v| is then a sum
+    over the bins alone, at a cost of n*P plus bins*|v|*P operations on any
+    grid. The truncation error is at most 2^-60 sum|c_k| per bin; the rest
+    is rounding of the same order as a direct sum's, so the curve agrees
+    with a direct sum to 1e-12 relative in Y and in |M_n(u0+1+iv)| on the
+    estimators' grids. Negative v come from the positive half by
+    conjugation. Raises DomainError when a weight overflows float64.
     """
     values = _values_of(sample)
     if not (u0 > 0.0):
@@ -167,21 +168,11 @@ def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> Lapl
     if floor is None:
         floor = default_floor(values.size)
     v = np.asarray(v_grid, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise DomainError("need a nonempty 1-d v-grid")
-
-    log_x = np.log(values)
-    with np.errstate(over="ignore"):
-        r1 = np.exp((u0 - 1.0) * log_x)
-        weights = np.stack([r1, r1 * values], axis=1)
-    if not np.all(np.isfinite(weights)):
-        raise DomainError(
-            f"empirical Mellin weight x^u0 or x^(u0-1) overflows float64 at u0={u0:g} "
-            f"(min x = {values.min():.6g}, max x = {values.max():.6g})")
-    weights /= values.size
+    if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
+        raise DomainError("need a nonempty, finite 1-d v-grid")
 
     v_abs, inverse = np.unique(np.abs(v), return_inverse=True)
-    moments = _phase_moments(log_x, weights, v_abs)[inverse]
+    moments = _binned_moments(np.sort(values), u0, v_abs)[inverse]
     np.conj(moments, out=moments, where=(v < 0.0)[:, None])
     m1, m2 = moments[:, 0], moments[:, 1]
 
@@ -210,12 +201,17 @@ def laplace_curve_from_mellin(mellin_fn, u0: float, v_grid, n: int = 0) -> Lapla
                         meta={"plugin": True})
 
 
-def _reflect_scalar(fn, z: complex) -> complex:
-    """Evaluate fn preserving exact conjugate symmetry."""
-    z = complex(z)
-    if z.imag < 0.0:
-        return complex(np.conj(fn(np.conj(z))))
-    return complex(fn(z))
+def _closed_form(z, b: float, log_m):
+    """exp(log_m(w)) for Re(z) > -b, evaluated on the upper half-plane and
+    conjugated below it, so M(conj z) = conj M(z) exactly. A scalar z gives
+    a complex, an array an array."""
+    w = np.asarray(z, dtype=complex)
+    if np.any(w.real <= -b):
+        raise DomainError(f"need Re(z) > {-b}, got {w[w.real <= -b].flat[0]}")
+    lower = w.imag < 0.0
+    m = np.exp(log_m(np.where(lower, w.conj(), w)))
+    m = np.where(lower, m.conj(), m)
+    return complex(m) if m.ndim == 0 else m
 
 
 def mellin_theoretical_beta(z, a: float, b: float, mu: float):
@@ -228,18 +224,10 @@ def mellin_theoretical_beta(z, a: float, b: float, mu: float):
     if not (a > 0.0 and b > 0.0 and mu > 0.0):
         raise DomainError(f"need a, b, mu > 0, got a={a}, b={b}, mu={mu}")
     beta = a / mu
-
-    def upper(zz: complex) -> complex:
-        if zz.real <= -b:
-            raise DomainError(f"need Re(z) > {-b}, got {zz}")
-        log_m = ((1.0 - zz) * np.log(mu)
-                 + complex_log_gamma(b + zz) - complex_log_gamma(b + 1.0)
-                 + complex_log_gamma(b + 1.0 + beta) - complex_log_gamma(b + zz + beta))
-        return np.exp(log_m)
-
-    if np.ndim(z) == 0:
-        return _reflect_scalar(upper, z)
-    return np.asarray([_reflect_scalar(upper, zz) for zz in np.asarray(z, dtype=complex)])
+    lg = special.loggamma
+    return _closed_form(z, b, lambda w: (
+        (1.0 - w) * np.log(mu) + lg(b + w) - lg(complex(b + 1.0))
+        + lg(complex(b + 1.0 + beta)) - lg(b + w + beta)))
 
 
 def mellin_theoretical_gamma(z, a: float, b: float):
@@ -248,17 +236,9 @@ def mellin_theoretical_gamma(z, a: float, b: float):
     Requires Re(z) > -b."""
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"need a, b > 0, got a={a}, b={b}")
-
-    def upper(zz: complex) -> complex:
-        if zz.real <= -b:
-            raise DomainError(f"need Re(z) > {-b}, got {zz}")
-        log_m = (complex_log_gamma(b + zz) - complex_log_gamma(b + 1.0)
-                 - (zz - 1.0) * np.log(a))
-        return np.exp(log_m)
-
-    if np.ndim(z) == 0:
-        return _reflect_scalar(upper, z)
-    return np.asarray([_reflect_scalar(upper, zz) for zz in np.asarray(z, dtype=complex)])
+    lg = special.loggamma
+    return _closed_form(z, b, lambda w: (
+        lg(b + w) - lg(complex(b + 1.0)) - (w - 1.0) * np.log(a)))
 
 
 def write_laplace_curve_csv(curve: LaplaceCurve, path: str | Path) -> Path:

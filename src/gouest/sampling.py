@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -337,16 +338,19 @@ def read_sample_csv(csv_path: str | Path) -> Sample:
     """
     csv_path = Path(csv_path)
     with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"{csv_path}: empty sample file") from None
+        line = fh.readline()
+        if not line:
+            raise DomainError(f"{csv_path}: empty sample file")
+        header = next(csv.reader([line]))
         if header != ["x"]:
             raise DomainError(f"{csv_path}: expected header ['x'], got {header}")
         try:
-            values = np.array([float(row[0]) for row in reader if row], dtype=float)
-        except (ValueError, IndexError) as exc:
+            with warnings.catch_warnings():
+                # a header-only file is reported below as having no observations
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh, dtype=float, delimiter=",", usecols=0, ndmin=1,
+                                    comments=None, quotechar='"')
+        except ValueError as exc:
             raise DomainError(f"{csv_path}: malformed row ({exc})") from exc
     if values.size == 0:
         raise DomainError(f"{csv_path}: no observations")

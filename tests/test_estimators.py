@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import gouest
+
 from gouest import (
     CPExp,
     DegenerateWeights,
@@ -358,6 +360,25 @@ class TestPipelines:
         assert est.x.shape == est.nu_hat.shape == est.imag_residual.shape
         # symmetric grids force a numerically vanishing imaginary part
         assert np.abs(est.imag_residual).max() <= 1e-10 * np.abs(est.nu_hat).max()
+
+
+    def test_one_sample_pass(self, monkeypatch):
+        # the density pipeline takes both bands from one curve over their
+        # union grid, so it passes over the sample once
+        grids = []
+        original = gouest.estimators.laplace_curve
+
+        def counting(*args, **kwargs):
+            grids.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gouest.estimators, "laplace_curve", counting)
+        cfg = EstimationConfig()
+        s = sample_beta_case(2000, a=0.7, b=1.8, mu=1.8, seed=0)
+        run_algorithm2(s, cfg, default_x_grid())
+        assert len(grids) == 1
+        np.testing.assert_array_equal(
+            grids[0], np.union1d(cfg.vn * fit_alphas(cfg), cfg.vn * inversion_alphas(cfg)))
 
 
 class TestSerialization:

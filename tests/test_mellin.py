@@ -8,13 +8,14 @@ Oracles:
   * The modulus of the Gamma-case transform on a vertical line, against the
     Stirling envelope.
   * A direct sum with one complex exp per observation and grid point, the
-    reference for laplace_curve's phase recurrence.
+    reference for laplace_curve's binned Taylor expansion of the phases.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import factorial
 
 from gouest import (
     CPExp,
@@ -35,7 +36,7 @@ from gouest import (
     symmetric_grid,
     write_laplace_curve_csv,
 )
-from gouest.mellin import _recurrence_runs
+from gouest.mellin import _bin_plan
 
 BETA_MODEL = CPExp(a=0.7, b=1.8, mu=1.8)
 GAMMA_MODEL = CPExp(a=0.7, b=1.8, mu=0.0)
@@ -277,8 +278,9 @@ class TestLaplaceCurve:
 
 
 class TestPhaseRecurrence:
-    """laplace_curve builds phases by recurrence; a direct exp per point is
-    the reference, and both must agree to 1e-12 relative."""
+    """laplace_curve expands the phases exp(i v log x) in Taylor series over
+    bins of log x; a direct exp per point is the reference, and both must
+    agree to 1e-12 relative."""
 
     TOL = 1e-12
 
@@ -288,13 +290,24 @@ class TestPhaseRecurrence:
         assert np.max(np.abs(curve.y - y) / np.abs(y)) <= self.TOL
         assert np.max(np.abs(curve.denom_abs - denom) / denom) <= self.TOL
 
-    def test_reseed_rule(self):
-        # an irregular grid is all reseeds; a uniform one takes runs of 64
-        runs, offsets = _recurrence_runs(np.array([1.0, 5.0, 10.0]))
-        assert [(start, stop) for start, stop, _ in runs] == [(0, 1), (1, 2), (2, 3)]
-        assert not offsets.any()
-        runs, _ = _recurrence_runs(np.unique(np.abs(symmetric_grid(30.0, 200))))
-        assert [stop - start for start, stop, _ in runs] == [64, 37]
+    @pytest.mark.parametrize("w_max", [0.0, 0.3, 1.0, 5.0, 30.0, 32.0, 200.0, 1e4])
+    def test_bin_plan(self, w_max):
+        # h is a power of two with w_max*h <= 1, and P the smallest order
+        # whose remainder bound (w_max*h/2)^P / P! reaches 2^-60
+        h, order = _bin_plan(w_max)
+        assert np.frexp(h)[0] == 0.5 and h <= 1.0
+        assert w_max * h <= 1.0
+        bound = (w_max * h / 2.0) ** np.arange(order + 1) / factorial(np.arange(order + 1))
+        assert bound[order] <= 2.0**-60
+        assert order == 1 or bound[order - 1] > 2.0**-60
+
+    def test_zero_frequency_is_exact(self):
+        # at v = 0 the expansion has the one term u^0 = 1: M_n(1) = 1 and
+        # M_n(2) = mean(x) = 1.875 without rounding for these dyadic values
+        assert _bin_plan(0.0)[1] == 1
+        curve = laplace_curve(_sample_of([0.5, 1.0, 2.0, 4.0]), 1.0, np.array([0.0]))
+        assert curve.denom_abs[0] == 1.875
+        assert curve.y[0] == 1.0 / 1.875
 
     def test_example1_fit_and_inversion_bands(self):
         config = EstimationConfig(u0=29.0, vn=30.0)
@@ -303,7 +316,7 @@ class TestPhaseRecurrence:
         self._assert_matches_direct(x, 29.0, symmetric_grid(config.vn, config.m_inv))
 
     def test_example2_grid_longer_than_a_reseed_interval(self):
-        # 251 distinct |v|: runs of 64 rows, each from a direct exp
+        # 251 distinct |v| on the experiment2 grid
         x = sample_stationary(TruncNormCP(lam=1.0, q=0.5, alpha=0.1), 10**4, seed=6).values
         self._assert_matches_direct(x, 1.0, symmetric_grid(5.0, 500))
 
@@ -313,3 +326,24 @@ class TestPhaseRecurrence:
         rng = np.random.default_rng(7)
         x = np.append(rng.lognormal(size=999), np.finfo(float).tiny)
         self._assert_matches_direct(x, 1.0, symmetric_grid(30.0, 600))
+
+    def test_irregular_grid(self):
+        x = sample_stationary(TruncNormCP(lam=1.0, q=0.5, alpha=0.1), 10**4, seed=6).values
+        self._assert_matches_direct(
+            x, 1.0, np.array([-7.3, 0.0, 0.1, 1.0, 2.5, 5.0, 13.0, 29.9]))
+
+    def test_wide_band(self):
+        # vn = 200 takes bins of width 1/256 and both bands of the pipeline
+        config = EstimationConfig(u0=1.0, vn=200.0)
+        x = sample_stationary(TruncNormCP(lam=1.0, q=0.5, alpha=0.1), 10**4, seed=6).values
+        self._assert_matches_direct(x, 1.0, config.vn * fit_alphas(config))
+        self._assert_matches_direct(x, 1.0, symmetric_grid(config.vn, config.m_inv))
+
+    @given(
+        log_x=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=64),
+        u0=st.floats(0.1, 5.0),
+        v=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=20),
+    )
+    def test_matches_direct_property(self, log_x, u0, v):
+        # |v log x| <= 40 keeps either sum's rounding well under the bound
+        self._assert_matches_direct(np.exp(log_x), u0, np.sort(v))

@@ -162,10 +162,10 @@ class TestRateStudy:
         for med in report.median_sq_err_mu:
             assert med == pytest.approx((2.0 - 1.8) ** 2, rel=1e-12)
 
-    @pytest.mark.parametrize("with_mise, per_replicate", [(True, 2), (False, 1)])
+    @pytest.mark.parametrize("with_mise, per_replicate", [(True, 1), (False, 1)])
     def test_one_fit_per_replicate(self, monkeypatch, with_mise, per_replicate):
-        # the fit band's curve is computed once per replicate; the density
-        # pipeline adds only the symmetric band's curve
+        # one curve per replicate: the density pipeline computes the fit band
+        # and the symmetric band in the same pass over the sample
         calls = []
         original = gouest.estimators.laplace_curve
 

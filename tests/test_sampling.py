@@ -12,6 +12,7 @@ Oracles:
 
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -264,6 +265,32 @@ class TestSampleIO:
         missing_header.write_text("1.0\n2.0\n")
         with pytest.raises(DomainError):
             read_sample_csv(missing_header)
+
+    @pytest.mark.parametrize("raw", [
+        b"x\r\n1.5\r\n2.5\r\n",
+        b"x\n1.5\n\n2.5\n\n",
+        b"x\n1.5,7\n2.5,abc,9\n",
+        b'"x"\n"1.5"\n2.5\n',
+    ], ids=["crlf", "blank_lines_skipped", "extra_columns_ignored", "quoted"])
+    def test_read_layouts(self, tmp_path, raw):
+        p = tmp_path / "s.csv"
+        p.write_bytes(raw)
+        np.testing.assert_array_equal(read_sample_csv(p).values, [1.5, 2.5])
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"x\n1.5\n# note\n2.5\n", "malformed row"),
+        (b"x\n1.5\ninf\n", "non-finite"),
+        (b"x\nnan\n", "non-finite"),
+        (b"x\n", "no observations"),
+        (b"x\r\n", "no observations"),
+    ], ids=["comment_row", "inf", "nan", "header_only", "header_only_crlf"])
+    def test_read_rejects_without_warning(self, tmp_path, raw, message):
+        p = tmp_path / "s.csv"
+        p.write_bytes(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                read_sample_csv(p)
 
 
 @settings(max_examples=20)
