@@ -17,10 +17,9 @@ from .models import (CPExp, SubordinatorModel, TruncNormCP, complex_erf,
                      model_from_config, model_to_config)
 from .kernels import (FLAT_TOP_PLATEAU, KernelSpec, WeightSpec, flat_top, kernel,
                       verify_kernel_condition, weight)
-from .sampling import (Sample, SeriesTruncationPolicy, density_pi3, make_generator,
-                       read_sample_csv, sample_beta_case, sample_gamma_case,
-                       sample_series_cp, sample_stationary, write_columns_csv,
-                       write_sample_csv)
+from .sampling import (Sample, SeriesTruncationPolicy, make_generator, read_sample_csv,
+                       sample_beta_case, sample_gamma_case, sample_series_cp,
+                       sample_stationary, write_columns_csv, write_sample_csv)
 from .mellin import (LaplaceCurve, default_floor, laplace_curve, laplace_curve_from_mellin,
                      mellin_theoretical_beta, mellin_theoretical_gamma, symmetric_grid,
                      write_laplace_curve_csv)
@@ -45,7 +44,7 @@ __all__ = [
     "verify_kernel_condition",
     # sampling
     "Sample", "SeriesTruncationPolicy", "make_generator", "sample_gamma_case",
-    "sample_beta_case", "sample_series_cp", "sample_stationary", "density_pi3",
+    "sample_beta_case", "sample_series_cp", "sample_stationary",
     "write_columns_csv", "write_sample_csv", "read_sample_csv",
     # mellin
     "LaplaceCurve", "default_floor", "laplace_curve", "laplace_curve_from_mellin",

@@ -70,8 +70,9 @@ def _values_of(sample) -> np.ndarray:
 
 
 # Binned Taylor kernel of the empirical moments (see laplace_curve):
-# observations per block of the sorted sample, complex phases per chunk of
-# rows x bins of a block (4 MB), and the bound on the Taylor remainder.
+# observations per block of the sorted sample, phases per chunk of rows x
+# bins of a block (2 MB for each of the argument, cosine and sine), and the
+# bound on the Taylor remainder.
 _BLOCK = 8192
 _PHASES = 2**18
 _TAYLOR_TAIL = 2.0**-60
@@ -108,11 +109,19 @@ def _binned_moments(x_sorted: np.ndarray, u0: float, w: np.ndarray) -> np.ndarra
     sums the moments mu_bpj = sum_{k in b} c_kj u_k^p for p < P; then
     exp(i w t) = exp(i w tau_b) sum_p (i w h/2)^p u^p / p! up to the
     remainder bound, so every row comes from the bins alone.
+
+    The moments are real, so the bin phases enter as cos(w tau_b) and
+    sin(w tau_b), each contracted with the moments in its own real einsum:
+    half the multiply-adds of a complex product. einsum and not a BLAS
+    product, because a BLAS product may round a row differently depending
+    on the other rows in it, and run_algorithm2 relies on a band's rows
+    being bitwise the same alone and inside the union grid.
     """
     n = x_sorted.size
     h, order = _bin_plan(w[-1])
-    # sums[r, j, p] = sum_b exp(i w_r tau_b) mu_bpj
-    sums = np.zeros((w.size, 2 * order), dtype=complex)
+    # sums_re/im[r, j, p] = sum_b cos/sin(w_r tau_b) mu_bpj
+    sums_re = np.zeros((w.size, 2 * order))
+    sums_im = np.zeros((w.size, 2 * order))
     for lo in range(0, n, _BLOCK):
         x = x_sorted[lo:lo + _BLOCK]
         t = np.log(x)
@@ -131,19 +140,18 @@ def _binned_moments(x_sorted: np.ndarray, u0: float, w: np.ndarray) -> np.ndarra
         mu = np.empty((2, order, starts.size))
         for p in range(order):
             mu[:, p] = np.add.reduceat(c, starts, axis=1)
-            c = c * u
+            np.multiply(c, u, out=c)
         mu = mu.reshape(2 * order, starts.size)
         tau = (q[starts] + 0.5) * h
-        # einsum, unlike a BLAS product, gives each row the same rounding
-        # whatever the other rows are, so a band's curve is bitwise the same
-        # alone as inside a union grid
         chunk = max(1, _PHASES // tau.size)
         for r in range(0, w.size, chunk):
-            phase = np.exp(1j * np.multiply.outer(w[r:r + chunk], tau))
-            sums[r:r + chunk] += np.einsum("rb,kb->rk", phase, mu)
+            arg = np.multiply.outer(w[r:r + chunk], tau)
+            sums_re[r:r + chunk] += np.einsum("rb,kb->rk", np.cos(arg), mu)
+            sums_im[r:r + chunk] += np.einsum("rb,kb->rk", np.sin(arg), mu)
     p = np.arange(order)
     taylor = (w[:, None] * (h / 2.0)) ** p / special.factorial(p) * 1j**p
-    return np.einsum("rp,rjp->rj", taylor, sums.reshape(w.size, 2, order))
+    sums = (sums_re + 1j * sums_im).reshape(w.size, 2, order)
+    return np.einsum("rp,rjp->rj", taylor, sums)
 
 
 def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> LaplaceCurve:
@@ -156,11 +164,15 @@ def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> Lapl
     width h with h max|v| <= 1, the pass sums each bin's weighted powers of
     the offset from its centre up to order P, and every |v| is then a sum
     over the bins alone, at a cost of n*P plus bins*|v|*P operations on any
-    grid. The truncation error is at most 2^-60 sum|c_k| per bin; the rest
-    is rounding of the same order as a direct sum's, so the curve agrees
-    with a direct sum to 1e-12 relative in Y and in |M_n(u0+1+iv)| on the
-    estimators' grids. Negative v come from the positive half by
-    conjugation. Raises DomainError when a weight overflows float64.
+    grid. The bin moments are real, so each bin phase enters as its cosine
+    and sine, contracted in two real einsums; einsum, not a BLAS product,
+    keeps every |v| bitwise independent of the other grid points, which the
+    fused pipeline of run_algorithm2 relies on. The truncation error is at
+    most 2^-60 sum|c_k| per bin; the rest is rounding of the same order as
+    a direct sum's, so the curve agrees with a direct sum to 1e-12 relative
+    in Y and in |M_n(u0+1+iv)| on the estimators' grids. Negative v come
+    from the positive half by conjugation. Raises DomainError when a weight
+    overflows float64.
     """
     values = _values_of(sample)
     if not (u0 > 0.0):

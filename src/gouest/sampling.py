@@ -4,15 +4,11 @@ For the drift-plus-exponential-jumps model the stationary law is closed form
 (Gamma when the drift is zero, scaled Beta otherwise). For the compound
 Poisson model with truncated-normal jump heights the functional is simulated
 from its series representation A = sum_k q^{S_k} (T_{k+1} - T_k).
-
-Also evaluates the Bessel-type closed-form density that arises when both a
-Gaussian component and jumps are present (evaluation only, never sampled).
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -32,7 +28,6 @@ __all__ = [
     "sample_beta_case",
     "sample_series_cp",
     "sample_stationary",
-    "density_pi3",
     "write_columns_csv",
     "write_sample_csv",
     "read_sample_csv",
@@ -193,97 +188,6 @@ def sample_stationary(model: SubordinatorModel, n: int, seed: int = 0, delta: fl
     if isinstance(model, TruncNormCP):
         return sample_series_cp(n, model, policy=policy, seed=seed, delta=delta, stream=stream)
     raise DomainError(f"not a subordinator model: {model!r}")
-
-
-# ---------------------------------------------------------------------------
-# Bessel-type closed-form density (Gaussian part present), evaluation only.
-
-_GL_NODES = 4096
-_pi3_cache: dict[tuple[float, float], float] = {}
-
-
-@functools.cache
-def _gauss_legendre_unit() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped from [-1,1] to (0,1); built
-    once per process, since they do not depend on the density's parameters."""
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
-def _pi3_raw(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Unnormalized density x^{b-1/2} e^{-1/(2x)} I_mu(1/(2x)), mu = sqrt(a+1/4).
-
-    The exponentially scaled Bessel function ive computes the product of the
-    last two factors directly, which is both the stable evaluation and the
-    form that solves the stationary-density differential equation (the
-    growing-exponential variant diverges at 0 and solves nothing).
-    """
-    x = np.asarray(x, dtype=float)
-    mu = np.sqrt(a + 0.25)
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    xp = x[pos]
-    y = 1.0 / (2.0 * xp)
-    scaled = np.empty_like(xp)
-    # scipy's ive returns NaN for arguments beyond ~1e9; switch to the
-    # large-argument expansion well before that (relative error < 1e-16
-    # at the cutoff with two correction terms)
-    big = y > 1e8
-    scaled[~big] = special.ive(mu, y[~big])
-    if np.any(big):
-        yb = y[big]
-        m2 = 4.0 * mu * mu
-        c1 = -(m2 - 1.0) / (8.0 * yb)
-        c2 = (m2 - 1.0) * (m2 - 9.0) / (2.0 * (8.0 * yb) ** 2)
-        scaled[big] = (1.0 + c1 + c2) / np.sqrt(2.0 * np.pi * yb)
-    out[pos] = xp ** (b - 0.5) * scaled
-    return out
-
-
-def _pi3_mass(a: float, b: float) -> float:
-    """Reference integral of the unnormalized density over (0, inf).
-
-    Fixed deterministic scheme with strictly positive weights: Gauss-Legendre
-    after power substitutions x = t^2 on (0,1] and x = t^{-6} on [1,inf)
-    (the powers flatten the endpoint behavior x^b at 0 and the algebraic
-    tail at infinity). For parameters with a finite integral --
-    a > b*(b+1), equivalently mean drift of the driving process positive --
-    the scheme agrees with the true integral to ~1e-10. For parameters with
-    infinite mass the scheme still returns a finite positive number, and
-    normalization is then relative to this scheme by construction.
-    """
-    t, w = _gauss_legendre_unit()
-    near = np.sum(w * 2.0 * t * _pi3_raw(t**2, a, b))
-    # x = t^{-6}: integral over x in (1,inf) becomes 6 t^{-7} dt on (0,1)
-    far = np.sum(w * 6.0 * t ** (-7.0) * _pi3_raw(t ** (-6.0), a, b))
-    return float(near + far)
-
-
-def density_pi3(x, a: float, b: float):
-    """Closed-form stationary density with a Gaussian component present.
-
-    Returns C * x^{b-1/2} e^{-1/(2x)} I_mu(1/(2x)) with mu = sqrt(a+1/4) and
-    C fixed once per (a, b) so that the reference quadrature of the density
-    equals 1 (see `_pi3_mass` for when that matches the true integral).
-    Vectorized over ``x``.
-
-    Raises
-    ------
-    DomainError
-        If any x <= 0 (the density lives on the positive half-line).
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"need a, b > 0, got a={a}, b={b}")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0):
-        raise DomainError("density_pi3 requires x > 0")
-    key = (float(a), float(b))
-    if key not in _pi3_cache:
-        _pi3_cache[key] = _pi3_mass(a, b)
-    out = _pi3_raw(x_arr, a, b) / _pi3_cache[key]
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 # ---------------------------------------------------------------------------

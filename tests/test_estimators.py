@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import gouest
@@ -26,6 +28,7 @@ from gouest import (
     EstimationConfig,
     GridMismatch,
     LaplaceCurve,
+    TruncNormCP,
     WeightSpec,
     default_x_grid,
     estimate_fourier_nu_bar,
@@ -35,11 +38,13 @@ from gouest import (
     flat_top,
     inversion_alphas,
     invert_levy_density,
+    kernel,
     laplace_exponent,
     levy_density,
     run_algorithm1,
     run_algorithm2,
     sample_beta_case,
+    sample_stationary,
     weight,
     write_levy_density_csv,
     write_triplet_json,
@@ -313,6 +318,23 @@ class TestInversion:
                 np.zeros(cfg.m_inv + 1, dtype=complex), cfg, np.array([1.0, 0.5])
             )
 
+    @pytest.mark.parametrize("m_inv", [2, 3, 200, 201])
+    def test_mirrored_phases_match_the_full_exponential(self, m_inv):
+        # only the nonnegative half of the phases is exponentiated; the
+        # other half is conjugated, which must leave the output bitwise that
+        # of the full phase matrix
+        cfg = EstimationConfig(u0=2.0, vn=11.5, m_inv=m_inv)
+        rng = np.random.default_rng(m_inv)
+        f = rng.normal(size=m_inv + 1) + 1j * rng.normal(size=m_inv + 1)
+        x = default_x_grid(0.0, 3.0, 151)
+        est = invert_levy_density(f, cfg, x)
+        alphas = inversion_alphas(cfg)
+        phase = np.exp(-1j * np.multiply.outer(x, alphas * cfg.vn))
+        want = np.exp(cfg.u0 * x) * (cfg.vn / (np.pi * m_inv)
+                                     * (phase @ (f * kernel(cfg.kernel, alphas))))
+        np.testing.assert_array_equal(est.nu_hat, want.real)
+        np.testing.assert_array_equal(est.imag_residual, want.imag)
+
     def test_tilt_relation(self):
         cfg = EstimationConfig()
         rng = np.random.default_rng(5)
@@ -361,6 +383,28 @@ class TestPipelines:
         # symmetric grids force a numerically vanishing imaginary part
         assert np.abs(est.imag_residual).max() <= 1e-10 * np.abs(est.nu_hat).max()
 
+    @settings(max_examples=40)
+    @given(
+        model=st.sampled_from([CPExp(a=0.7, b=0.2, mu=1.8), CPExp(a=0.7, b=1.8, mu=0.0),
+                               TruncNormCP(lam=1.0, alpha=0.5, q=0.1)]),
+        n=st.integers(50, 3000),
+        seed=st.integers(0, 1000),
+        u0=st.floats(1.0, 30.0),
+        vn=st.floats(0.5, 60.0),
+        eps=st.floats(0.05, 0.95),
+        m_fit=st.integers(2, 80),
+        m_inv=st.integers(2, 300),
+    )
+    def test_fused_pipeline_fits_bitwise_as_the_fit_alone(self, model, n, seed, u0, vn,
+                                                          eps, m_fit, m_inv):
+        # run_algorithm2 takes the fit band out of one curve over the union
+        # grid; each of its rows must round exactly as on the band alone
+        cfg = EstimationConfig(u0=u0, vn=vn, eps=eps, m_fit=m_fit, m_inv=m_inv)
+        s = sample_stationary(model, n, seed=seed)
+        fused = run_algorithm2(s, cfg, default_x_grid(0.0, 3.0, 31)).triplet
+        alone = run_algorithm1(s, cfg)
+        assert (fused.mu_hat, fused.lambda_hat) == (alone.mu_hat, alone.lambda_hat)
+        np.testing.assert_array_equal(fused.curve.y, alone.curve.y)
 
     def test_one_sample_pass(self, monkeypatch):
         # the density pipeline takes both bands from one curve over their

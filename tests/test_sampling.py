@@ -1,4 +1,4 @@
-"""Tests for stationary-law samplers, the Bessel-type density, and sample I/O.
+"""Tests for stationary-law samplers and sample I/O.
 
 Oracles:
   * Closed-form stationary laws: Gamma(b+1, 1/a) for zero drift and a
@@ -6,15 +6,12 @@ Oracles:
   * The series sampler's mean is checked against 1/phi(1) computed from the
     Laplace exponent (the first-moment identity for the exponential
     functional).
-  * The Bessel-density normalizer is checked against mpmath quadrature for
-    parameters with a finite integral.
 """
 
 import json
 import math
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +24,6 @@ from gouest import (
     SeriesTruncationPolicy,
     TruncNormCP,
     TruncationError,
-    density_pi3,
     laplace_exponent,
     make_generator,
     read_sample_csv,
@@ -38,7 +34,6 @@ from gouest import (
     write_columns_csv,
     write_sample_csv,
 )
-from gouest.sampling import _pi3_mass, _pi3_raw
 
 EX2 = TruncNormCP(lam=1.0, alpha=0.5, q=0.1)
 
@@ -170,51 +165,6 @@ class TestDispatch:
         via = sample_stationary(CPExp(a=0.7, b=1.8, mu=0.0), 50, seed=2)
         direct = sample_gamma_case(50, a=0.7, b=1.8, seed=2)
         np.testing.assert_array_equal(via.values, direct.values)
-
-
-class TestBesselDensity:
-    def test_normalizer_matches_mpmath(self):
-        mpmath.mp.dps = 30
-        for a, b in [(3.0, 1.0), (0.7, 0.2)]:
-            mu = mpmath.sqrt(a + mpmath.mpf(1) / 4)
-
-            def raw(x, mu=mu, b=b):
-                x = mpmath.mpf(x)
-                y = 1 / (2 * x)
-                return x ** (b - mpmath.mpf(1) / 2) * mpmath.exp(-y) * mpmath.besseli(mu, y)
-
-            want = float(mpmath.quad(raw, [0, 1, mpmath.inf]))
-            assert _pi3_mass(a, b) == pytest.approx(want, rel=1e-9)
-
-    def test_density_normalized_pointwise(self):
-        x = np.array([0.5, 1.0, 2.0])
-        d = density_pi3(x, 3.0, 1.0)
-        assert np.all(d > 0)
-        np.testing.assert_allclose(d * _pi3_mass(3.0, 1.0), _pi3_raw(x, 3.0, 1.0), rtol=1e-12)
-
-    def test_small_argument_power_law(self):
-        # x^{b-1/2} * (scaled Bessel at 1/(2x)) ~ x^b / sqrt(pi) as x -> 0
-        for x in [1e-6, 1e-9, 1e-12]:
-            r = _pi3_raw(np.array([x]), 3.0, 1.0)[0]
-            assert r / (x / math.sqrt(math.pi)) == pytest.approx(1.0, abs=1e-5)
-
-    def test_heavy_tail_parameters_still_finite(self):
-        # When a <= b(b+1) the true integral diverges; the fixed reference
-        # scheme still defines a finite positive normalizer.
-        d = density_pi3(np.array([0.5, 1.0]), 1.0, 1.0)
-        assert np.all(np.isfinite(d))
-        assert np.all(d > 0)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            density_pi3(np.array([-0.5]), 3.0, 1.0)
-        with pytest.raises(DomainError):
-            density_pi3(np.array([0.0]), 3.0, 1.0)
-        with pytest.raises(DomainError):
-            density_pi3(np.array([0.5]), -3.0, 1.0)
-
-    def test_scalar_input_returns_float(self):
-        assert isinstance(density_pi3(1.0, 3.0, 1.0), float)
 
 
 class TestSampleIO:
