@@ -257,7 +257,7 @@ def _cmd_rate_study(args, out_dir: Path, outputs: list) -> dict:
     study = RateStudyConfig(
         n_ladder=ladder,
         replicates=int(_merge(args.reps, section, "replicates", 25)),
-        smoothness=int(_merge(args.s, section, "smoothness", 0)),
+        smoothness=float(_merge(args.s, section, "smoothness", 0.0)),
         beta=float(beta) if beta is not None else None,
         alpha=float(alpha) if alpha is not None else None,
         decay_class=decay,
@@ -351,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-ladder", default=None, dest="n_ladder",
                    help="comma-separated sample sizes (default 1000,10000,100000)")
     p.add_argument("--reps", type=int, default=None, help="replicates (default 25)")
-    p.add_argument("--s", type=int, default=None, help="kernel smoothness order (default 0)")
+    p.add_argument("--s", type=float, default=None,
+                   help="smoothness s of the bandwidth rule, may be fractional (default 0)")
     p.add_argument("--beta", type=float, default=None, help="polynomial Mellin decay exponent")
     p.add_argument("--alpha-decay", type=float, default=None, dest="alpha_decay",
                    help="exponential Mellin decay rate")

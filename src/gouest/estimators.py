@@ -14,6 +14,7 @@ a kernel-regularized inverse Fourier sum turns back into a density estimate.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -218,6 +219,18 @@ def estimate_fourier_nu_bar(curve: LaplaceCurve, mu_hat: float, lambda_hat: floa
     return -y_mirror + mu_hat * z_mirror + lambda_hat
 
 
+@functools.lru_cache(maxsize=1)
+def _half_phases(x_bytes: bytes, v_bytes: bytes) -> np.ndarray:
+    """e^{-i v x} on the x-grid and the nonnegative half of the inversion
+    grid, both passed as float64 bytes; read-only, since every call with the
+    same grids shares it. Exponentiated in place: a miss computes the new
+    matrix while the old entry is still held."""
+    phase = -1j * np.multiply.outer(np.frombuffer(x_bytes), np.frombuffer(v_bytes))
+    np.exp(phase, out=phase)
+    phase.flags.writeable = False
+    return phase
+
+
 def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEstimate:
     """Kernel-regularized inverse Fourier sum recovering the jump density.
 
@@ -233,7 +246,10 @@ def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEs
     The grid's mirrors are exact, v_{M-m} = -v_m, so only the phases
     e^{-i v_m x} of the nonnegative half are exponentiated and the negative
     half is their conjugate: the same phase matrix bit for bit, for about
-    half the exponentials.
+    half the exponentials. The nonnegative half is memoized for the last
+    (x-grid, half-grid) pair, keyed by their bytes, so the replicates of a
+    rate study at one sample size, which share vn, m_inv and the x-grid,
+    exponentiate it once.
     """
     fhat = np.asarray(fhat, dtype=complex)
     alphas = inversion_alphas(config)
@@ -248,7 +264,7 @@ def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEs
     coeff = fhat * k
     half = (config.m_inv + 1) // 2
     phase = np.empty((x.size, v.size), dtype=complex)
-    phase[:, half:] = np.exp(-1j * np.multiply.outer(x, v[half:]))
+    phase[:, half:] = _half_phases(x.tobytes(), v[half:].tobytes())
     np.conj(phase[:, :-half - 1:-1], out=phase[:, :half])
     prefactor = config.vn / (np.pi * config.m_inv)
     nu_complex = np.exp(config.u0 * x) * (prefactor * (phase @ coeff))

@@ -110,44 +110,56 @@ def _binned_moments(x_sorted: np.ndarray, u0: float, w: np.ndarray) -> np.ndarra
     exp(i w t) = exp(i w tau_b) sum_p (i w h/2)^p u^p / p! up to the
     remainder bound, so every row comes from the bins alone.
 
-    The moments are real, so the bin phases enter as cos(w tau_b) and
-    sin(w tau_b), each contracted with the moments in its own real einsum:
-    half the multiply-adds of a complex product. einsum and not a BLAS
-    product, because a BLAS product may round a row differently depending
-    on the other rows in it, and run_algorithm2 relies on a band's rows
-    being bitwise the same alone and inside the union grid.
+    The pass only bins and sums; the bins wait in a pending list, and the
+    phase stage runs once over all of them at the end of the pass (and
+    earlier whenever _BLOCK bins are pending, which bounds the memory of a
+    widely spread sample). The moments are real, so the bin phases enter as
+    cos(w tau_b) and sin(w tau_b), each contracted with the moments in its
+    own real einsum: half the multiply-adds of a complex product. einsum
+    and not a BLAS product, because a BLAS product may round a row
+    differently depending on the other rows in it, and run_algorithm2
+    relies on a band's rows being bitwise the same alone and inside the
+    union grid. An overflowing weight is caught once, on the accumulated
+    sums: an infinite weight makes its sums inf or nan.
     """
     n = x_sorted.size
     h, order = _bin_plan(w[-1])
     # sums_re/im[r, j, p] = sum_b cos/sin(w_r tau_b) mu_bpj
     sums_re = np.zeros((w.size, 2 * order))
     sums_im = np.zeros((w.size, 2 * order))
-    for lo in range(0, n, _BLOCK):
-        x = x_sorted[lo:lo + _BLOCK]
-        t = np.log(x)
-        with np.errstate(over="ignore"):
-            r1 = np.exp((u0 - 1.0) * t)
-            c = np.stack([r1, r1 * x])
-        if not np.all(np.isfinite(c)):
-            raise DomainError(
-                f"empirical Mellin weight x^u0 or x^(u0-1) overflows float64 at u0={u0:g} "
-                f"(min x = {x_sorted[0]:.6g}, max x = {x_sorted[-1]:.6g})")
-        c /= n
-        q = np.floor(t / h)
-        u = 2.0 * (t / h - q) - 1.0
-        starts = np.flatnonzero(np.diff(q)) + 1
-        starts = np.concatenate(([0], starts))
-        mu = np.empty((2, order, starts.size))
-        for p in range(order):
-            mu[:, p] = np.add.reduceat(c, starts, axis=1)
-            np.multiply(c, u, out=c)
-        mu = mu.reshape(2 * order, starts.size)
-        tau = (q[starts] + 0.5) * h
-        chunk = max(1, _PHASES // tau.size)
-        for r in range(0, w.size, chunk):
-            arg = np.multiply.outer(w[r:r + chunk], tau)
-            sums_re[r:r + chunk] += np.einsum("rb,kb->rk", np.cos(arg), mu)
-            sums_im[r:r + chunk] += np.einsum("rb,kb->rk", np.sin(arg), mu)
+    weights = np.empty((2, min(n, _BLOCK)))
+    pending, pending_bins = [], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _BLOCK):
+            x = x_sorted[lo:lo + _BLOCK]
+            c = weights[:, :x.size]
+            t = np.log(x)
+            np.exp((u0 - 1.0) * t, out=c[0])
+            np.multiply(c[0], x, out=c[1])
+            c /= n
+            s = t / h
+            q = np.floor(s)
+            u = 2.0 * (s - q) - 1.0
+            starts = np.flatnonzero(np.concatenate(([True], q[1:] != q[:-1])))
+            mu = np.empty((2, order, starts.size))
+            for p in range(order):
+                mu[:, p] = np.add.reduceat(c, starts, axis=1)
+                np.multiply(c, u, out=c)
+            pending.append((mu.reshape(2 * order, starts.size), (q[starts] + 0.5) * h))
+            pending_bins += starts.size
+            if pending_bins >= _BLOCK or lo + _BLOCK >= n:
+                mu = np.concatenate([m for m, _ in pending], axis=1)
+                tau = np.concatenate([tb for _, tb in pending])
+                chunk = max(1, _PHASES // tau.size)
+                for r in range(0, w.size, chunk):
+                    arg = np.multiply.outer(w[r:r + chunk], tau)
+                    sums_re[r:r + chunk] += np.einsum("rb,kb->rk", np.cos(arg), mu)
+                    sums_im[r:r + chunk] += np.einsum("rb,kb->rk", np.sin(arg), mu)
+                pending, pending_bins = [], 0
+    if not (np.all(np.isfinite(sums_re)) and np.all(np.isfinite(sums_im))):
+        raise DomainError(
+            f"empirical Mellin weight x^u0 or x^(u0-1) overflows float64 at u0={u0:g} "
+            f"(min x = {x_sorted[0]:.6g}, max x = {x_sorted[-1]:.6g})")
     p = np.arange(order)
     taylor = (w[:, None] * (h / 2.0)) ** p / special.factorial(p) * 1j**p
     sums = (sums_re + 1j * sums_im).reshape(w.size, 2, order)
@@ -164,15 +176,17 @@ def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> Lapl
     width h with h max|v| <= 1, the pass sums each bin's weighted powers of
     the offset from its centre up to order P, and every |v| is then a sum
     over the bins alone, at a cost of n*P plus bins*|v|*P operations on any
-    grid. The bin moments are real, so each bin phase enters as its cosine
-    and sine, contracted in two real einsums; einsum, not a BLAS product,
+    grid. The phase stage runs once over the bins of the whole pass (in
+    parts of at least _BLOCK bins for a widely spread sample). The bin
+    moments are real, so each bin phase enters as its cosine and sine,
+    contracted in two real einsums; einsum, not a BLAS product,
     keeps every |v| bitwise independent of the other grid points, which the
     fused pipeline of run_algorithm2 relies on. The truncation error is at
     most 2^-60 sum|c_k| per bin; the rest is rounding of the same order as
     a direct sum's, so the curve agrees with a direct sum to 1e-12 relative
     in Y and in |M_n(u0+1+iv)| on the estimators' grids. Negative v come
     from the positive half by conjugation. Raises DomainError when a weight
-    overflows float64.
+    overflows float64, which shows as a non-finite accumulated sum.
     """
     values = _values_of(sample)
     if not (u0 > 0.0):

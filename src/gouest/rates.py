@@ -38,26 +38,28 @@ class RateStudyConfig:
 
     ``decay_class`` selects the bandwidth rule; ``beta`` (polynomial Mellin
     decay) or ``alpha`` (exponential decay) feeds it; ``smoothness`` is the
-    kernel-order parameter s.
+    kernel-order parameter s, a float (a tilted density with a jump has
+    s near 1/2).
     """
 
     n_ladder: tuple
     replicates: int = 25
-    smoothness: int = 0
+    smoothness: float = 0.0
     beta: float | None = None
     alpha: float | None = None
     decay_class: str = "polynomial"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_ladder", tuple(int(n) for n in self.n_ladder))
+        object.__setattr__(self, "smoothness", float(self.smoothness))
         if len(self.n_ladder) < 2:
             raise DomainError("n-ladder needs at least two sample sizes")
         if any(b <= a for a, b in zip(self.n_ladder, self.n_ladder[1:])):
             raise DomainError(f"n-ladder must be strictly increasing, got {self.n_ladder}")
         if self.replicates < 2:
             raise DomainError(f"need at least 2 replicates, got {self.replicates}")
-        if self.smoothness < 0:
-            raise DomainError(f"smoothness must be >= 0, got {self.smoothness}")
+        if not (0.0 <= self.smoothness < np.inf):
+            raise DomainError(f"smoothness must be finite and >= 0, got {self.smoothness}")
         if self.decay_class not in ("polynomial", "exponential"):
             raise DomainError(f"unknown decay class {self.decay_class!r}")
         if self.decay_class == "polynomial" and self.beta is None:
@@ -91,7 +93,7 @@ class MiseReport:
     rows: list = field(default_factory=list)
 
 
-def choose_vn_polynomial(n: int, beta: float, s: int) -> float:
+def choose_vn_polynomial(n: int, beta: float, s: float) -> float:
     """Bandwidth for polynomially decaying Mellin transforms:
     V_n = n^{1/(2 beta + 2 s + 3)}."""
     if n < 1:
@@ -102,7 +104,7 @@ def choose_vn_polynomial(n: int, beta: float, s: int) -> float:
     return float(n) ** (1.0 / denom)
 
 
-def choose_vn_exponential(n: int, alpha: float, s: int) -> float:
+def choose_vn_exponential(n: int, alpha: float, s: float) -> float:
     """Bandwidth for exponentially decaying Mellin transforms:
     V_n = log(n)/(2 alpha) - ((s+2)/alpha) log log (n); rejects values <= 0
     (n too small for the given decay rate)."""

@@ -316,6 +316,14 @@ class TestRateStudyCommand:
         }
         assert payload["n"] == [200, 400]
 
+    def test_fractional_smoothness_is_recorded(self, tmp_path):
+        out = tmp_path / "rs"
+        rc = main(["rate-study", "--model", "cp_exp", "--n-ladder", "200,400", "--reps", "2",
+                   "--s", "0.5", "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["study"]["smoothness"] == 0.5
+
     def test_bad_ladder_exits_2(self, tmp_path):
         rc = main(
             [

@@ -49,6 +49,7 @@ from gouest import (
     write_levy_density_csv,
     write_triplet_json,
 )
+from gouest.estimators import _half_phases
 
 EX1 = CPExp(a=1.8, b=0.7, mu=0.2)
 
@@ -334,6 +335,37 @@ class TestInversion:
                                      * (phase @ (f * kernel(cfg.kernel, alphas))))
         np.testing.assert_array_equal(est.nu_hat, want.real)
         np.testing.assert_array_equal(est.imag_residual, want.imag)
+
+    def test_half_phases_are_memoized_by_value(self):
+        # a hit, a miss after cache_clear and a call after the caller's
+        # x-grid changed in place all give what a fresh computation gives
+        cfg = EstimationConfig(u0=2.0, vn=11.5)
+        rng = np.random.default_rng(9)
+        f = rng.normal(size=cfg.m_inv + 1) + 1j * rng.normal(size=cfg.m_inv + 1)
+        x = default_x_grid(0.0, 3.0, 151)
+        first = invert_levy_density(f, cfg, x)
+        again = invert_levy_density(f, cfg, x)
+        _half_phases.cache_clear()
+        fresh = invert_levy_density(f, cfg, x)
+        for est in (again, fresh):
+            np.testing.assert_array_equal(est.nu_hat, first.nu_hat)
+            np.testing.assert_array_equal(est.imag_residual, first.imag_residual)
+
+        x *= 0.5
+        moved = invert_levy_density(f, cfg, x)
+        _half_phases.cache_clear()
+        want = invert_levy_density(f, cfg, x.copy())
+        assert not np.array_equal(moved.nu_hat, first.nu_hat)
+        np.testing.assert_array_equal(moved.nu_hat, want.nu_hat)
+        np.testing.assert_array_equal(moved.imag_residual, want.imag_residual)
+
+        half = (cfg.m_inv + 1) // 2
+        v = inversion_alphas(cfg)[half:] * cfg.vn
+        cached = _half_phases(x.tobytes(), v.tobytes())
+        assert _half_phases.cache_info().hits >= 1
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
 
     def test_tilt_relation(self):
         cfg = EstimationConfig()

@@ -36,7 +36,7 @@ from gouest import (
     symmetric_grid,
     write_laplace_curve_csv,
 )
-from gouest.mellin import _bin_plan
+from gouest.mellin import _BLOCK, _bin_plan
 
 BETA_MODEL = CPExp(a=0.7, b=1.8, mu=1.8)
 GAMMA_MODEL = CPExp(a=0.7, b=1.8, mu=0.0)
@@ -338,6 +338,23 @@ class TestPhaseRecurrence:
         x = sample_stationary(TruncNormCP(lam=1.0, q=0.5, alpha=0.1), 10**4, seed=6).values
         self._assert_matches_direct(x, 1.0, config.vn * fit_alphas(config))
         self._assert_matches_direct(x, 1.0, symmetric_grid(config.vn, config.m_inv))
+
+    def test_phase_stage_runs_more_than_once(self):
+        # log x spread over 42 units at h = 1/256 occupies more bins than
+        # _BLOCK, so the pending bins reach it and the phase stage runs
+        # mid-pass as well as at the end
+        x = np.exp(np.random.default_rng(8).uniform(-40.0, 2.0, size=30_000))
+        v = symmetric_grid(200.0, 400)
+        h, _ = _bin_plan(200.0)
+        assert h == 1.0 / 256
+        assert np.unique(np.floor(np.log(x) / h)).size > _BLOCK
+        self._assert_matches_direct(x, 3.0, v)
+
+    def test_overflowing_weight_below_one(self):
+        # at u0 < 1 the weight x^(u0-1) of the smallest subnormal overflows
+        # even though x^u0 does not
+        with pytest.raises(DomainError, match=r"overflows.*min x = 4\.94066e-324"):
+            laplace_curve(_sample_of([5e-324, 0.5, 2.0]), 0.01, np.array([0.0, 1.0]))
 
     @given(
         log_x=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=64),

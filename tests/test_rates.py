@@ -98,6 +98,18 @@ class TestRateStudyConfig:
         )
         assert expo.bandwidth(10**6) == choose_vn_exponential(10**6, math.pi / 2, 0)
 
+    def test_fractional_smoothness(self):
+        # s is a float: a tilted density with a jump has s near 1/2, and an
+        # integer s gives the same bandwidth bit for bit as before
+        half = RateStudyConfig(n_ladder=(100, 200), replicates=5, beta=0.4, smoothness=0.5)
+        assert half.bandwidth(10**5) == 1e5 ** (1.0 / (2 * 0.4 + 2 * 0.5 + 3))
+        whole = RateStudyConfig(n_ladder=(100, 200), replicates=5, beta=0.4, smoothness=1)
+        assert isinstance(whole.smoothness, float)
+        assert whole.bandwidth(10**5) == choose_vn_polynomial(10**5, 0.4, 1)
+        for bad in (-0.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                RateStudyConfig(n_ladder=(100, 200), replicates=5, beta=0.4, smoothness=bad)
+
 
 class TestMise:
     def _estimate_with_offset(self, offset):

@@ -6,6 +6,9 @@ Oracles:
   * The series sampler's mean is checked against 1/phi(1) computed from the
     Laplace exponent (the first-moment identity for the exponential
     functional).
+  * Every sampler's first three power moments are checked against
+    E[A^k] = k! / (phi(1) ... phi(k)) from the Laplace exponent (Bertoin &
+    Yor, Probab. Surveys 2:191, 2005).
 """
 
 import json
@@ -241,6 +244,23 @@ class TestSampleIO:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=message):
                 read_sample_csv(p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("model", [
+    CPExp(mu=1.8, a=0.7, b=0.2),                # Beta law
+    CPExp(mu=0.0, a=0.7, b=1.8),                # Gamma law
+    TruncNormCP(lam=1.0, q=0.5, alpha=0.1),     # series sampler
+    EX2,
+], ids=["beta", "gamma", "series", "series_q0.1"])
+def test_power_moments_match_laplace_exponent(model, seed):
+    # E[A^k] = k! / prod_{j<=k} phi(j) for k = 1..3, within 5 standard errors
+    x = sample_stationary(model, 20_000, seed=seed).values
+    phi = [laplace_exponent(model, complex(j)).real for j in (1, 2, 3)]
+    for k in (1, 2, 3):
+        want = math.factorial(k) / math.prod(phi[:k])
+        xk = x**k
+        assert abs(xk.mean() - want) <= 5.0 * xk.std(ddof=1) / math.sqrt(x.size)
 
 
 @settings(max_examples=20)
