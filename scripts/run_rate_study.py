@@ -27,7 +27,6 @@ DEFAULTS = [
     "--b", "0.2",
     "--beta", str(0.7 / 1.8),
     "--u0", "29",
-    "--vn", "30",
     "--out", "results/rate_study",
     "--seed", "0",
 ]

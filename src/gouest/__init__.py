@@ -19,7 +19,7 @@ from .kernels import (FLAT_TOP_PLATEAU, KernelSpec, WeightSpec, flat_top, kernel
                       verify_kernel_condition, weight)
 from .sampling import (Sample, SeriesTruncationPolicy, make_generator, read_sample_csv,
                        sample_beta_case, sample_gamma_case, sample_series_cp,
-                       sample_stationary, write_columns_csv, write_sample_csv)
+                       sample_stationary, write_columns_csv, write_json, write_sample_csv)
 from .mellin import (LaplaceCurve, default_floor, laplace_curve, laplace_curve_from_mellin,
                      mellin_theoretical_beta, mellin_theoretical_gamma, symmetric_grid,
                      write_laplace_curve_csv)
@@ -45,7 +45,7 @@ __all__ = [
     # sampling
     "Sample", "SeriesTruncationPolicy", "make_generator", "sample_gamma_case",
     "sample_beta_case", "sample_series_cp", "sample_stationary",
-    "write_columns_csv", "write_sample_csv", "read_sample_csv",
+    "write_columns_csv", "write_json", "write_sample_csv", "read_sample_csv",
     # mellin
     "LaplaceCurve", "default_floor", "laplace_curve", "laplace_curve_from_mellin",
     "mellin_theoretical_beta", "mellin_theoretical_gamma", "symmetric_grid",

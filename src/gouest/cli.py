@@ -24,15 +24,18 @@ from .estimators import (EstimationConfig, default_x_grid, run_algorithm2,
                          write_levy_density_csv, write_triplet_json)
 from .kernels import WeightSpec
 from .mellin import laplace_curve, symmetric_grid, write_laplace_curve_csv
-from .models import CPExp, TruncNormCP, laplace_exponent, levy_density, model_to_config
+from .models import (CPExp, TruncNormCP, laplace_exponent, levy_density, model_from_config,
+                     model_to_config)
 from .rates import RateStudyConfig, rate_study, write_mise_report_json
 from .sampling import (SeriesTruncationPolicy, read_sample_csv, sample_stationary,
-                       write_columns_csv, write_sample_csv)
+                       write_columns_csv, write_json, write_sample_csv)
 
 __all__ = ["main"]
 
 _EXAMPLE1_MODEL = CPExp(mu=1.8, a=0.7, b=0.2)
 _EXAMPLE2_MODEL = TruncNormCP(lam=1.0, q=0.5, alpha=0.1)
+# Parameters a model flag or config section leaves out, by model kind.
+_MODEL_DEFAULTS = {c["model"]: c for c in map(model_to_config, (_EXAMPLE1_MODEL, _EXAMPLE2_MODEL))}
 # Display band of the reference studies: [-30, 30] at u0 = 29 for the
 # drift-plus-exponential model, [-5, 5] at u0 = 1 for the truncated-normal one.
 _EXAMPLE1_U0, _EXAMPLE1_V = 29.0, 30.0
@@ -67,68 +70,73 @@ def _load_config_file(path: str | None) -> dict:
     return loaded
 
 
-def _merge(flag_value, config_section: dict, key: str, default):
-    """Flag beats config file beats default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config_section:
-        return config_section[key]
-    return default
+def _section(file_config: dict, name: str) -> dict:
+    section = file_config.get(name, {})
+    if not isinstance(section, dict):
+        raise DomainError(f"config section {name!r} must be a JSON object, got {section!r}")
+    return section
 
 
-def _model_from_args(args, file_config: dict):
-    section = file_config.get("model", {})
-    kind = _merge(args.model, section, "model", None)
+def _merge(flag_value, config_section: dict, key: str, default, convert=float):
+    """Flag beats config file beats default; the winner goes through convert,
+    and a value it cannot take is a DomainError naming the key. A key whose
+    default is None may stay None."""
+    value = flag_value if flag_value is not None else config_section.get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bad value for {key!r}: {value!r} ({exc})") from exc
+
+
+def _ladder(raw) -> tuple:
+    """Sample sizes from a comma-separated string or a list."""
+    if isinstance(raw, str):
+        return tuple(int(t) for t in raw.split(",") if t.strip())
+    return tuple(int(t) for t in raw)
+
+
+def _model_from_args(args, file_config: dict, default_kind: str | None = None):
+    """Flags beat the file's model section, which beats the parameters of the
+    reference model of the same kind; model_from_config builds the result."""
+    flags = {"model": args.model, "mu": args.mu, "a": args.a, "b": args.b,
+             "lambda": args.lam, "q": args.q, "alpha": args.alpha}
+    config = {**_section(file_config, "model"),
+              **{k: v for k, v in flags.items() if v is not None}}
+    kind = config.setdefault("model", default_kind)
     if kind is None:
         raise DomainError("no model given: pass --model or a config file with a 'model' section")
-    if kind == "cp_exp":
-        return CPExp(
-            mu=float(_merge(args.mu, section, "mu", 1.8)),
-            a=float(_merge(args.a, section, "a", 0.7)),
-            b=float(_merge(args.b, section, "b", 0.2)),
-        )
-    if kind == "trunc_norm_cp":
-        return TruncNormCP(
-            lam=float(_merge(args.lam, section, "lambda", 1.0)),
-            q=float(_merge(args.q, section, "q", 0.5)),
-            alpha=float(_merge(args.alpha, section, "alpha", 0.1)),
-        )
-    raise DomainError(f"unknown model kind {kind!r}")
+    return model_from_config({**_MODEL_DEFAULTS.get(str(kind), {}), **config})
 
 
 def _estimation_config_from_args(args, file_config: dict) -> EstimationConfig:
-    section = file_config.get("estimation", {})
-    grid_m = _merge(getattr(args, "grid_m", None), section, "grid_m", None)
-    kwargs = dict(
-        u0=float(_merge(args.u0, section, "u0", 1.0)),
-        vn=float(_merge(args.vn, section, "vn", 5.0)),
-        eps=float(_merge(args.eps, section, "eps", 0.1)),
-        m_fit=int(_merge(None, section, "m_fit", 50)),
-        m_inv=int(_merge(None, section, "m_inv", 200)),
-        weight=WeightSpec(str(_merge(args.weight, section, "weight", "flat"))),
+    section = _section(file_config, "estimation")
+    # one CLI knob sets both grids; the split defaults stay otherwise
+    grid_m = _merge(getattr(args, "grid_m", None), section, "grid_m", None, int)
+    return EstimationConfig(
+        u0=_merge(args.u0, section, "u0", 1.0),
+        vn=_merge(args.vn, section, "vn", 5.0),
+        eps=_merge(args.eps, section, "eps", 0.1),
+        m_fit=grid_m if grid_m is not None else _merge(None, section, "m_fit", 50, int),
+        m_inv=grid_m if grid_m is not None else _merge(None, section, "m_inv", 200, int),
+        weight=WeightSpec(_merge(args.weight, section, "weight", "flat", str)),
         floor=_merge(getattr(args, "floor", None), section, "floor", None),
     )
-    if kwargs["floor"] is not None:
-        kwargs["floor"] = float(kwargs["floor"])
-    if grid_m is not None:
-        # one CLI knob sets both grids; the split defaults stay otherwise
-        kwargs["m_fit"] = int(grid_m)
-        kwargs["m_inv"] = int(grid_m)
-    return EstimationConfig(**kwargs)
 
 
 def _x_grid_from_args(args, file_config: dict) -> np.ndarray:
-    section = file_config.get("x_grid", {})
+    section = _section(file_config, "x_grid")
     return default_x_grid(
-        x_min=float(_merge(args.x_min, section, "x_min", 0.0)),
-        x_max=float(_merge(args.x_max, section, "x_max", 3.0)),
-        x_points=int(_merge(args.x_points, section, "x_points", 301)),
+        x_min=_merge(args.x_min, section, "x_min", 0.0),
+        x_max=_merge(args.x_max, section, "x_max", 3.0),
+        x_points=_merge(args.x_points, section, "x_points", 301, int),
     )
 
 
 def _write_curve_with_theory(curve, model, path: Path) -> Path:
     """Laplace-curve CSV with theoretical columns alongside the estimates."""
-    phi = np.asarray([laplace_exponent(model, curve.u0 + 1j * v) for v in curve.v])
+    phi = laplace_exponent(model, curve.u0 + 1j * curve.v)
     return write_columns_csv(path, {
         "v": curve.v, "re_Y": curve.y.real, "im_Y": curve.y.imag,
         "re_phi": phi.real, "im_phi": phi.imag,
@@ -144,16 +152,10 @@ def _write_curve_with_theory(curve, model, path: Path) -> Path:
 def _cmd_simulate(args, out_dir: Path, outputs: list) -> dict:
     file_config = _load_config_file(args.config)
     model = _model_from_args(args, file_config)
-    n = int(_merge(args.n, file_config, "n", 10**4))
-    seed = int(_merge(args.seed, file_config, "seed", 0))
-    policy = None
-    if args.eta is not None or args.n_max is not None:
-        policy_kwargs = {}
-        if args.eta is not None:
-            policy_kwargs["eta"] = float(args.eta)
-        if args.n_max is not None:
-            policy_kwargs["n_max"] = int(args.n_max)
-        policy = SeriesTruncationPolicy(**policy_kwargs)
+    n = _merge(args.n, file_config, "n", 10**4, int)
+    seed = _merge(args.seed, file_config, "seed", 0, int)
+    flags = {"eta": args.eta, "n_max": args.n_max}
+    policy = SeriesTruncationPolicy(**{k: v for k, v in flags.items() if v is not None})
     sample = sample_stationary(model, n, seed=seed, policy=policy)
     csv_path, meta_path = write_sample_csv(sample, out_dir / "sample.csv")
     outputs += [csv_path, meta_path]
@@ -233,19 +235,14 @@ def _cmd_experiment2(args, out_dir: Path, outputs: list) -> dict:
 
 def _cmd_rate_study(args, out_dir: Path, outputs: list) -> dict:
     file_config = _load_config_file(args.config)
-    section = file_config.get("study", {})
-    model_section = file_config.get("model", {})
-    if args.model is None and "model" not in model_section:
-        model = _EXAMPLE1_MODEL
-    else:
-        model = _model_from_args(args, file_config)
+    section, estimation = _section(file_config, "study"), _section(file_config, "estimation")
+    if args.vn is not None or "vn" in estimation:
+        raise DomainError("rate-study takes V_n at each n from its bandwidth rule (--decay, "
+                          "--beta or --alpha-decay, --s); drop --vn and estimation.vn")
+    model = _model_from_args(args, file_config, default_kind="cp_exp")
 
-    ladder_raw = _merge(args.n_ladder, section, "n_ladder", "1000,10000,100000")
-    if isinstance(ladder_raw, str):
-        ladder = tuple(int(t) for t in ladder_raw.split(",") if t.strip())
-    else:
-        ladder = tuple(int(t) for t in ladder_raw)
-    decay = str(_merge(args.decay, section, "decay_class", "polynomial"))
+    ladder = _merge(args.n_ladder, section, "n_ladder", "1000,10000,100000", _ladder)
+    decay = _merge(args.decay, section, "decay_class", "polynomial", str)
     beta = _merge(args.beta, section, "beta", None)
     if beta is None and decay == "polynomial":
         mu = float(getattr(model, "mu", 0.0))
@@ -253,18 +250,17 @@ def _cmd_rate_study(args, out_dir: Path, outputs: list) -> dict:
             raise DomainError("polynomial decay class needs --beta (cannot derive "
                               "jump_mass/mu for a driftless model)")
         beta = model.jump_mass / mu
-    alpha = _merge(args.alpha_decay, section, "alpha", None)
     study = RateStudyConfig(
         n_ladder=ladder,
-        replicates=int(_merge(args.reps, section, "replicates", 25)),
-        smoothness=float(_merge(args.s, section, "smoothness", 0.0)),
-        beta=float(beta) if beta is not None else None,
-        alpha=float(alpha) if alpha is not None else None,
+        replicates=_merge(args.reps, section, "replicates", 25, int),
+        smoothness=_merge(args.s, section, "smoothness", 0.0),
+        beta=beta,
+        alpha=_merge(args.alpha_decay, section, "alpha", None),
         decay_class=decay,
     )
-    args.vn = 1.0  # placeholder; the study substitutes the rule value per n
+    # the study substitutes the rule's V_n at each n for the template's vn
     template = _estimation_config_from_args(args, file_config)
-    if args.u0 is None and "u0" not in file_config.get("estimation", {}):
+    if args.u0 is None and "u0" not in estimation:
         template = replace(template, u0=_EXAMPLE1_U0)
     seed = int(args.seed) if args.seed is not None else 0
     x_lo = float(args.x_min) if args.x_min is not None else 0.0
@@ -414,9 +410,7 @@ def main(argv=None) -> int:
     manifest["finished_at"] = _utc_now()
     manifest["outputs"] = [str(p) for p in outputs]
     try:
-        with open(out_dir / "manifest.json", "w", newline="") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out_dir / "manifest.json", manifest)
     except OSError as exc:
         print(f"I/O error writing manifest: {exc}", file=sys.stderr)
         return 4

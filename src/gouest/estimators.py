@@ -15,7 +15,6 @@ a kernel-regularized inverse Fourier sum turns back into a density estimate.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -24,7 +23,7 @@ import numpy as np
 from .errors import DegenerateWeights, DomainError, GridMismatch
 from .kernels import KernelSpec, WeightSpec, kernel, weight
 from .mellin import LaplaceCurve, laplace_curve, symmetric_grid
-from .sampling import Sample, write_columns_csv
+from .sampling import Sample, write_columns_csv, write_json
 
 __all__ = [
     "EstimationConfig",
@@ -336,7 +335,6 @@ def write_levy_density_csv(estimate: LevyDensityEstimate, path: str | Path) -> P
 
 
 def write_triplet_json(triplet: TripletEstimate, path: str | Path) -> Path:
-    path = Path(path)
     payload = {
         "mu_hat": triplet.mu_hat,
         "lambda_hat": triplet.lambda_hat,
@@ -344,7 +342,4 @@ def write_triplet_json(triplet: TripletEstimate, path: str | Path) -> Path:
         "n": triplet.n,
         "config": triplet.config.to_dict(),
     }
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_json(path, payload)

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, PoleError
+from .models import _conjugate_symmetric
 from .sampling import Sample, write_columns_csv
 
 __all__ = [
@@ -215,11 +216,12 @@ def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> Lapl
 def laplace_curve_from_mellin(mellin_fn, u0: float, v_grid, n: int = 0) -> LaplaceCurve:
     """Plug-in curve with the empirical moment replaced by an exact Mellin
     transform; by the moment recursion the result is the exact Laplace
-    exponent. Used for zero-noise oracle checks."""
+    exponent. Used for zero-noise oracle checks. mellin_fn takes the whole
+    z-array at once, as the mellin_theoretical_* functions do."""
     v = np.asarray(v_grid, dtype=float)
     z = u0 + 1j * v
-    m1 = np.asarray([mellin_fn(zz) for zz in z], dtype=complex)
-    m2 = np.asarray([mellin_fn(zz + 1.0) for zz in z], dtype=complex)
+    m1 = np.asarray(mellin_fn(z), dtype=complex)
+    m2 = np.asarray(mellin_fn(z + 1.0), dtype=complex)
     if np.any(m2 == 0.0):
         raise PoleError("Mellin denominator vanished on the curve grid")
     return LaplaceCurve(u0=float(u0), v=v, y=z * m1 / m2, denom_abs=np.abs(m2),
@@ -228,16 +230,13 @@ def laplace_curve_from_mellin(mellin_fn, u0: float, v_grid, n: int = 0) -> Lapla
 
 
 def _closed_form(z, b: float, log_m):
-    """exp(log_m(w)) for Re(z) > -b, evaluated on the upper half-plane and
-    conjugated below it, so M(conj z) = conj M(z) exactly. A scalar z gives
-    a complex, an array an array."""
+    """exp(log_m(w)) for Re(z) > -b, exactly conjugate-symmetric through
+    the same half-plane reflection as laplace_exponent. A scalar z gives a
+    complex, an array an array."""
     w = np.asarray(z, dtype=complex)
     if np.any(w.real <= -b):
         raise DomainError(f"need Re(z) > {-b}, got {w[w.real <= -b].flat[0]}")
-    lower = w.imag < 0.0
-    m = np.exp(log_m(np.where(lower, w.conj(), w)))
-    m = np.where(lower, m.conj(), m)
-    return complex(m) if m.ndim == 0 else m
+    return _conjugate_symmetric(lambda u: np.exp(log_m(u)), w)
 
 
 def mellin_theoretical_beta(z, a: float, b: float, mu: float):

@@ -147,26 +147,30 @@ def model_from_config(config: dict) -> SubordinatorModel:
 
         {"model": "cp_exp", "mu": 1.8, "a": 0.7, "b": 0.2}
         {"model": "trunc_norm_cp", "lambda": 1.0, "q": 0.5, "alpha": 0.1}
+
+    Raises DomainError for a missing key, an unknown kind, or a parameter
+    that is not a number.
     """
     try:
         kind = config["model"]
     except KeyError as exc:
         raise DomainError("model config must contain a 'model' key") from exc
     if kind == "cp_exp":
+        cls, keys = CPExp, ("mu", "a", "b")
+    elif kind == "trunc_norm_cp":
+        cls, keys = TruncNormCP, ("lambda", "q", "alpha")
+    else:
+        raise DomainError(f"unknown model kind {kind!r}")
+    params = []
+    for key in keys:
+        if key not in config:
+            raise DomainError(f"{kind} config missing key {key!r}")
         try:
-            return CPExp(mu=float(config["mu"]), a=float(config["a"]), b=float(config["b"]))
-        except KeyError as exc:
-            raise DomainError(f"cp_exp config missing key {exc}") from exc
-    if kind == "trunc_norm_cp":
-        try:
-            return TruncNormCP(
-                lam=float(config["lambda"]),
-                q=float(config["q"]),
-                alpha=float(config["alpha"]),
-            )
-        except KeyError as exc:
-            raise DomainError(f"trunc_norm_cp config missing key {exc}") from exc
-    raise DomainError(f"unknown model kind {kind!r}")
+            params.append(float(config[key]))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"{kind} parameter {key!r} must be a number, "
+                              f"got {config[key]!r}") from exc
+    return cls(*params)
 
 
 def model_to_config(model: SubordinatorModel) -> dict:
@@ -205,44 +209,50 @@ def levy_density(model: SubordinatorModel, x) -> np.ndarray | float:
     return out
 
 
-def _phi_cp_exp(model: CPExp, z: complex) -> complex:
-    if z == -model.b:
-        raise PoleError(f"Laplace exponent of CPExp has a pole at z = {-model.b:g}")
-    return z * (model.mu + model.a / (model.b + z))
+def _conjugate_symmetric(f, z):
+    """f evaluated on the upper half-plane and conjugated below it, so that
+    f(conj z) = conj f(z) holds exactly. f maps a complex array elementwise;
+    a scalar z gives a complex, an array an array. A scalar goes through f as
+    a 1-element array, because NumPy's scalar arithmetic may round
+    differently from its array loops."""
+    w = np.asarray(z, dtype=complex)
+    lower = w.imag < 0.0
+    out = f(np.atleast_1d(np.where(lower, w.conj(), w)))
+    out = np.where(lower, out.conj(), out)
+    return complex(out[0]) if w.ndim == 0 else out
 
 
-def _phi_trunc_norm_cp(model: TruncNormCP, z: complex) -> complex:
-    # phi(z) = lam * [1 - e^{c^2 z^2 / 2} * (1 - F(alpha + c z)) / (1 - F(alpha))]
-    # evaluated through the scaled complementary error function:
-    #   e^{c^2 z^2/2} (1 - F(alpha + c z)) = erfcx((alpha + c z)/sqrt(2))
-    #                                        * e^{-alpha^2/2 - alpha c z} / 2
-    # erfcx(w) = wofz(i w) decays like 1/w, so no overflow for large |z|.
-    c = model.log_scale
-    w = (model.alpha + c * z) / _SQRT2
-    erfcx_w = special.wofz(1j * w)
-    tail = 1.0 - special.ndtr(model.alpha)
-    scaled_sf = 0.5 * erfcx_w * np.exp(-0.5 * model.alpha**2 - model.alpha * c * z)
-    return model.lam * (1.0 - scaled_sf / tail)
-
-
-def laplace_exponent(model: SubordinatorModel, z: complex) -> complex:
+def laplace_exponent(model: SubordinatorModel, z):
     """Laplace exponent phi(z) = -log E[exp(-z*xi_1)] of the subordinator.
 
     Admissible points: Re(z) > -b for ``CPExp``; Re(z) >= 0 for
     ``TruncNormCP`` (the formula extends further but is only contracted
-    there). Conjugate symmetry phi(conj z) = conj(phi(z)) is enforced
-    structurally by evaluating in the upper half-plane and reflecting.
+    there). Vectorized over ``z``; a scalar gives a complex. Conjugate
+    symmetry phi(conj z) = conj(phi(z)) holds exactly through
+    ``_conjugate_symmetric``.
 
     Raises
     ------
     PoleError
-        For ``CPExp`` at z = -b.
+        For ``CPExp`` if any point is z = -b.
     """
-    z = complex(z)
-    if z.imag < 0.0:
-        return np.conj(laplace_exponent(model, np.conj(z)))
     if isinstance(model, CPExp):
-        return _phi_cp_exp(model, z)
+        if np.any(np.asarray(z) == -model.b):
+            raise PoleError(f"Laplace exponent of CPExp has a pole at z = {-model.b:g}")
+        return _conjugate_symmetric(lambda w: w * (model.mu + model.a / (model.b + w)), z)
     if isinstance(model, TruncNormCP):
-        return _phi_trunc_norm_cp(model, z)
+        # phi(z) = lam * [1 - e^{c^2 z^2 / 2} * (1 - F(alpha + c z)) / (1 - F(alpha))]
+        # evaluated through the scaled complementary error function:
+        #   e^{c^2 z^2/2} (1 - F(alpha + c z)) = erfcx((alpha + c z)/sqrt(2))
+        #                                        * e^{-alpha^2/2 - alpha c z} / 2
+        # erfcx(w) = wofz(i w) decays like 1/w, so no overflow for large |z|.
+        lam, alpha, c = model.lam, model.alpha, model.log_scale
+        tail = 1.0 - special.ndtr(alpha)
+
+        def phi(w):
+            erfcx = special.wofz(1j * ((alpha + c * w) / _SQRT2))
+            scaled_sf = 0.5 * erfcx * np.exp(-0.5 * alpha**2 - alpha * c * w)
+            return lam * (1.0 - scaled_sf / tail)
+
+        return _conjugate_symmetric(phi, z)
     raise DomainError(f"not a subordinator model: {model!r}")

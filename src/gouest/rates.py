@@ -9,7 +9,6 @@ rate alpha).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from .errors import DomainError, GouestError
 from .estimators import (EstimationConfig, LevyDensityEstimate, default_x_grid,
                          run_algorithm1, run_algorithm2)
 from .models import SubordinatorModel, levy_density
-from .sampling import sample_stationary
+from .sampling import sample_stationary, write_json
 
 __all__ = [
     "RateStudyConfig",
@@ -232,8 +231,4 @@ def write_mise_report_json(report: MiseReport, path: str | Path) -> Path:
         "failures": report.failures,
         "meta": report.meta,
     }
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_json(path, payload)

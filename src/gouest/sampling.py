@@ -29,6 +29,7 @@ __all__ = [
     "sample_series_cp",
     "sample_stationary",
     "write_columns_csv",
+    "write_json",
     "write_sample_csv",
     "read_sample_csv",
 ]
@@ -191,8 +192,8 @@ def sample_stationary(model: SubordinatorModel, n: int, seed: int = 0, delta: fl
 
 
 # ---------------------------------------------------------------------------
-# Serialization: the shared columnar CSV writer, and the sample CSV plus its
-# JSON metadata sibling.
+# Serialization: the shared columnar CSV and JSON writers, and the sample CSV
+# plus its JSON metadata sibling.
 
 
 def write_columns_csv(path: str | Path, columns: dict) -> Path:
@@ -209,15 +210,20 @@ def write_columns_csv(path: str | Path, columns: dict) -> Path:
     return path
 
 
-def _json_sibling(csv_path: Path) -> Path:
-    return csv_path.with_suffix(".json")
+def write_json(path: str | Path, payload) -> Path:
+    """Write payload as JSON: sorted keys, indent 2, a final LF."""
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def write_sample_csv(sample: Sample, csv_path: str | Path) -> tuple[Path, Path]:
     """Write observations to CSV (header ``x``, LF endings, 17 significant
     digits) and metadata (model, seed, n, delta) to a sibling JSON file."""
     csv_path = write_columns_csv(csv_path, {"x": sample.values})
-    meta_path = _json_sibling(csv_path)
+    meta_path = csv_path.with_suffix(".json")
     meta = {
         "model": sample.meta.get("model"),
         "seed": sample.seed,
@@ -227,10 +233,7 @@ def write_sample_csv(sample: Sample, csv_path: str | Path) -> tuple[Path, Path]:
     extra = {k: v for k, v in sample.meta.items() if k != "model"}
     if extra:
         meta["extra"] = extra
-    with open(meta_path, "w", newline="") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path, meta_path
+    return csv_path, write_json(meta_path, meta)
 
 
 def read_sample_csv(csv_path: str | Path) -> Sample:
@@ -259,7 +262,7 @@ def read_sample_csv(csv_path: str | Path) -> Sample:
     if values.size == 0:
         raise DomainError(f"{csv_path}: no observations")
     delta, seed, meta = 1.0, None, {}
-    meta_path = _json_sibling(csv_path)
+    meta_path = csv_path.with_suffix(".json")
     if meta_path.exists():
         with open(meta_path) as fh:
             info = json.load(fh)

@@ -295,8 +295,6 @@ class TestRateStudyCommand:
                 "2",
                 "--u0",
                 "29",
-                "--vn",
-                "30",
                 "--out",
                 str(out),
             ]
@@ -343,6 +341,56 @@ class TestRateStudyCommand:
             ]
         )
         assert rc == 2
+
+
+class TestConfigErrors:
+    """A config value or section of the wrong type exits 2 with a manifest."""
+
+    def _run(self, tmp_path, argv, config):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        rc = main(argv + ["--config", str(conf), "--out", str(out)])
+        man = _manifest(out)
+        assert rc == 2
+        assert man["status"] == "error"
+        assert man["error"]["type"] == "DomainError"
+        return man["error"]["message"]
+
+    @pytest.mark.parametrize("config, key", [
+        ({"model": {"model": "cp_exp", "mu": "fast"}}, "'mu'"),
+        ({"model": {"model": "trunc_norm_cp", "q": None}}, "'q'"),
+        ({"model": 3}, "'model'"),
+    ], ids=["text", "null", "section"])
+    def test_bad_model_section(self, tmp_path, config, key):
+        assert key in self._run(tmp_path, ["simulate", "-n", "10"], config)
+
+    @pytest.mark.parametrize("config, key", [
+        ({"estimation": {"u0": None}}, "'u0'"),
+        ({"estimation": {"m_fit": "many"}}, "'m_fit'"),
+        ({"estimation": 3}, "'estimation'"),
+    ], ids=["null", "text", "section"])
+    def test_bad_estimation_section(self, tmp_path, config, key):
+        csv = _run_simulate(tmp_path / "sim", n=50)
+        assert key in self._run(tmp_path, ["estimate", str(csv)], config)
+
+    @pytest.mark.parametrize("config, key", [
+        ({"study": {"replicates": "many"}}, "'replicates'"),
+        ({"study": {"n_ladder": [200, "x"]}}, "'n_ladder'"),
+        ({"study": [1]}, "'study'"),
+    ], ids=["text", "ladder", "section"])
+    def test_bad_study_section(self, tmp_path, config, key):
+        assert key in self._run(tmp_path, ["rate-study"], config)
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--vn", "99"], {}),
+        ([], {"estimation": {"vn": 99}}),
+    ], ids=["flag", "config"])
+    def test_rate_study_rejects_vn(self, tmp_path, argv, config):
+        message = self._run(tmp_path, ["rate-study", "--n-ladder", "200,400", "--reps", "2"]
+                            + argv, config)
+        assert "bandwidth rule" in message
+        assert not (tmp_path / "out" / "mise_report.json").exists()
 
 
 class TestParser:

@@ -247,6 +247,16 @@ class TestLaplaceCurve:
         np.testing.assert_allclose(curve.y, want, rtol=1e-10)
         assert not curve.ill.any()
 
+    def test_plugin_curve_calls_mellin_fn_once_per_moment(self):
+        calls = []
+
+        def mellin(z):
+            calls.append(np.shape(z))
+            return mellin_theoretical_beta(z, 0.7, 1.8, 1.8)
+
+        laplace_curve_from_mellin(mellin, 1.0, np.linspace(-5.0, 5.0, 21))
+        assert calls == [(21,), (21,)]
+
     def test_consistency_in_sample_size(self):
         # median absolute error of the ratio estimator against the Laplace
         # exponent must not increase with the sample size

@@ -12,6 +12,7 @@ Oracles:
     the real axis.
 """
 
+import cmath
 import math
 
 import mpmath
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 from scipy.stats import norm, truncnorm
 
@@ -34,6 +36,7 @@ from gouest import (
     levy_density,
     model_from_config,
     model_to_config,
+    symmetric_grid,
 )
 
 
@@ -236,6 +239,57 @@ def test_levy_density_integrates_to_laplace_exponent(model, z):
     assert abs(got - laplace_exponent(model, z)) <= 1e-9
 
 
+def _phi_scalar_reference(model, z: complex) -> complex:
+    """phi by its per-point formulas in Python complex arithmetic, the lower
+    half-plane reflected: how laplace_exponent computed it point by point."""
+    if z.imag < 0.0:
+        return _phi_scalar_reference(model, z.conjugate()).conjugate()
+    if isinstance(model, CPExp):
+        return z * (model.mu + model.a / (model.b + z))
+    c = model.log_scale
+    erfcx = complex(special.wofz(1j * ((model.alpha + c * z) / math.sqrt(2.0))))
+    tail = 1.0 - float(special.ndtr(model.alpha))
+    scaled_sf = 0.5 * erfcx * cmath.exp(-0.5 * model.alpha**2 - model.alpha * c * z)
+    return model.lam * (1.0 - scaled_sf / tail)
+
+
+ARRAY_MODELS = [CPExp(mu=1.8, a=0.7, b=0.2), TruncNormCP(lam=1.0, q=0.5, alpha=0.1)]
+
+
+class TestArrayLaplaceExponent:
+    @pytest.mark.parametrize("model", ARRAY_MODELS, ids=["cp_exp", "trunc_norm_cp"])
+    def test_array_call_equals_scalar_calls_bitwise(self, model):
+        z = _random_points(300, re_lo=0.0, re_hi=30.0, im_lo=-40.0, im_hi=40.0)
+        got = laplace_exponent(model, z)
+        scalars = [laplace_exponent(model, zj) for zj in z]
+        assert all(type(p) is complex for p in scalars)
+        assert got.tobytes() == np.array(scalars).tobytes()
+        assert laplace_exponent(model, z.reshape(20, 15)).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("model", ARRAY_MODELS, ids=["cp_exp", "trunc_norm_cp"])
+    def test_conjugate_symmetry_on_arrays(self, model):
+        z = _random_points(300, re_lo=0.0, re_hi=30.0, im_lo=-40.0, im_hi=40.0, seed=11)
+        np.testing.assert_array_equal(laplace_exponent(model, z.conj()),
+                                      laplace_exponent(model, z).conj())
+
+    def test_pole_anywhere_in_array(self):
+        z = np.array([1.0 + 2.0j, -0.2 + 0.0j, 3.0 - 1.0j])
+        with pytest.raises(PoleError):
+            laplace_exponent(CPExp(mu=1.8, a=0.7, b=0.2), z)
+
+    @pytest.mark.parametrize("model, u0, v_max, m", [
+        (CPExp(mu=1.8, a=0.7, b=0.2), 29.0, 30.0, 600),
+        (TruncNormCP(lam=1.0, q=0.5, alpha=0.1), 1.0, 5.0, 500),
+    ], ids=["fig1", "fig3"])
+    def test_figure_grids_match_the_scalar_formula(self, model, u0, v_max, m):
+        # NumPy's complex division rounds differently from CPython's by a few
+        # ulp, so the array path matches the per-point formula to 1e-15, not bitwise
+        z = u0 + 1j * symmetric_grid(v_max, m)
+        want = np.array([_phi_scalar_reference(model, complex(zj)) for zj in z])
+        got = laplace_exponent(model, z)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
 class TestModelConfig:
     @given(
         a=st.floats(0.1, 10.0),
@@ -256,3 +310,8 @@ class TestModelConfig:
     def test_unknown_model_rejected(self):
         with pytest.raises(DomainError):
             model_from_config({"model": "mystery"})
+
+    @pytest.mark.parametrize("value", ["fast", None, [1.0]])
+    def test_non_numeric_parameter_names_its_key(self, value):
+        with pytest.raises(DomainError, match="'mu'"):
+            model_from_config({"model": "cp_exp", "mu": value, "a": 0.7, "b": 0.2})

@@ -263,6 +263,31 @@ def test_power_moments_match_laplace_exponent(model, seed):
         assert abs(xk.mean() - want) <= 5.0 * xk.std(ddof=1) / math.sqrt(x.size)
 
 
+# Parameters over which each sampler finishes quickly at n = 2e4.
+_MOMENT_MODELS = {
+    "beta": st.builds(CPExp, mu=st.floats(0.5, 3.0), a=st.floats(0.1, 2.0),
+                      b=st.floats(0.1, 3.0)),
+    "gamma": st.builds(CPExp, mu=st.just(0.0), a=st.floats(0.2, 3.0), b=st.floats(0.1, 3.0)),
+    "series": st.builds(TruncNormCP, lam=st.floats(0.5, 3.0), q=st.floats(0.1, 0.7),
+                        alpha=st.floats(0.05, 1.0)),
+}
+
+
+@pytest.mark.parametrize("law", list(_MOMENT_MODELS))
+@settings(max_examples=40)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_power_moments_match_laplace_exponent_property(law, data, seed):
+    # E[A^k] = k! / prod_{j<=k} phi(j) for k = 1..3 within 5 standard errors,
+    # with phi(1), phi(2), phi(3) from one array call
+    model = data.draw(_MOMENT_MODELS[law], label="model")
+    x = sample_stationary(model, 20_000, seed=seed).values
+    phi = laplace_exponent(model, np.array([1.0, 2.0, 3.0])).real
+    for k in (1, 2, 3):
+        want = math.factorial(k) / np.prod(phi[:k])
+        xk = x**k
+        assert abs(xk.mean() - want) <= 5.0 * xk.std(ddof=1) / math.sqrt(x.size)
+
+
 @settings(max_examples=20)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 64))
 def test_sampler_determinism_property(seed, n):
