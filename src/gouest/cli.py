@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -46,8 +46,7 @@ _EXAMPLE2_U0, _EXAMPLE2_V = 1.0, 5.0
 _EXAMPLE2_VN = 6.0
 _EXAMPLE2_EPS = 0.5
 _FIG_N = 10**4
-_FIG_REPLICATES = 25
-_FIG_LADDER = (10**3, 10**4, 10**5)
+_LADDER = (10**3, 10**4, 10**5)  # experiment1's, and rate-study's default
 _FIG_STREAM = 2**20  # keeps figure samples off the replicate streams
 
 
@@ -110,27 +109,30 @@ def _model_from_args(args, file_config: dict, default_kind: str | None = None):
     return model_from_config({**_MODEL_DEFAULTS.get(str(kind), {}), **config})
 
 
-def _estimation_config_from_args(args, file_config: dict) -> EstimationConfig:
-    section = _section(file_config, "estimation")
+def _estimation_config_from_args(args, file_config: dict,
+                                 u0: float = EstimationConfig.u0) -> EstimationConfig:
+    """Flags beat the file's estimation section, which beats the command's u0
+    and EstimationConfig's own defaults."""
+    section, default = _section(file_config, "estimation"), EstimationConfig
     # one CLI knob sets both grids; the split defaults stay otherwise
-    grid_m = _merge(getattr(args, "grid_m", None), section, "grid_m", None, int)
+    grid_m = _merge(args.grid_m, section, "grid_m", None, int)
     return EstimationConfig(
-        u0=_merge(args.u0, section, "u0", 1.0),
-        vn=_merge(args.vn, section, "vn", 5.0),
-        eps=_merge(args.eps, section, "eps", 0.1),
-        m_fit=grid_m if grid_m is not None else _merge(None, section, "m_fit", 50, int),
-        m_inv=grid_m if grid_m is not None else _merge(None, section, "m_inv", 200, int),
-        weight=WeightSpec(_merge(args.weight, section, "weight", "flat", str)),
-        floor=_merge(getattr(args, "floor", None), section, "floor", None),
+        u0=_merge(args.u0, section, "u0", u0),
+        vn=_merge(args.vn, section, "vn", default.vn),
+        eps=_merge(args.eps, section, "eps", default.eps),
+        m_fit=_merge(grid_m, section, "m_fit", default.m_fit, int),
+        m_inv=_merge(grid_m, section, "m_inv", default.m_inv, int),
+        weight=WeightSpec(_merge(args.weight, section, "weight", default.weight.variant, str)),
+        floor=_merge(args.floor, section, "floor", default.floor),
     )
 
 
-def _x_grid_from_args(args, file_config: dict) -> np.ndarray:
+def _x_grid_from_args(args, file_config: dict, x_points: int = 301) -> np.ndarray:
     section = _section(file_config, "x_grid")
     return default_x_grid(
         x_min=_merge(args.x_min, section, "x_min", 0.0),
         x_max=_merge(args.x_max, section, "x_max", 3.0),
-        x_points=_merge(args.x_points, section, "x_points", 301, int),
+        x_points=_merge(args.x_points, section, "x_points", x_points, int),
     )
 
 
@@ -145,12 +147,12 @@ def _write_curve_with_theory(curve, model, path: Path) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Commands. Each receives (args, out_dir, outputs) and appends every file it
-# wrote to outputs; the wrapper owns the manifest and exit codes.
+# Commands. Each receives (args, file_config, out_dir, outputs), where
+# file_config is the loaded --config file ({} without one), and appends every
+# file it wrote to outputs; the wrapper owns the manifest and exit codes.
 
 
-def _cmd_simulate(args, out_dir: Path, outputs: list) -> dict:
-    file_config = _load_config_file(args.config)
+def _cmd_simulate(args, file_config: dict, out_dir: Path, outputs: list) -> dict:
     model = _model_from_args(args, file_config)
     n = _merge(args.n, file_config, "n", 10**4, int)
     seed = _merge(args.seed, file_config, "seed", 0, int)
@@ -162,8 +164,7 @@ def _cmd_simulate(args, out_dir: Path, outputs: list) -> dict:
     return {"model": model_to_config(model), "n": n, "seed": seed}
 
 
-def _cmd_estimate(args, out_dir: Path, outputs: list) -> dict:
-    file_config = _load_config_file(args.config)
+def _cmd_estimate(args, file_config: dict, out_dir: Path, outputs: list) -> dict:
     try:
         sample = read_sample_csv(args.sample)
     except FileNotFoundError as exc:
@@ -181,13 +182,14 @@ def _cmd_estimate(args, out_dir: Path, outputs: list) -> dict:
             "ill_count": triplet.ill_count}
 
 
-def _cmd_experiment1(args, out_dir: Path, outputs: list) -> dict:
+def _cmd_experiment1(args, file_config: dict, out_dir: Path, outputs: list) -> dict:
     """Reference study for the drift-plus-exponential model: estimated vs
     theoretical Laplace-exponent curve, plus replicated (mu, lambda)
     estimates across the sample-size ladder."""
-    seed = int(args.seed) if args.seed is not None else 0
-    n_fig = int(args.n) if args.n is not None else _FIG_N
-    replicates = int(args.reps) if args.reps is not None else _FIG_REPLICATES
+    # the experiments take no config file: flags beat the reference defaults
+    seed = _merge(args.seed, {}, "seed", 0, int)
+    n_fig = _merge(args.n, {}, "n", _FIG_N, int)
+    replicates = _merge(args.reps, {}, "replicates", RateStudyConfig.replicates, int)
     model = _EXAMPLE1_MODEL
 
     sample = sample_stationary(model, n_fig, seed=seed, stream=_FIG_STREAM)
@@ -196,24 +198,24 @@ def _cmd_experiment1(args, out_dir: Path, outputs: list) -> dict:
     outputs.append(_write_curve_with_theory(curve, model, out_dir / "fig1_laplace.csv"))
 
     beta = model.jump_mass / model.mu
-    study = RateStudyConfig(n_ladder=_FIG_LADDER, replicates=replicates, beta=beta)
+    study = RateStudyConfig(n_ladder=_LADDER, replicates=replicates, beta=beta)
     template = EstimationConfig(u0=_EXAMPLE1_U0, vn=_EXAMPLE1_V)
-    report = rate_study(study, model, template, seed=seed, with_mise=False)
+    report = rate_study(study, model, template, seed=seed)
     header = ("n", "replicate", "vn", "mu_hat", "lambda_hat", "ill_count")
     columns = dict(zip(header, zip(*report.rows)))
     outputs.append(write_columns_csv(out_dir / "fig2_estimates.csv", columns))
     return {"model": model_to_config(model), "seed": seed, "n_curve": n_fig,
-            "replicates": replicates, "n_ladder": list(_FIG_LADDER),
+            "replicates": replicates, "n_ladder": list(_LADDER),
             "u0": _EXAMPLE1_U0, "beta": beta, "failures": len(report.failures)}
 
 
-def _cmd_experiment2(args, out_dir: Path, outputs: list) -> dict:
+def _cmd_experiment2(args, file_config: dict, out_dir: Path, outputs: list) -> dict:
     """Reference study for the truncated-normal compound-Poisson model:
     Laplace-exponent curves and the recovered jump density with its
     imaginary residual, against the closed-form truth."""
-    seed = int(args.seed) if args.seed is not None else 0
-    n = int(args.n) if args.n is not None else _FIG_N
-    vn = float(args.vn) if args.vn is not None else _EXAMPLE2_VN
+    seed = _merge(args.seed, {}, "seed", 0, int)
+    n = _merge(args.n, {}, "n", _FIG_N, int)
+    vn = _merge(args.vn, {}, "vn", _EXAMPLE2_VN)
     model = _EXAMPLE2_MODEL
 
     sample = sample_stationary(model, n, seed=seed, stream=_FIG_STREAM)
@@ -233,17 +235,15 @@ def _cmd_experiment2(args, out_dir: Path, outputs: list) -> dict:
             "mu_hat": density.triplet.mu_hat, "lambda_hat": density.triplet.lambda_hat}
 
 
-def _cmd_rate_study(args, out_dir: Path, outputs: list) -> dict:
-    file_config = _load_config_file(args.config)
+def _cmd_rate_study(args, file_config: dict, out_dir: Path, outputs: list) -> dict:
     section, estimation = _section(file_config, "study"), _section(file_config, "estimation")
     if args.vn is not None or "vn" in estimation:
         raise DomainError("rate-study takes V_n at each n from its bandwidth rule (--decay, "
                           "--beta or --alpha-decay, --s); drop --vn and estimation.vn")
     model = _model_from_args(args, file_config, default_kind="cp_exp")
 
-    ladder = _merge(args.n_ladder, section, "n_ladder", "1000,10000,100000", _ladder)
-    decay = _merge(args.decay, section, "decay_class", "polynomial", str)
-    beta = _merge(args.beta, section, "beta", None)
+    decay = _merge(args.decay, section, "decay_class", RateStudyConfig.decay_class, str)
+    beta = _merge(args.beta, section, "beta", RateStudyConfig.beta)
     if beta is None and decay == "polynomial":
         mu = float(getattr(model, "mu", 0.0))
         if mu <= 0.0:
@@ -251,29 +251,20 @@ def _cmd_rate_study(args, out_dir: Path, outputs: list) -> dict:
                               "jump_mass/mu for a driftless model)")
         beta = model.jump_mass / mu
     study = RateStudyConfig(
-        n_ladder=ladder,
-        replicates=_merge(args.reps, section, "replicates", 25, int),
-        smoothness=_merge(args.s, section, "smoothness", 0.0),
+        n_ladder=_merge(args.n_ladder, section, "n_ladder", _LADDER, _ladder),
+        replicates=_merge(args.reps, section, "replicates", RateStudyConfig.replicates, int),
+        smoothness=_merge(args.s, section, "smoothness", RateStudyConfig.smoothness),
         beta=beta,
-        alpha=_merge(args.alpha_decay, section, "alpha", None),
+        alpha=_merge(args.alpha_decay, section, "alpha", RateStudyConfig.alpha),
         decay_class=decay,
     )
     # the study substitutes the rule's V_n at each n for the template's vn
-    template = _estimation_config_from_args(args, file_config)
-    if args.u0 is None and "u0" not in estimation:
-        template = replace(template, u0=_EXAMPLE1_U0)
-    seed = int(args.seed) if args.seed is not None else 0
-    x_lo = float(args.x_min) if args.x_min is not None else 0.0
-    x_hi = float(args.x_max) if args.x_max is not None else 3.0
-    x_points = int(args.x_points) if args.x_points is not None else 151
-
+    template = _estimation_config_from_args(args, file_config, u0=_EXAMPLE1_U0)
+    seed = _merge(args.seed, file_config, "seed", 0, int)
     report = rate_study(study, model, template, seed=seed,
-                        x_range=(x_lo, x_hi), x_points=x_points)
+                        x_grid=_x_grid_from_args(args, file_config, x_points=151))
     outputs.append(write_mise_report_json(report, out_dir / "mise_report.json"))
-    return {"model": model_to_config(model), "seed": seed,
-            "study": {"n_ladder": list(ladder), "replicates": study.replicates,
-                      "smoothness": study.smoothness, "beta": study.beta,
-                      "alpha": study.alpha, "decay_class": study.decay_class},
+    return {"model": model_to_config(model), "seed": seed, "study": asdict(study),
             "slope_mu": report.slope_mu, "failures": len(report.failures)}
 
 
@@ -281,10 +272,13 @@ def _cmd_rate_study(args, out_dir: Path, outputs: list) -> dict:
 # Parser and entry point.
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+def _add_common(parser: argparse.ArgumentParser, seed: bool = True, config: bool = True) -> None:
+    if seed:
+        parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--config", default=None, help="JSON config file; flags win on conflict")
+    if config:
+        parser.add_argument("--config", default=None,
+                            help="JSON config file; flags win on conflict")
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -330,25 +324,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="run both estimation pipelines on a sample CSV")
     p.add_argument("sample", help="sample CSV file (header 'x')")
     _add_estimation_flags(p)
-    _add_common(p)
+    _add_common(p, seed=False)
 
     p = sub.add_parser("experiment1", help="reference study, drift-plus-exponential model")
     p.add_argument("-n", "--n", type=int, default=None, help="curve sample size (default 10^4)")
     p.add_argument("--reps", type=int, default=None, help="replicates per ladder point")
-    _add_common(p)
+    _add_common(p, config=False)
 
     p = sub.add_parser("experiment2", help="reference study, truncated-normal model")
     p.add_argument("-n", "--n", type=int, default=None, help="sample size (default 10^4)")
     p.add_argument("--vn", type=float, default=None, help="inversion bandwidth (default 6)")
-    _add_common(p)
+    _add_common(p, config=False)
 
     p = sub.add_parser("rate-study", help="replicated convergence-rate study")
     _add_model_flags(p)
     p.add_argument("--n-ladder", default=None, dest="n_ladder",
                    help="comma-separated sample sizes (default 1000,10000,100000)")
-    p.add_argument("--reps", type=int, default=None, help="replicates (default 25)")
+    p.add_argument("--reps", type=int, default=None,
+                   help=f"replicates (default {RateStudyConfig.replicates})")
     p.add_argument("--s", type=float, default=None,
-                   help="smoothness s of the bandwidth rule, may be fractional (default 0)")
+                   help="smoothness s of the bandwidth rule, may be fractional "
+                        f"(default {RateStudyConfig.smoothness:g})")
     p.add_argument("--beta", type=float, default=None, help="polynomial Mellin decay exponent")
     p.add_argument("--alpha-decay", type=float, default=None, dest="alpha_decay",
                    help="exponential Mellin decay rate")
@@ -366,7 +362,9 @@ _COMMANDS = {
     "rate-study": _cmd_rate_study,
 }
 
-_DEGENERACY_ERRORS = (DegenerateWeights, TruncationError, PoleError, AccuracyError)
+# Exit code by error kind; the first kind that matches wins.
+_EXIT_CODES = (((DegenerateWeights, TruncationError, PoleError, AccuracyError), 3),
+               (GouestError, 2), (OSError, 4))
 
 
 def main(argv=None) -> int:
@@ -394,19 +392,14 @@ def main(argv=None) -> int:
     }
     code = 0
     try:
-        manifest["config"] = _COMMANDS[args.command](args, out_dir, outputs)
-    except _DEGENERACY_ERRORS as exc:
-        manifest["status"], code = "error", 3
+        file_config = _load_config_file(getattr(args, "config", None))
+        manifest["config"] = _COMMANDS[args.command](args, file_config, out_dir, outputs)
+    except (GouestError, OSError) as exc:
+        code = next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))
+        manifest["status"] = "error"
         manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-    except GouestError as exc:
-        manifest["status"], code = "error", 2
-        manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-    except OSError as exc:
-        manifest["status"], code = "error", 4
-        manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        print(f"I/O error: {exc}", file=sys.stderr)
+        label = "I/O error" if code == 4 else f"error ({type(exc).__name__})"
+        print(f"{label}: {exc}", file=sys.stderr)
     manifest["finished_at"] = _utc_now()
     manifest["outputs"] = [str(p) for p in outputs]
     try:

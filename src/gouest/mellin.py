@@ -18,7 +18,7 @@ from scipy import special
 
 from .errors import DomainError, PoleError
 from .models import _conjugate_symmetric
-from .sampling import Sample, write_columns_csv
+from .sampling import write_columns_csv
 
 __all__ = [
     "LaplaceCurve",
@@ -63,11 +63,6 @@ def default_floor(n: int) -> float:
     """Conditioning floor 10/sqrt(n): below the sampling-noise scale of the
     empirical moment the ratio estimator carries no signal."""
     return 10.0 / np.sqrt(n)
-
-
-def _values_of(sample) -> np.ndarray:
-    """Observations of a Sample, or of a raw array validated as one."""
-    return (sample if isinstance(sample, Sample) else Sample(values=sample)).values
 
 
 # Binned Taylor kernel of the empirical moments (see laplace_curve):
@@ -189,7 +184,7 @@ def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> Lapl
     from the positive half by conjugation. Raises DomainError when a weight
     overflows float64, which shows as a non-finite accumulated sum.
     """
-    values = _values_of(sample)
+    values = sample.values
     if not (u0 > 0.0):
         raise DomainError(f"u0 must be positive, got {u0}")
     if floor is None:

@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, GouestError
-from .estimators import (EstimationConfig, LevyDensityEstimate, default_x_grid,
-                         run_algorithm1, run_algorithm2)
+from .estimators import EstimationConfig, LevyDensityEstimate, run_algorithm1, run_algorithm2
 from .models import SubordinatorModel, levy_density
 from .sampling import sample_stationary, write_json
 
@@ -144,20 +143,25 @@ def _log_log_slope(n_values, medians) -> float:
 
 def rate_study(study: RateStudyConfig, model: SubordinatorModel,
                config_template: EstimationConfig, seed: int = 0,
-               x_range=(0.0, 3.0), x_points: int = 151,
-               with_mise: bool = True) -> MiseReport:
+               x_grid=None) -> MiseReport:
     """Replicated error study across the n-ladder with the matching bandwidth
     rule applied at every n.
 
     Per replicate: draw a fresh stationary sample (independent stream), then
-    either run the density pipeline, which fits (mu, lambda) on the way, and
-    integrate its squared error (``with_mise``), or only fit (mu, lambda).
-    Replicate failures are recorded in the report, not fatal.
+    either run the density pipeline on ``x_grid``, which fits (mu, lambda) on
+    the way, and integrate its squared error over the grid, or, without a
+    grid, only fit (mu, lambda). Replicate failures are recorded in the
+    report, not fatal.
     """
     mu_true = float(getattr(model, "mu", 0.0))
     lambda_true = model.jump_mass
-    x_grid = default_x_grid(x_range[0], x_range[1], x_points)
+    meta = {"seed": seed, "decay_class": study.decay_class, "replicates": study.replicates}
+    with_mise = x_grid is not None
     if with_mise:
+        x_grid = np.asarray(x_grid, dtype=float)
+        x_range = (float(x_grid[0]), float(x_grid[-1]))
+        meta.update(x_range=list(x_range), x_points=int(x_grid.size))
+
         def truth(x):
             x = np.asarray(x, dtype=float)
             return np.exp(-config_template.u0 * x) * levy_density(model, x)
@@ -205,9 +209,7 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
         slope_mise=_log_log_slope(study.n_ladder, med_mise_list) if with_mise else float("nan"),
         quartiles=quartiles,
         failures=failures,
-        meta={"seed": seed, "x_range": [float(x_range[0]), float(x_range[1])],
-              "x_points": x_points, "decay_class": study.decay_class,
-              "replicates": study.replicates},
+        meta=meta,
         rows=rows,
     )
 

@@ -240,8 +240,8 @@ def read_sample_csv(csv_path: str | Path) -> Sample:
     """Read a sample written by :func:`write_sample_csv`.
 
     The JSON sibling is optional; without it the sample gets delta=1 and no
-    seed. Raises DomainError on a malformed header or on non-finite or
-    nonpositive values.
+    seed. Raises DomainError on a malformed header or sidecar and on
+    non-finite or nonpositive values.
     """
     csv_path = Path(csv_path)
     with open(csv_path, newline="") as fh:
@@ -264,9 +264,12 @@ def read_sample_csv(csv_path: str | Path) -> Sample:
     delta, seed, meta = 1.0, None, {}
     meta_path = csv_path.with_suffix(".json")
     if meta_path.exists():
-        with open(meta_path) as fh:
-            info = json.load(fh)
-        delta = float(info.get("delta", 1.0))
+        try:
+            with open(meta_path) as fh:
+                info = json.load(fh)
+            delta = float(info.get("delta", 1.0))
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise DomainError(f"{meta_path}: malformed sample sidecar ({exc})") from exc
         seed = info.get("seed")
         if info.get("model") is not None:
             meta["model"] = info["model"]

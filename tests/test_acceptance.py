@@ -55,7 +55,7 @@ def rate_report():
         n_ladder=(10**3, 10**4, 10**5), replicates=25, beta=0.7 / 1.8, smoothness=0
     )
     template = EstimationConfig(u0=29.0, vn=30.0)
-    return rate_study(study, EXAMPLE1, template, seed=0, with_mise=False)
+    return rate_study(study, EXAMPLE1, template, seed=0)
 
 
 def test_01_mellin_recursion_oracle():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gouest import __version__
+from gouest import EstimationConfig, RateStudyConfig, __version__
 from gouest.cli import build_parser, main
 
 
@@ -217,6 +217,32 @@ class TestEstimate:
         assert "overflows" in err and "u0=29" in err and "max x = 1e+12" in err
         assert _manifest(out)["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("sidecar", ["{not json", "[1]", '{"delta": "soon"}'],
+                             ids=["json", "list", "delta"])
+    def test_malformed_sidecar_exits_2(self, tmp_path, sidecar):
+        csv = _run_simulate(tmp_path / "sim", n=50)
+        csv.with_suffix(".json").write_text(sidecar)
+        out = tmp_path / "est"
+        assert main(["estimate", str(csv), "--out", str(out)]) == 2
+        man = _manifest(out)
+        assert man["status"] == "error"
+        assert man["error"]["type"] == "DomainError"
+        assert "sample.json" in man["error"]["message"]
+
+    def test_sample_directory_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "est"
+        assert main(["estimate", str(tmp_path), "--out", str(out)]) == 4
+        assert "I/O error" in capsys.readouterr().err
+        man = _manifest(out)
+        assert man["status"] == "error"
+        assert man["error"]["type"] == "IsADirectoryError"
+
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        csv = _run_simulate(tmp_path / "sim", n=50)
+        out = tmp_path / "est"
+        assert main(["estimate", str(csv), "--out", str(out)]) == 0
+        assert _manifest(out)["config"]["estimation"] == EstimationConfig().to_dict()
+
     def test_constant_sample_flagged_not_fatal(self, tmp_path):
         # constant observations c are the pure-drift degenerate case: the
         # estimate is exactly 1/c, and a small c puts the Mellin denominator
@@ -322,6 +348,26 @@ class TestRateStudyCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["study"]["smoothness"] == 0.5
 
+    def test_config_file_sets_x_grid_and_seed(self, tmp_path):
+        conf = tmp_path / "rs.json"
+        conf.write_text(json.dumps({"x_grid": {"x_points": 31}, "seed": 5}))
+        out = tmp_path / "rs"
+        rc = main(["rate-study", "--n-ladder", "200,400", "--reps", "2",
+                   "--config", str(conf), "--out", str(out)])
+        assert rc == 0
+        meta = json.loads((out / "mise_report.json").read_text())["meta"]
+        assert meta["x_points"] == 31
+        assert meta["seed"] == 5
+        assert _manifest(out)["config"]["seed"] == 5
+
+    def test_study_defaults_are_the_library_defaults(self, tmp_path):
+        out = tmp_path / "rs"
+        assert main(["rate-study", "--n-ladder", "200,400", "--out", str(out)]) == 0
+        study = _manifest(out)["config"]["study"]
+        assert study["replicates"] == RateStudyConfig.replicates
+        assert study["smoothness"] == RateStudyConfig.smoothness
+        assert study["decay_class"] == RateStudyConfig.decay_class
+
     def test_bad_ladder_exits_2(self, tmp_path):
         rc = main(
             [
@@ -404,6 +450,18 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "sample.csv", "--seed", "1"],
+        ["experiment1", "--config", "conf.json"],
+        ["experiment2", "--config", "conf.json"],
+    ], ids=["estimate-seed", "experiment1-config", "experiment2-config"])
+    def test_flag_a_command_ignores_is_rejected(self, tmp_path, argv):
+        # estimate draws nothing, and the experiments read no config file
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_out_is_required(self):
         with pytest.raises(SystemExit):

@@ -146,7 +146,7 @@ class TestRateStudy:
     TEMPLATE = EstimationConfig(u0=29.0, vn=30.0)
 
     def test_report_shape(self):
-        report = rate_study(self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0, x_points=41)
+        report = rate_study(self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0, x_grid=np.linspace(0.0, 3.0, 41))
         assert report.n == [200, 400]
         assert len(report.median_sq_err_mu) == 2
         assert len(report.median_mise) == 2
@@ -155,8 +155,8 @@ class TestRateStudy:
         assert all(m >= 0 for m in report.median_sq_err_mu)
 
     def test_deterministic(self):
-        a = rate_study(self.STUDY, BETA_MODEL, self.TEMPLATE, seed=3, with_mise=False)
-        b = rate_study(self.STUDY, BETA_MODEL, self.TEMPLATE, seed=3, with_mise=False)
+        a = rate_study(self.STUDY, BETA_MODEL, self.TEMPLATE, seed=3)
+        b = rate_study(self.STUDY, BETA_MODEL, self.TEMPLATE, seed=3)
         assert a.median_sq_err_mu == b.median_sq_err_mu
 
     def test_constant_estimator_has_flat_errors(self, monkeypatch):
@@ -168,7 +168,7 @@ class TestRateStudy:
 
         monkeypatch.setattr(gouest.rates, "run_algorithm1", const)
         report = rate_study(
-            self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0, with_mise=False
+            self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0
         )
         assert report.slope_mu == pytest.approx(0.0, abs=1e-12)
         for med in report.median_sq_err_mu:
@@ -187,8 +187,8 @@ class TestRateStudy:
 
         monkeypatch.setattr(gouest.estimators, "laplace_curve", counting)
         report = rate_study(
-            self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0, x_points=21,
-            with_mise=with_mise,
+            self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0,
+            x_grid=np.linspace(0.0, 3.0, 21) if with_mise else None,
         )
         replicates = len(self.STUDY.n_ladder) * self.STUDY.replicates
         assert report.failures == []
@@ -199,7 +199,7 @@ class TestRateStudy:
 
     def test_json_schema_is_pinned(self, tmp_path):
         report = rate_study(
-            self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0, with_mise=False
+            self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0
         )
         path = write_mise_report_json(report, tmp_path / "report.json")
         payload = json.loads(path.read_text())
@@ -217,7 +217,7 @@ class TestRateStudy:
         assert payload["n"] == [200, 400]
 
     def test_json_keeps_quartiles_failures_and_meta(self, tmp_path):
-        report = rate_study(self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0, x_points=21)
+        report = rate_study(self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0, x_grid=np.linspace(0.0, 3.0, 21))
         report.failures.append({"n": 400, "replicate": 9, "error": "PoleError",
                                 "message": "denominator vanished"})
         payload = json.loads(
@@ -232,6 +232,6 @@ class TestRateStudy:
 
     def test_without_mise_marks_missing(self):
         report = rate_study(
-            self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0, with_mise=False
+            self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0
         )
         assert all(m is None or np.isnan(m) for m in report.median_mise) or report.median_mise == []
