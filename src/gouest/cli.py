@@ -291,9 +291,10 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=None, help="truncation point")
 
 
-def _add_estimation_flags(parser: argparse.ArgumentParser, with_x: bool = True) -> None:
+def _add_estimation_flags(parser: argparse.ArgumentParser, with_x: bool = True,
+                          vn_help: str = "spectral bandwidth") -> None:
     parser.add_argument("--u0", type=float, default=None, help="real part of the Mellin line")
-    parser.add_argument("--vn", type=float, default=None, help="spectral bandwidth")
+    parser.add_argument("--vn", type=float, default=None, help=vn_help)
     parser.add_argument("--eps", type=float, default=None, help="lower edge of the fitting band")
     parser.add_argument("--grid-m", type=int, default=None, dest="grid_m",
                         help="grid count for both the fitting and inversion grids")
@@ -349,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-decay", type=float, default=None, dest="alpha_decay",
                    help="exponential Mellin decay rate")
     p.add_argument("--decay", choices=["polynomial", "exponential"], default=None)
-    _add_estimation_flags(p)
+    # --vn stays parsed, unlisted, so that it is rejected with the bandwidth rule's message
+    _add_estimation_flags(p, vn_help=argparse.SUPPRESS)
     _add_common(p)
     return parser
 
@@ -394,6 +396,8 @@ def main(argv=None) -> int:
     try:
         file_config = _load_config_file(getattr(args, "config", None))
         manifest["config"] = _COMMANDS[args.command](args, file_config, out_dir, outputs)
+        # the seed the command drew with, from its flag, the config file or the default
+        manifest["seed"] = manifest["config"].get("seed")
     except (GouestError, OSError) as exc:
         code = next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))
         manifest["status"] = "error"

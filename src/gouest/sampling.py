@@ -239,26 +239,19 @@ def write_sample_csv(sample: Sample, csv_path: str | Path) -> tuple[Path, Path]:
 def read_sample_csv(csv_path: str | Path) -> Sample:
     """Read a sample written by :func:`write_sample_csv`.
 
+    A file headed by the line ``x`` whose rows are plain decimals
+    (``digits.digits``, or exponent form, LF endings) is read by an exact
+    integer-based parser; any other layout goes through ``np.loadtxt``. Both
+    give every value bitwise equal to ``float(row)``.
+
     The JSON sibling is optional; without it the sample gets delta=1 and no
     seed. Raises DomainError on a malformed header or sidecar and on
     non-finite or nonpositive values.
     """
     csv_path = Path(csv_path)
-    with open(csv_path, newline="") as fh:
-        line = fh.readline()
-        if not line:
-            raise DomainError(f"{csv_path}: empty sample file")
-        header = next(csv.reader([line]))
-        if header != ["x"]:
-            raise DomainError(f"{csv_path}: expected header ['x'], got {header}")
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is reported below as having no observations
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                values = np.loadtxt(fh, dtype=float, delimiter=",", usecols=0, ndmin=1,
-                                    comments=None, quotechar='"')
-        except ValueError as exc:
-            raise DomainError(f"{csv_path}: malformed row ({exc})") from exc
+    values = _read_decimal_rows(csv_path)
+    if values is None:
+        values = _loadtxt_rows(csv_path)
     if values.size == 0:
         raise DomainError(f"{csv_path}: no observations")
     delta, seed, meta = 1.0, None, {}
@@ -274,3 +267,176 @@ def read_sample_csv(csv_path: str | Path) -> Sample:
         if info.get("model") is not None:
             meta["model"] = info["model"]
     return Sample(values=values, delta=delta, seed=seed, meta=meta)
+
+
+def _loadtxt_rows(csv_path: Path) -> np.ndarray:
+    """The general reader: csv header check, then np.loadtxt on the rows."""
+    with open(csv_path, newline="") as fh:
+        line = fh.readline()
+        if not line:
+            raise DomainError(f"{csv_path}: empty sample file")
+        header = next(csv.reader([line]))
+        if header != ["x"]:
+            raise DomainError(f"{csv_path}: expected header ['x'], got {header}")
+        try:
+            with warnings.catch_warnings():
+                # read_sample_csv reports a header-only file as having no observations
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh, dtype=float, delimiter=",", usecols=0, ndmin=1,
+                                    comments=None, quotechar='"')
+        except ValueError as exc:
+            raise DomainError(f"{csv_path}: malformed row ({exc})") from exc
+    return values
+
+
+# The exact reader of plain decimal rows. A row "I.F" is the decimal
+# x = D / 10^k, with D the integer spelled by the digits of I and F and
+# k = len(F). Once the dots are dropped, a chunk's rows parse as integers in
+# one np.fromstring call, and each value is RN(x), the correctly rounded
+# quotient that float(row) returns (Clinger, PLDI 1990), formed in float64
+# with a double-double residual (Dekker, Numer. Math. 18, 1971). With
+# u = 2^-53, D < 2^62 and k <= 19 (10^k is exact, since 5^19 < 2^53):
+#   q = fl(fl(D) / 10^k) lies within 2 ulp(q) of x;
+#   q * 10^k = ph + pl exactly (Veltkamp split and TwoProduct);
+#   D = fl(D) + dl with dl exact, and fl(D) - ph is exact (Sterbenz), so the
+#   residual r = D - q * 10^k is formed with an error below 4u^2 fl(D), and
+#   c = fl(r / 10^k) differs from x - q by less than 2^-50 ulp(q);
+#   s + e = q + c exactly (TwoSum), so |x - s| < |e| + 2^-48 h, where h is
+#   half the float spacing next to s on e's side (h >= ulp(q) / 4).
+# s = fl(s + fl(e * (1 + 2^-40))) shows |e| < (1 - 2^-41) h, so x lies
+# strictly inside s's rounding interval and s = RN(x). Rows that fail this
+# test lie within 2^-39 h of a rounding midpoint (exact ties included);
+# they, rows of more than 19 digits or with D >= 2^62 and rows in exponent
+# form are converted by float(row) instead.
+_CSV_CHUNK_BYTES = 1 << 18
+_MAX_DIGITS = 19  # D < 10^19 < 2^64 parses without overflow, and k <= 19
+_DIGITS_BOUND = 2**62
+_POW10 = np.array([float(10**k) for k in range(_MAX_DIGITS + 1)])
+_MIDPOINT_GUARD = 1.0 + 2.0**-40
+_DIGIT, _DOT, _LF = ord("0"), ord("."), ord("\n")
+_EXPONENT_BYTES = np.frombuffer(b"eE+-", np.uint8)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp split: a = hi + lo exactly, each with at most 26 significant bits."""
+    t = (2.0**27 + 1.0) * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _round_decimals(digits: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """RN(digits / 10^k) for digits < 2^62 and k <= 19, and the mask of the
+    rows whose rounding is proven (all but those near a rounding midpoint)."""
+    p = _POW10[k]
+    df = digits.astype(np.float64)
+    dl = (digits - df.astype(np.uint64)).view(np.int64).astype(np.float64)
+    q = df / p
+    ph = q * p
+    qh, ql = _split(q)
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    pl = ((qh * p_hi - ph) + qh * p_lo + ql * p_hi) + ql * p_lo
+    c = (((df - ph) - pl) + dl) / p
+    s = q + c
+    b = s - q
+    e = (q - (s - b)) + (c - b)
+    return s, s + e * _MIDPOINT_GUARD == s
+
+
+def _read_decimal_rows(csv_path: Path) -> np.ndarray | None:
+    """The values of a sample CSV whose first line is exactly "x", or None when
+    a byte or a row shape needs the general reader: anything but digits,
+    dots, LF and exponents, a blank row, a row with two dots or no digit."""
+    with open(csv_path, "rb") as fh:
+        if fh.read(2) != b"x\n":
+            return None
+        rows, last = 0, b"\n"
+        while chunk := fh.read(_CSV_CHUNK_BYTES):
+            rows, last = rows + chunk.count(b"\n"), chunk[-1:]
+        values = np.empty(rows + (last != b"\n"))
+        fh.seek(2)
+        filled, carry = 0, b""
+        while True:
+            more = fh.read(_CSV_CHUNK_BYTES - len(carry))
+            chunk = carry + more
+            if not chunk:
+                break
+            if more:
+                cut = chunk.rfind(b"\n") + 1
+                if cut == 0:
+                    return None  # a row longer than a chunk
+                chunk, carry = chunk[:cut], chunk[cut:]
+            else:
+                chunk, carry = chunk + b"\n", b""  # a last row without its LF
+            part = _parse_decimal_chunk(chunk)
+            if part is None or filled + part.size > values.size:
+                return None
+            values[filled:filled + part.size] = part
+            filled += part.size
+    return values if filled == values.size else None
+
+
+def _parse_decimal_chunk(chunk: bytes) -> np.ndarray | None:
+    """Values of LF-terminated rows, or None if a row needs the general reader."""
+    raw = np.frombuffer(chunk, np.uint8)
+    marks = np.flatnonzero(raw - _DIGIT > 9)  # every byte that is not a digit
+    kind = raw[marks]
+    if kind.size % 2 == 0 and (kind[::2] == _DOT).all() and (kind[1::2] == _LF).all():
+        # every row is "I.F"
+        dots, ends, dot_rows = marks[::2], marks[1::2], slice(None)
+        slow = np.zeros(ends.size, dtype=bool)
+    else:
+        found = _mixed_row_marks(marks, kind)
+        if found is None:
+            return None
+        dots, ends, dot_rows, slow = found
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    n_digits = ends - starts
+    n_digits[dot_rows] -= 1
+    if not n_digits.all():
+        return None
+    k = np.zeros(ends.size, dtype=np.intp)
+    k[dot_rows] = ends[dot_rows] - dots - 1
+    slow |= n_digits > _MAX_DIGITS
+    text = chunk
+    if slow.any():
+        # zero the rows float() converts, keeping every offset
+        masked = raw.copy()
+        masked[np.repeat(slow, ends - starts + 1)] = _DIGIT
+        masked[ends] = _LF
+        text = masked.tobytes()
+        k[slow] = 0
+    digits = np.fromstring(text.replace(b".", b""), dtype=np.uint64, sep="\n")
+    if digits.size != ends.size:
+        return None
+    values, proven = _round_decimals(digits, k)
+    for i in np.flatnonzero(slow | ~proven | (digits >= _DIGITS_BOUND)).tolist():
+        try:
+            values[i] = float(chunk[starts[i]:ends[i]])
+        except ValueError:
+            return None
+    return values
+
+
+def _mixed_row_marks(marks: np.ndarray, kind: np.ndarray) -> tuple | None:
+    """Dots, row ends, the row of each dot and the exponent rows of a chunk
+    whose rows are not all "I.F", or None if a byte or row shape needs the
+    general reader."""
+    is_end, is_dot = kind == _LF, kind == _DOT
+    ends = marks[is_end]
+    row_of_mark = np.cumsum(is_end) - is_end
+    slow = np.zeros(ends.size, dtype=bool)
+    others = ~(is_end | is_dot)
+    if others.any():
+        if not np.isin(kind[others], _EXPONENT_BYTES).all():
+            return None
+        # signs may only stand in rows with an exponent
+        slow[row_of_mark[others & ((kind | 0x20) == ord("e"))]] = True
+        if not slow[row_of_mark[others]].all():
+            return None
+    dot_rows = row_of_mark[is_dot]
+    if np.any(np.diff(dot_rows) == 0):
+        return None  # a row with two dots
+    return marks[is_dot], ends, dot_rows, slow

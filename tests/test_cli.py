@@ -149,6 +149,7 @@ class TestEstimate:
         assert density_lines[0] == "x,nu_hat,nu_bar_hat,imag_residual"
         man = _manifest(out)
         assert man["status"] == "ok"
+        assert man["seed"] is None  # estimate draws nothing
         assert len(man["outputs"]) == 3
 
     def test_flags_override_config_file(self, tmp_path):
@@ -278,6 +279,7 @@ class TestExperiments:
         out = tmp_path / "e2"
         rc = main(["experiment2", "-n", "300", "--out", str(out)])
         assert rc == 0
+        assert _manifest(out)["seed"] == 0  # the default seed it drew with
         fig3 = (out / "fig3_laplace.csv").read_text().splitlines()
         assert fig3[0] == "v,re_Y,im_Y,re_phi,im_phi,denom_abs,ill_flag"
         assert len(fig3) == 502  # 501 grid points on [-5, 5]
@@ -359,6 +361,7 @@ class TestRateStudyCommand:
         assert meta["x_points"] == 31
         assert meta["seed"] == 5
         assert _manifest(out)["config"]["seed"] == 5
+        assert _manifest(out)["seed"] == 5
 
     def test_study_defaults_are_the_library_defaults(self, tmp_path):
         out = tmp_path / "rs"
@@ -462,6 +465,15 @@ class TestParser:
             main(argv + ["--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
+
+    def test_rate_study_help_omits_vn(self, capsys):
+        # rate-study takes V_n from its bandwidth rule and rejects --vn
+        with pytest.raises(SystemExit) as exc:
+            main(["rate-study", "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        assert "--vn" not in help_text
+        assert "--u0" in help_text
 
     def test_out_is_required(self):
         with pytest.raises(SystemExit):

@@ -37,6 +37,7 @@ from gouest import (
     write_columns_csv,
     write_sample_csv,
 )
+from gouest.sampling import _CSV_CHUNK_BYTES, _loadtxt_rows, _read_decimal_rows
 
 EX2 = TruncNormCP(lam=1.0, alpha=0.5, q=0.1)
 
@@ -244,6 +245,119 @@ class TestSampleIO:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=message):
                 read_sample_csv(p)
+
+
+def _decimal_row(digits: int, point: int, zeros: int = 0) -> str:
+    """The integer's digits after extra leading zeros, with a dot `point`
+    places from the right: '3.' when point is 0, '.5' when no digit is left
+    of the dot."""
+    text = "0" * zeros + str(digits).rjust(point, "0")
+    return text[:len(text) - point] + "." + text[len(text) - point:]
+
+
+def _tie_row(significand: int, exponent: int, point_zeros: int) -> str:
+    """The exact midpoint (significand + 1/2) * 2^exponent of two adjacent
+    floats, for significand in [2^52, 2^53): an integer (with `point_zeros`
+    zeros after the dot), or 1-3 decimal places when exponent <= 0."""
+    odd = 2 * significand + 1
+    if exponent >= 1:
+        return _decimal_row(odd * 2 ** (exponent - 1) * 10**point_zeros, point_zeros)
+    return _decimal_row(odd * 5 ** (1 - exponent), 1 - exponent)
+
+
+def _near_tie_row(k: int, sigma: int, pick: int) -> str:
+    """A decimal D / 10^k lying |sigma| / (2 * 5^k) units in the last place
+    from a rounding midpoint, for a value in the binade of 2^61 / 10^k; in that
+    binade no decimal with k places that is not a midpoint gets closer than
+    |sigma| = 1."""
+    f = 153 - (2**161 // 10**k).bit_length()  # values near 2^61 / 10^k have ulp 2^-f
+    mod = 2 ** (f + 1 - k)
+    odd = -sigma * pow(5, -k, mod) % mod  # odd * 5^k + sigma = 0 (mod 2^(f+1-k))
+    odd += (2**53 // mod + 1 + pick % (2**53 // mod - 1)) * mod  # into [2^53, 2^54)
+    return _decimal_row((odd * 5**k + sigma) // mod, k)
+
+
+_POSITIVE_DOUBLES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_ROWS = st.one_of(
+    _POSITIVE_DOUBLES.map("%.17g".__mod__),
+    _POSITIVE_DOUBLES.map(repr),
+    st.builds(lambda x, n: "%.*f" % (n, x), _POSITIVE_DOUBLES, st.integers(0, 25)),
+    st.builds(lambda x, n: "%.*e" % (n, x), _POSITIVE_DOUBLES, st.integers(0, 20)),
+    st.integers(1, 10**25).map(str),
+    st.builds(_decimal_row, st.integers(0, 10**25), st.integers(0, 25), st.integers(0, 3)),
+    st.builds(_tie_row, st.integers(2**52, 2**53 - 1), st.integers(-2, 5), st.integers(0, 1)),
+    st.builds(_near_tie_row, st.integers(4, 22), st.sampled_from([-3, -1, 1, 3]),
+              st.integers(0, 2**20)),
+).filter(lambda row: 0.0 < float(row) < math.inf)
+
+
+@given(rows=st.lists(_ROWS, min_size=1, max_size=40))
+def test_read_values_are_float_of_each_row_property(tmp_path_factory, rows):
+    # every row shape the exact reader takes, and the rows it hands to float()
+    p = tmp_path_factory.mktemp("rows") / "s.csv"
+    p.write_text("x\n" + "\n".join(rows) + "\n")
+    assert _read_decimal_rows(p) is not None  # no row needs the general reader
+    got = read_sample_csv(p).values
+    want = np.array([float(r) for r in rows])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestChunkedReader:
+    """Files of more than one read chunk, against float() of each row and
+    against the general reader."""
+
+    @staticmethod
+    def _rows(n, seed=0):
+        rng = make_generator(seed)
+        return ["%.17g" % x for x in (rng.random(n) / 1.8).tolist()]
+
+    @staticmethod
+    def _write(path, rows, end=b"\n"):
+        path.write_bytes(b"x\n" + "\n".join(rows).encode() + end)
+        return path
+
+    @pytest.mark.parametrize("end", [b"\n", b""], ids=["final_lf", "no_final_lf"])
+    def test_rows_straddle_chunk_boundaries(self, tmp_path, end):
+        rows = self._rows(30_000)
+        rows[7] = "1.2345678901234567e-05"  # exponent rows in the first and last chunk
+        rows[-3] = "9.8765432109876543E-06"
+        p = self._write(tmp_path / "s.csv", rows, end)
+        raw = p.read_bytes()
+        assert len(raw) > 2 + 2 * _CSV_CHUNK_BYTES
+        for boundary in (2 + _CSV_CHUNK_BYTES, 2 + 2 * _CSV_CHUNK_BYTES):
+            assert b"\n" not in raw[boundary - 1:boundary + 1]  # a row spans it
+        assert _read_decimal_rows(p) is not None
+        got = read_sample_csv(p).values
+        np.testing.assert_array_equal(got, [float(r) for r in rows])
+
+    def test_last_row_without_lf(self, tmp_path):
+        p = self._write(tmp_path / "s.csv", ["1.5", "2.5e-3", "0.75"], end=b"")
+        np.testing.assert_array_equal(_read_decimal_rows(p), [1.5, 2.5e-3, 0.75])
+        np.testing.assert_array_equal(read_sample_csv(p).values, [1.5, 2.5e-3, 0.75])
+
+    @pytest.mark.parametrize("row", ["0.5\r", '"0.5"', "+0.5", "0.5,1", ""],
+                             ids=["crlf", "quoted", "sign", "extra_column", "blank"])
+    def test_other_layouts_fall_back_with_equal_values(self, tmp_path, row):
+        rows = self._rows(30_000, seed=1)
+        rows[-2] = row
+        p = self._write(tmp_path / "s.csv", rows)
+        assert _read_decimal_rows(p) is None
+        got = read_sample_csv(p).values
+        np.testing.assert_array_equal(got, _loadtxt_rows(p))
+        assert got.size == len(rows) - (row == "")  # loadtxt skips a blank row
+
+    @pytest.mark.parametrize("row", ["# note", "1.5.2", ".", "1e", "0.5-1"],
+                             ids=["comment", "two_dots", "dot", "bare_exponent", "inner_sign"])
+    def test_other_layouts_fall_back_with_equal_errors(self, tmp_path, row):
+        rows = self._rows(30_000, seed=2)
+        rows[-2] = row
+        p = self._write(tmp_path / "s.csv", rows)
+        assert _read_decimal_rows(p) is None
+        with pytest.raises(DomainError) as general:
+            _loadtxt_rows(p)
+        with pytest.raises(DomainError) as exact:
+            read_sample_csv(p)
+        assert str(exact.value) == str(general.value)
 
 
 @pytest.mark.parametrize("seed", range(4))
