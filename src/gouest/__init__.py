@@ -12,14 +12,13 @@ __version__ = "0.1.0"
 
 from .errors import (AccuracyError, DegenerateWeights, DomainError, GouestError,
                      GridMismatch, PoleError, TruncationError)
-from .models import (CPExp, SubordinatorModel, TruncNormCP, complex_erf,
-                     complex_log_gamma, laplace_exponent, levy_density,
+from .models import (MODELS, CPExp, SeriesTruncationPolicy, SubordinatorModel, TruncNormCP,
+                     complex_erf, complex_log_gamma, laplace_exponent, levy_density,
                      model_from_config, model_to_config)
 from .kernels import (FLAT_TOP_PLATEAU, KernelSpec, WeightSpec, flat_top, kernel,
                       verify_kernel_condition, weight)
-from .sampling import (Sample, SeriesTruncationPolicy, make_generator, read_sample_csv,
-                       sample_beta_case, sample_gamma_case, sample_series_cp,
-                       sample_stationary, write_columns_csv, write_json, write_sample_csv)
+from .sampling import (Sample, make_generator, read_sample_csv, sample_stationary,
+                       write_columns_csv, write_json, write_sample_csv)
 from .mellin import (LaplaceCurve, default_floor, laplace_curve, laplace_curve_from_mellin,
                      mellin_theoretical_beta, mellin_theoretical_gamma, symmetric_grid,
                      write_laplace_curve_csv)
@@ -37,14 +36,14 @@ __all__ = [
     "GouestError", "PoleError", "AccuracyError", "TruncationError", "DomainError",
     "DegenerateWeights", "GridMismatch",
     # models
-    "SubordinatorModel", "CPExp", "TruncNormCP", "laplace_exponent", "levy_density",
-    "model_from_config", "model_to_config", "complex_erf", "complex_log_gamma",
+    "SubordinatorModel", "CPExp", "TruncNormCP", "MODELS", "SeriesTruncationPolicy",
+    "laplace_exponent", "levy_density", "model_from_config", "model_to_config",
+    "complex_erf", "complex_log_gamma",
     # kernels
     "WeightSpec", "KernelSpec", "FLAT_TOP_PLATEAU", "weight", "kernel", "flat_top",
     "verify_kernel_condition",
     # sampling
-    "Sample", "SeriesTruncationPolicy", "make_generator", "sample_gamma_case",
-    "sample_beta_case", "sample_series_cp", "sample_stationary",
+    "Sample", "make_generator", "sample_stationary",
     "write_columns_csv", "write_json", "write_sample_csv", "read_sample_csv",
     # mellin
     "LaplaceCurve", "default_floor", "laplace_curve", "laplace_curve_from_mellin",

@@ -24,11 +24,11 @@ from .estimators import (EstimationConfig, default_x_grid, run_algorithm2,
                          write_levy_density_csv, write_triplet_json)
 from .kernels import WeightSpec
 from .mellin import laplace_curve, symmetric_grid, write_laplace_curve_csv
-from .models import (CPExp, TruncNormCP, laplace_exponent, levy_density, model_from_config,
-                     model_to_config)
+from .models import (MODELS, CPExp, SeriesTruncationPolicy, TruncNormCP, laplace_exponent,
+                     levy_density, model_from_config, model_to_config)
 from .rates import RateStudyConfig, rate_study, write_mise_report_json
-from .sampling import (SeriesTruncationPolicy, read_sample_csv, sample_stationary,
-                       write_columns_csv, write_json, write_sample_csv)
+from .sampling import (read_sample_csv, sample_stationary, write_columns_csv, write_json,
+                       write_sample_csv)
 
 __all__ = ["main"]
 
@@ -245,11 +245,10 @@ def _cmd_rate_study(args, file_config: dict, out_dir: Path, outputs: list) -> di
     decay = _merge(args.decay, section, "decay_class", RateStudyConfig.decay_class, str)
     beta = _merge(args.beta, section, "beta", RateStudyConfig.beta)
     if beta is None and decay == "polynomial":
-        mu = float(getattr(model, "mu", 0.0))
-        if mu <= 0.0:
+        if model.drift <= 0.0:
             raise DomainError("polynomial decay class needs --beta (cannot derive "
                               "jump_mass/mu for a driftless model)")
-        beta = model.jump_mass / mu
+        beta = model.jump_mass / model.drift
     study = RateStudyConfig(
         n_ladder=_merge(args.n_ladder, section, "n_ladder", _LADDER, _ladder),
         replicates=_merge(args.reps, section, "replicates", RateStudyConfig.replicates, int),
@@ -282,7 +281,7 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = True, config: bool
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=["cp_exp", "trunc_norm_cp"], default=None)
+    parser.add_argument("--model", choices=list(MODELS), default=None)
     parser.add_argument("--mu", type=float, default=None, help="drift (cp_exp)")
     parser.add_argument("--a", type=float, default=None, help="jump intensity (cp_exp)")
     parser.add_argument("--b", type=float, default=None, help="jump-size rate (cp_exp)")
@@ -291,7 +290,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=None, help="truncation point")
 
 
-def _add_estimation_flags(parser: argparse.ArgumentParser, with_x: bool = True,
+def _add_estimation_flags(parser: argparse.ArgumentParser,
                           vn_help: str = "spectral bandwidth") -> None:
     parser.add_argument("--u0", type=float, default=None, help="real part of the Mellin line")
     parser.add_argument("--vn", type=float, default=None, help=vn_help)
@@ -301,10 +300,9 @@ def _add_estimation_flags(parser: argparse.ArgumentParser, with_x: bool = True,
     parser.add_argument("--weight", choices=["flat", "epanechnikov"], default=None)
     parser.add_argument("--floor", type=float, default=None,
                         help="ill-conditioning floor (default 10/sqrt(n))")
-    if with_x:
-        parser.add_argument("--x-min", type=float, default=None, dest="x_min")
-        parser.add_argument("--x-max", type=float, default=None, dest="x_max")
-        parser.add_argument("--x-points", type=int, default=None, dest="x_points")
+    parser.add_argument("--x-min", type=float, default=None, dest="x_min")
+    parser.add_argument("--x-max", type=float, default=None, dest="x_max")
+    parser.add_argument("--x-points", type=int, default=None, dest="x_points")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,20 +7,23 @@ Two finite-activity subordinators are supported:
 * ``TruncNormCP`` -- compound Poisson with intensity ``lam`` whose jumps are
   ``-log(q)`` times a standard normal truncated to ``(alpha, inf)``.
 
-Each model exposes its exact Laplace exponent ``phi(z) = -log E[exp(-z*xi_1)]``
-and its Levy density, together with the complex special functions needed to
-evaluate them off the real axis.
+Each model class holds its config ``kind`` and ``keys`` (one per field),
+``drift``, ``jump_mass`` and three array methods: ``phi``, the Laplace
+exponent -log E[exp(-z*xi_1)] on the closed upper half-plane; ``nu``, the
+Levy density; ``stationary(n, rng, policy)``, n draws of A = int_0^inf
+e^{-xi_t} dt and the law's metadata. ``MODELS`` maps each kind to its class,
+and the module functions wrap the methods.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import astuple, dataclass
+from typing import ClassVar, Union
 
 import numpy as np
 from scipy import special
 
-from .errors import AccuracyError, DomainError, PoleError
+from .errors import AccuracyError, DomainError, PoleError, TruncationError
 
 #: Declared accuracy envelope for complex_erf: |Im z| must not exceed this.
 ERF_IM_ENVELOPE = 30.0
@@ -86,11 +89,35 @@ def complex_log_gamma(z: complex) -> complex:
 
 
 @dataclass(frozen=True)
+class SeriesTruncationPolicy:
+    """Stopping rule for the series sampler.
+
+    The series is cut once the conditional-mean tail bound
+    q^{S_k} / (lam * (1 - q^alpha)) drops below ``eta`` times the partial sum;
+    ``n_max`` caps the number of terms per draw.
+    """
+
+    eta: float = 1e-12
+    n_max: int = 10**6
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.eta < 1.0):
+            raise DomainError(f"tail tolerance must be in (0,1), got {self.eta}")
+        if self.n_max < 1:
+            raise DomainError(f"n_max must be >= 1, got {self.n_max}")
+
+
+@dataclass(frozen=True)
 class CPExp:
     """Subordinator with drift ``mu`` and exponential jump density a*b*exp(-b*x).
 
     Total jump mass (intensity) equals ``a``; ``b`` is the jump-size rate.
+    Its stationary law is closed form: A ~ Gamma(shape b+1, rate a) for
+    zero drift, A ~ Beta(b+1, a/mu) / mu, in (0, 1/mu], otherwise.
     """
+
+    kind: ClassVar[str] = "cp_exp"
+    keys: ClassVar[tuple] = ("mu", "a", "b")
 
     mu: float
     a: float
@@ -106,6 +133,27 @@ class CPExp:
     def jump_mass(self) -> float:
         return self.a
 
+    @property
+    def drift(self) -> float:
+        return self.mu
+
+    def phi(self, w: np.ndarray) -> np.ndarray:
+        if np.any(w == -self.b):
+            raise PoleError(f"Laplace exponent of CPExp has a pole at z = {-self.b:g}")
+        return w * (self.mu + self.a / (self.b + w))
+
+    def nu(self, x: np.ndarray) -> np.ndarray:
+        # clamp x at 0 before exp so the discarded branch of where cannot overflow
+        return np.where(x > 0.0, self.a * self.b * np.exp(-self.b * np.maximum(x, 0.0)), 0.0)
+
+    def stationary(self, n: int, rng: np.random.Generator,
+                   policy: SeriesTruncationPolicy) -> tuple[np.ndarray, dict]:
+        if self.mu == 0.0:
+            return rng.gamma(shape=self.b + 1.0, scale=1.0 / self.a, size=n), {"law": "gamma"}
+        raw = rng.beta(self.b + 1.0, self.a / self.mu, size=n)
+        # guard the measure-zero event of a draw rounding to exactly 0
+        return np.maximum(raw, np.finfo(float).tiny) / self.mu, {"law": "beta"}
+
 
 @dataclass(frozen=True)
 class TruncNormCP:
@@ -114,6 +162,10 @@ class TruncNormCP:
     Arrivals have intensity ``lam``; each jump equals ``-log(q)`` times a
     standard normal draw conditioned to exceed ``alpha``.
     """
+
+    kind: ClassVar[str] = "trunc_norm_cp"
+    keys: ClassVar[tuple] = ("lambda", "q", "alpha")
+    drift: ClassVar[float] = 0.0
 
     lam: float
     q: float
@@ -136,8 +188,65 @@ class TruncNormCP:
         """Jump scale c = -log(q) > 0."""
         return -np.log(self.q)
 
+    def phi(self, w: np.ndarray) -> np.ndarray:
+        # phi(z) = lam * [1 - e^{c^2 z^2 / 2} * (1 - F(alpha + c z)) / (1 - F(alpha))]
+        # evaluated through the scaled complementary error function:
+        #   e^{c^2 z^2/2} (1 - F(alpha + c z)) = erfcx((alpha + c z)/sqrt(2))
+        #                                        * e^{-alpha^2/2 - alpha c z} / 2
+        # erfcx(w) = wofz(i w) decays like 1/w, so no overflow for large |z|.
+        alpha, c = self.alpha, self.log_scale
+        erfcx = special.wofz(1j * ((alpha + c * w) / _SQRT2))
+        scaled_sf = 0.5 * erfcx * np.exp(-0.5 * alpha**2 - alpha * c * w)
+        return self.lam * (1.0 - scaled_sf / (1.0 - special.ndtr(alpha)))
+
+    def nu(self, x: np.ndarray) -> np.ndarray:
+        # lam * p(x/c) / (c * (1 - F(alpha))) on x > c*alpha, p and F standard normal:
+        # the density of the jumps c*Z that stationary draws and phi integrates
+        c = self.log_scale
+        tail = 1.0 - special.ndtr(self.alpha)
+        dens = np.exp(-0.5 * (x / c) ** 2) / np.sqrt(2.0 * np.pi)
+        return np.where(x > c * self.alpha, self.lam * dens / (c * tail), 0.0)
+
+    def stationary(self, n: int, rng: np.random.Generator,
+                   policy: SeriesTruncationPolicy) -> tuple[np.ndarray, dict]:
+        """A = sum_{k>=0} q^{S_k} (T_{k+1} - T_k) term by term, where the gaps
+        are Exp(lam) and S_k accumulates truncated-normal heights. Each
+        draw's k-th term is a deterministic function of the generator's
+        state, the draw index and k: random variates are generated in
+        full-length blocks per term index regardless of which draws are
+        still running, so tightening the tail tolerance only appends terms
+        and never changes earlier ones. Raises TruncationError if any draw
+        is still above the tail tolerance after n_max terms.
+        """
+        lam, q, alpha = self.lam, self.q, self.alpha
+        log_q = np.log(q)
+        tail_const = 1.0 / (lam * (1.0 - q**alpha))
+        cdf_alpha = special.ndtr(alpha)
+        sf_alpha = 1.0 - cdf_alpha
+        total, log_q_s = np.zeros(n), np.zeros(n)  # log_q_s: log of q^{S_k}; S_0 = 0
+        active = np.ones(n, dtype=bool)
+        for _ in range(policy.n_max):
+            gaps = rng.exponential(scale=1.0 / lam, size=n)
+            u = rng.random(n)
+            np.add(total, np.exp(log_q_s) * gaps, out=total, where=active)
+            # truncated-normal heights by inverse cdf on the tail of (alpha, inf)
+            heights = np.empty(n)
+            heights[active] = special.ndtri(cdf_alpha + u[active] * sf_alpha)
+            np.add(log_q_s, log_q * heights, out=log_q_s, where=active)
+            active &= np.exp(log_q_s) * tail_const >= policy.eta * total
+            if not active.any():
+                break
+        else:
+            raise TruncationError(
+                f"series sampler: {int(active.sum())} of {n} draws still above the "
+                f"tail tolerance {policy.eta:g} after {policy.n_max} terms"
+            )
+        return total, {"law": "series", "eta": policy.eta, "n_max": policy.n_max}
+
 
 SubordinatorModel = Union[CPExp, TruncNormCP]
+#: Model class by config kind; adding a model is one class and one entry here.
+MODELS = {cls.kind: cls for cls in (CPExp, TruncNormCP)}
 
 
 def model_from_config(config: dict) -> SubordinatorModel:
@@ -151,18 +260,15 @@ def model_from_config(config: dict) -> SubordinatorModel:
     Raises DomainError for a missing key, an unknown kind, or a parameter
     that is not a number.
     """
+    if "model" not in config:
+        raise DomainError("model config must contain a 'model' key")
+    kind = config["model"]
     try:
-        kind = config["model"]
-    except KeyError as exc:
-        raise DomainError("model config must contain a 'model' key") from exc
-    if kind == "cp_exp":
-        cls, keys = CPExp, ("mu", "a", "b")
-    elif kind == "trunc_norm_cp":
-        cls, keys = TruncNormCP, ("lambda", "q", "alpha")
-    else:
-        raise DomainError(f"unknown model kind {kind!r}")
+        cls = MODELS[kind]
+    except (KeyError, TypeError) as exc:
+        raise DomainError(f"unknown model kind {kind!r}") from exc
     params = []
-    for key in keys:
+    for key in cls.keys:
         if key not in config:
             raise DomainError(f"{kind} config missing key {key!r}")
         try:
@@ -175,38 +281,14 @@ def model_from_config(config: dict) -> SubordinatorModel:
 
 def model_to_config(model: SubordinatorModel) -> dict:
     """Inverse of :func:`model_from_config`."""
-    if isinstance(model, CPExp):
-        return {"model": "cp_exp", "mu": model.mu, "a": model.a, "b": model.b}
-    if isinstance(model, TruncNormCP):
-        return {"model": "trunc_norm_cp", "lambda": model.lam, "q": model.q, "alpha": model.alpha}
-    raise DomainError(f"not a subordinator model: {model!r}")
+    return {"model": model.kind, **dict(zip(model.keys, astuple(model)))}
 
 
 def levy_density(model: SubordinatorModel, x) -> np.ndarray | float:
-    """Levy density nu(x) of the subordinator's jump measure.
-
-    For ``CPExp``: a*b*exp(-b*x) on x > 0, else 0.
-    For ``TruncNormCP``: lam * p(x/c) / (c * (1 - F(alpha))) on x > c*alpha,
-    else 0, with c = -log(q) and p, F the standard normal density and
-    distribution function: the density of the jumps c*Z that the sampler
-    draws and :func:`laplace_exponent` integrates.
-
-    Vectorized over ``x``; scalar in, scalar out.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    if isinstance(model, CPExp):
-        # clamp x at 0 before exp so the discarded branch of where cannot overflow
-        out = np.where(x_arr > 0.0, model.a * model.b * np.exp(-model.b * np.maximum(x_arr, 0.0)), 0.0)
-    elif isinstance(model, TruncNormCP):
-        c = model.log_scale
-        tail = 1.0 - special.ndtr(model.alpha)
-        dens = np.exp(-0.5 * (x_arr / c) ** 2) / np.sqrt(2.0 * np.pi)
-        out = np.where(x_arr > c * model.alpha, model.lam * dens / (c * tail), 0.0)
-    else:
-        raise DomainError(f"not a subordinator model: {model!r}")
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    """Levy density nu(x) of the subordinator's jump measure, ``model.nu``.
+    Vectorized over ``x``; scalar in, scalar out."""
+    out = model.nu(np.asarray(x, dtype=float))
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def _conjugate_symmetric(f, z):
@@ -236,23 +318,4 @@ def laplace_exponent(model: SubordinatorModel, z):
     PoleError
         For ``CPExp`` if any point is z = -b.
     """
-    if isinstance(model, CPExp):
-        if np.any(np.asarray(z) == -model.b):
-            raise PoleError(f"Laplace exponent of CPExp has a pole at z = {-model.b:g}")
-        return _conjugate_symmetric(lambda w: w * (model.mu + model.a / (model.b + w)), z)
-    if isinstance(model, TruncNormCP):
-        # phi(z) = lam * [1 - e^{c^2 z^2 / 2} * (1 - F(alpha + c z)) / (1 - F(alpha))]
-        # evaluated through the scaled complementary error function:
-        #   e^{c^2 z^2/2} (1 - F(alpha + c z)) = erfcx((alpha + c z)/sqrt(2))
-        #                                        * e^{-alpha^2/2 - alpha c z} / 2
-        # erfcx(w) = wofz(i w) decays like 1/w, so no overflow for large |z|.
-        lam, alpha, c = model.lam, model.alpha, model.log_scale
-        tail = 1.0 - special.ndtr(alpha)
-
-        def phi(w):
-            erfcx = special.wofz(1j * ((alpha + c * w) / _SQRT2))
-            scaled_sf = 0.5 * erfcx * np.exp(-0.5 * alpha**2 - alpha * c * w)
-            return lam * (1.0 - scaled_sf / tail)
-
-        return _conjugate_symmetric(phi, z)
-    raise DomainError(f"not a subordinator model: {model!r}")
+    return _conjugate_symmetric(model.phi, z)

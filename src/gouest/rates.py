@@ -153,7 +153,7 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
     grid, only fit (mu, lambda). Replicate failures are recorded in the
     report, not fatal.
     """
-    mu_true = float(getattr(model, "mu", 0.0))
+    mu_true = float(model.drift)
     lambda_true = model.jump_mass
     meta = {"seed": seed, "decay_class": study.decay_class, "replicates": study.replicates}
     with_mise = x_grid is not None

@@ -1,9 +1,8 @@
-"""Stationary sampling of the exponential functional A = integral_0^inf e^{-xi_t} dt.
+"""Stationary sampling of the exponential functional A = integral_0^inf e^{-xi_t} dt,
+and the sample, CSV and JSON I/O.
 
-For the drift-plus-exponential-jumps model the stationary law is closed form
-(Gamma when the drift is zero, scaled Beta otherwise). For the compound
-Poisson model with truncated-normal jump heights the functional is simulated
-from its series representation A = sum_k q^{S_k} (T_{k+1} - T_k).
+Each model draws A by its own law (``stationary`` in :mod:`gouest.models`);
+:func:`sample_stationary` adds the generator and the :class:`Sample`.
 """
 
 from __future__ import annotations
@@ -15,18 +14,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
-from .errors import DomainError, TruncationError
-from .models import CPExp, SubordinatorModel, TruncNormCP, model_to_config
+from .errors import DomainError
+from .models import SeriesTruncationPolicy, SubordinatorModel, model_to_config
 
 __all__ = [
     "Sample",
-    "SeriesTruncationPolicy",
     "make_generator",
-    "sample_gamma_case",
-    "sample_beta_case",
-    "sample_series_cp",
     "sample_stationary",
     "write_columns_csv",
     "write_json",
@@ -73,122 +67,17 @@ class Sample:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
-class SeriesTruncationPolicy:
-    """Stopping rule for the series sampler.
-
-    The series is cut once the conditional-mean tail bound
-    q^{S_k} / (lam * (1 - q^alpha)) drops below ``eta`` times the partial sum;
-    ``n_max`` caps the number of terms per draw.
-    """
-
-    eta: float = 1e-12
-    n_max: int = 10**6
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eta < 1.0):
-            raise DomainError(f"tail tolerance must be in (0,1), got {self.eta}")
-        if self.n_max < 1:
-            raise DomainError(f"n_max must be >= 1, got {self.n_max}")
-
-
-def sample_gamma_case(n: int, a: float, b: float, seed: int = 0, delta: float = 1.0,
-                      stream: int = 0) -> Sample:
-    """Stationary draws for the zero-drift model: A ~ Gamma(shape b+1, rate a)."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"need a, b > 0, got a={a}, b={b}")
-    rng = make_generator(seed, stream)
-    values = rng.gamma(shape=b + 1.0, scale=1.0 / a, size=n)
-    meta = {"model": {"model": "cp_exp", "mu": 0.0, "a": a, "b": b}, "law": "gamma"}
-    return Sample(values=values, delta=delta, seed=seed, meta=meta)
-
-
-def sample_beta_case(n: int, a: float, b: float, mu: float, seed: int = 0, delta: float = 1.0,
-                     stream: int = 0) -> Sample:
-    """Stationary draws for the positive-drift model: A ~ Beta(b+1, a/mu) / mu.
-
-    All values lie in (0, 1/mu].
-    """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if not (a > 0.0 and b > 0.0 and mu > 0.0):
-        raise DomainError(f"need a, b, mu > 0, got a={a}, b={b}, mu={mu}")
-    rng = make_generator(seed, stream)
-    raw = rng.beta(b + 1.0, a / mu, size=n)
-    # guard the measure-zero event of a draw rounding to exactly 0
-    raw = np.maximum(raw, np.finfo(float).tiny)
-    values = raw / mu
-    meta = {"model": {"model": "cp_exp", "mu": mu, "a": a, "b": b}, "law": "beta"}
-    return Sample(values=values, delta=delta, seed=seed, meta=meta)
-
-
-def sample_series_cp(n: int, model: TruncNormCP,
-                     policy: SeriesTruncationPolicy | None = None,
-                     seed: int = 0, delta: float = 1.0, stream: int = 0) -> Sample:
-    """Stationary draws for the truncated-normal compound-Poisson model.
-
-    Simulates A = sum_{k>=0} q^{S_k} (T_{k+1} - T_k) term by term, where the
-    gaps are Exp(lam) and S_k accumulates truncated-normal heights. Each
-    draw's k-th term is a deterministic function of (seed, stream, draw
-    index, k): random variates are generated in full-length blocks per term
-    index regardless of which draws are still running, so tightening the
-    tail tolerance only appends terms and never changes earlier ones.
-
-    Raises
-    ------
-    TruncationError
-        If any draw is still above the tail tolerance after n_max terms.
-    """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if not isinstance(model, TruncNormCP):
-        raise DomainError("sample_series_cp needs a TruncNormCP model")
-    if policy is None:
-        policy = SeriesTruncationPolicy()
-    rng = make_generator(seed, stream)
-
-    lam, q, alpha = model.lam, model.q, model.alpha
-    log_q = np.log(q)
-    tail_const = 1.0 / (lam * (1.0 - q**alpha))
-    cdf_alpha = special.ndtr(alpha)
-    sf_alpha = 1.0 - cdf_alpha
-
-    total = np.zeros(n)
-    log_q_s = np.zeros(n)  # log of q^{S_k}; S_0 = 0
-    active = np.ones(n, dtype=bool)
-    for _ in range(policy.n_max):
-        gaps = rng.exponential(scale=1.0 / lam, size=n)
-        u = rng.random(n)
-        np.add(total, np.exp(log_q_s) * gaps, out=total, where=active)
-        # truncated-normal heights by inverse cdf on the tail of (alpha, inf)
-        heights = np.empty(n)
-        heights[active] = special.ndtri(cdf_alpha + u[active] * sf_alpha)
-        np.add(log_q_s, log_q * heights, out=log_q_s, where=active)
-        active &= np.exp(log_q_s) * tail_const >= policy.eta * total
-        if not active.any():
-            break
-    else:
-        raise TruncationError(
-            f"series sampler: {int(active.sum())} of {n} draws still above the "
-            f"tail tolerance {policy.eta:g} after {policy.n_max} terms"
-        )
-    meta = {"model": model_to_config(model), "law": "series",
-            "eta": policy.eta, "n_max": policy.n_max}
-    return Sample(values=total, delta=delta, seed=seed, meta=meta)
-
-
 def sample_stationary(model: SubordinatorModel, n: int, seed: int = 0, delta: float = 1.0,
                       policy: SeriesTruncationPolicy | None = None, stream: int = 0) -> Sample:
-    """Dispatching sampler: closed-form laws for CPExp, series for TruncNormCP."""
-    if isinstance(model, CPExp):
-        if model.mu == 0.0:
-            return sample_gamma_case(n, model.a, model.b, seed=seed, delta=delta, stream=stream)
-        return sample_beta_case(n, model.a, model.b, model.mu, seed=seed, delta=delta, stream=stream)
-    if isinstance(model, TruncNormCP):
-        return sample_series_cp(n, model, policy=policy, seed=seed, delta=delta, stream=stream)
-    raise DomainError(f"not a subordinator model: {model!r}")
+    """n draws of the model's stationary law (``model.stationary``) from the
+    generator (seed, stream); ``policy`` (default ``SeriesTruncationPolicy()``)
+    bounds the series sampler. The meta holds the model's config and law."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    values, law = model.stationary(n, make_generator(seed, stream),
+                                   policy or SeriesTruncationPolicy())
+    meta = {"model": model_to_config(model), **law}
+    return Sample(values=values, delta=delta, seed=seed, meta=meta)
 
 
 # ---------------------------------------------------------------------------

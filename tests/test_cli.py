@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line interface (run in process)."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from gouest import EstimationConfig, RateStudyConfig, __version__
+from gouest import MODELS, EstimationConfig, RateStudyConfig, __version__
 from gouest.cli import build_parser, main
 
 
@@ -474,6 +475,13 @@ class TestParser:
         help_text = capsys.readouterr().out
         assert "--vn" not in help_text
         assert "--u0" in help_text
+
+    @pytest.mark.parametrize("command", ["simulate", "rate-study"])
+    def test_model_choices_are_the_model_table(self, command):
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        model = next(a for a in commands.choices[command]._actions if a.dest == "model")
+        assert model.choices == list(MODELS)
 
     def test_out_is_required(self):
         with pytest.raises(SystemExit):

@@ -43,7 +43,6 @@ from gouest import (
     levy_density,
     run_algorithm1,
     run_algorithm2,
-    sample_beta_case,
     sample_stationary,
     weight,
     write_levy_density_csv,
@@ -166,7 +165,7 @@ class TestFitEstimators:
 
     def test_weight_scaling_invariance(self):
         cfg = EstimationConfig()
-        s = sample_beta_case(500, a=0.7, b=1.8, mu=1.8, seed=21)
+        s = sample_stationary(CPExp(mu=1.8, a=0.7, b=1.8), 500, seed=21)
         from gouest import laplace_curve
 
         curve = laplace_curve(s, cfg.u0, cfg.vn * fit_alphas(cfg))
@@ -395,7 +394,7 @@ class TestPipelines:
         cfg = EstimationConfig(u0=29.0, vn=30.0)
         errs_mu, errs_lam = [], []
         for rep in range(5):
-            s = sample_beta_case(10**4, a=0.7, b=1.8, mu=1.8, seed=rep)
+            s = sample_stationary(CPExp(mu=1.8, a=0.7, b=1.8), 10**4, seed=rep)
             tri = run_algorithm1(s, cfg)
             errs_mu.append(abs(tri.mu_hat - 1.8))
             errs_lam.append(abs(tri.lambda_hat - 0.7))
@@ -404,7 +403,7 @@ class TestPipelines:
 
     def test_full_inversion_pipeline(self):
         cfg = EstimationConfig()
-        s = sample_beta_case(2000, a=0.7, b=1.8, mu=1.8, seed=0)
+        s = sample_stationary(CPExp(mu=1.8, a=0.7, b=1.8), 2000, seed=0)
         est = run_algorithm2(s, cfg, default_x_grid())
         assert est.triplet is not None
         # the kept curve is the symmetric inversion band the density came from
@@ -450,7 +449,7 @@ class TestPipelines:
 
         monkeypatch.setattr(gouest.estimators, "laplace_curve", counting)
         cfg = EstimationConfig()
-        s = sample_beta_case(2000, a=0.7, b=1.8, mu=1.8, seed=0)
+        s = sample_stationary(CPExp(mu=1.8, a=0.7, b=1.8), 2000, seed=0)
         run_algorithm2(s, cfg, default_x_grid())
         assert len(grids) == 1
         np.testing.assert_array_equal(
@@ -460,7 +459,7 @@ class TestPipelines:
 class TestSerialization:
     def test_triplet_json(self, tmp_path):
         cfg = EstimationConfig()
-        s = sample_beta_case(500, a=0.7, b=1.8, mu=1.8, seed=0)
+        s = sample_stationary(CPExp(mu=1.8, a=0.7, b=1.8), 500, seed=0)
         tri = run_algorithm1(s, cfg)
         path = write_triplet_json(tri, tmp_path / "triplet.json")
         payload = json.loads(path.read_text())
@@ -470,7 +469,7 @@ class TestSerialization:
 
     def test_density_csv(self, tmp_path):
         cfg = EstimationConfig()
-        s = sample_beta_case(500, a=0.7, b=1.8, mu=1.8, seed=0)
+        s = sample_stationary(CPExp(mu=1.8, a=0.7, b=1.8), 500, seed=0)
         est = run_algorithm2(s, cfg, default_x_grid(0.0, 1.0, 11))
         path = write_levy_density_csv(est, tmp_path / "d.csv")
         lines = path.read_text().splitlines()

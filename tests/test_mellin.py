@@ -30,8 +30,6 @@ from gouest import (
     laplace_exponent,
     mellin_theoretical_beta,
     mellin_theoretical_gamma,
-    sample_beta_case,
-    sample_gamma_case,
     sample_stationary,
     symmetric_grid,
     write_laplace_curve_csv,
@@ -214,7 +212,7 @@ class TestTheoreticalMellin:
 
 class TestLaplaceCurve:
     def test_matches_pointwise_estimates(self):
-        s = sample_gamma_case(500, a=0.7, b=1.8, seed=1)
+        s = sample_stationary(GAMMA_MODEL, 500, seed=1)
         v = np.linspace(-2.0, 2.0, 9)
         curve = laplace_curve(s, 1.0, v)
         for j, vj in enumerate(v):
@@ -224,7 +222,7 @@ class TestLaplaceCurve:
             assert curve.ill[j] == (want_denom < default_floor(s.n))
 
     def test_conjugate_symmetry_bitwise(self):
-        s = sample_gamma_case(300, a=0.7, b=1.8, seed=2)
+        s = sample_stationary(GAMMA_MODEL, 300, seed=2)
         v = np.linspace(-3.0, 3.0, 13)
         curve = laplace_curve(s, 2.0, v)
         np.testing.assert_array_equal(curve.y[:6], np.conj(curve.y[:6:-1]))
@@ -268,7 +266,7 @@ class TestLaplaceCurve:
         for n in (10**3, 10**4, 10**5):
             errs = []
             for rep in range(25):
-                s = sample_beta_case(n, a=0.7, b=1.8, mu=1.8, seed=rep, stream=n)
+                s = sample_stationary(BETA_MODEL, n, seed=rep, stream=n)
                 curve = laplace_curve(s, 29.0, v_pts)
                 errs.append(np.abs(curve.y - truth))
             med[n] = np.median(np.vstack(errs), axis=0)
@@ -276,7 +274,7 @@ class TestLaplaceCurve:
         assert np.all(med[10**5] <= med[10**4])
 
     def test_csv_schema(self, tmp_path):
-        s = sample_gamma_case(100, a=0.7, b=1.8, seed=3)
+        s = sample_stationary(GAMMA_MODEL, 100, seed=3)
         curve = laplace_curve(s, 1.0, np.linspace(-2.0, 2.0, 5))
         path = write_laplace_curve_csv(curve, tmp_path / "curve.csv")
         lines = path.read_text().splitlines()
@@ -321,7 +319,7 @@ class TestPhaseRecurrence:
 
     def test_example1_fit_and_inversion_bands(self):
         config = EstimationConfig(u0=29.0, vn=30.0)
-        x = sample_beta_case(10**5, a=0.7, b=0.2, mu=1.8, seed=5).values
+        x = sample_stationary(CPExp(mu=1.8, a=0.7, b=0.2), 10**5, seed=5).values
         self._assert_matches_direct(x, 29.0, config.vn * fit_alphas(config))
         self._assert_matches_direct(x, 29.0, symmetric_grid(config.vn, config.m_inv))
 

@@ -25,6 +25,7 @@ from scipy.integrate import quad
 from scipy.stats import norm, truncnorm
 
 from gouest import (
+    MODELS,
     AccuracyError,
     CPExp,
     DomainError,
@@ -254,6 +255,7 @@ def _phi_scalar_reference(model, z: complex) -> complex:
 
 
 ARRAY_MODELS = [CPExp(mu=1.8, a=0.7, b=0.2), TruncNormCP(lam=1.0, q=0.5, alpha=0.1)]
+EXAMPLE_MODELS = dict(zip(["cp_exp", "trunc_norm_cp"], ARRAY_MODELS))  # one per kind in MODELS
 
 
 class TestArrayLaplaceExponent:
@@ -305,6 +307,14 @@ class TestModelConfig:
         cfg = model_to_config(m)
         assert cfg["model"] == "trunc_norm_cp"
         assert cfg["lambda"] == 1.0
+        assert model_from_config(cfg) == m
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_round_trip_over_table(self, kind):
+        m = EXAMPLE_MODELS[kind]
+        cfg = model_to_config(m)
+        assert list(cfg) == ["model", *MODELS[kind].keys]
+        assert cfg["model"] == kind and type(m) is MODELS[kind]
         assert model_from_config(cfg) == m
 
     def test_unknown_model_rejected(self):

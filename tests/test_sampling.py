@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from gouest import (
     CPExp,
+    MODELS,
     DomainError,
     Sample,
     SeriesTruncationPolicy,
@@ -30,9 +31,6 @@ from gouest import (
     laplace_exponent,
     make_generator,
     read_sample_csv,
-    sample_beta_case,
-    sample_gamma_case,
-    sample_series_cp,
     sample_stationary,
     write_columns_csv,
     write_sample_csv,
@@ -40,6 +38,9 @@ from gouest import (
 from gouest.sampling import _CSV_CHUNK_BYTES, _loadtxt_rows, _read_decimal_rows
 
 EX2 = TruncNormCP(lam=1.0, alpha=0.5, q=0.1)
+GAMMA_MODEL = CPExp(a=0.7, b=1.8, mu=0.0)
+BETA_MODEL = CPExp(a=0.7, b=1.8, mu=1.8)
+EXAMPLE_MODELS = {"cp_exp": BETA_MODEL, "trunc_norm_cp": EX2}  # one per kind in MODELS
 
 
 class TestSampleContainer:
@@ -78,28 +79,28 @@ class TestGenerators:
 
 class TestGammaCase:
     def test_moments(self):
-        s = sample_gamma_case(200_000, a=0.7, b=1.8, seed=5)
+        s = sample_stationary(GAMMA_MODEL, 200_000, seed=5)
         want_mean = (1.8 + 1.0) / 0.7  # Gamma(b+1, scale 1/a)
         sd = want_mean / math.sqrt(1.8 + 1.0)
         assert s.values.mean() == pytest.approx(want_mean, abs=4 * sd / math.sqrt(s.n))
         assert np.all(s.values > 0)
 
     def test_deterministic(self):
-        a = sample_gamma_case(100, a=0.7, b=1.8, seed=11)
-        b = sample_gamma_case(100, a=0.7, b=1.8, seed=11)
+        a = sample_stationary(GAMMA_MODEL, 100, seed=11)
+        b = sample_stationary(GAMMA_MODEL, 100, seed=11)
         np.testing.assert_array_equal(a.values, b.values)
-        c = sample_gamma_case(100, a=0.7, b=1.8, seed=12)
+        c = sample_stationary(GAMMA_MODEL, 100, seed=12)
         assert not np.array_equal(a.values, c.values)
 
     def test_meta(self):
-        s = sample_gamma_case(10, a=0.7, b=1.8, seed=0)
+        s = sample_stationary(GAMMA_MODEL, 10, seed=0)
         assert s.meta["law"] == "gamma"
         assert s.meta["model"]["model"] == "cp_exp"
 
 
 class TestBetaCase:
     def test_support_and_mean(self):
-        s = sample_beta_case(200_000, a=0.7, b=1.8, mu=1.8, seed=5)
+        s = sample_stationary(BETA_MODEL, 200_000, seed=5)
         assert np.all(s.values > 0)
         assert np.all(s.values <= 1.0 / 1.8 + 1e-12)
         # E[X] = (1/mu) * (b+1) / (b+1+a/mu)
@@ -107,20 +108,20 @@ class TestBetaCase:
         assert s.values.mean() == pytest.approx(want, abs=0.003)
 
     def test_meta(self):
-        s = sample_beta_case(10, a=0.7, b=1.8, mu=1.8, seed=0)
+        s = sample_stationary(BETA_MODEL, 10, seed=0)
         assert s.meta["law"] == "beta"
 
 
 class TestSeriesSampler:
     def test_mean_matches_laplace_exponent(self):
-        s = sample_series_cp(200_000, EX2, seed=3)
+        s = sample_stationary(EX2, 200_000, seed=3)
         want = 1.0 / laplace_exponent(EX2, 1.0 + 0j).real  # E[A] = 1/phi(1)
         sd = s.values.std()
         assert s.values.mean() == pytest.approx(want, abs=4 * sd / math.sqrt(s.n))
 
     def test_positive_and_deterministic(self):
-        a = sample_series_cp(500, EX2, seed=9)
-        b = sample_series_cp(500, EX2, seed=9)
+        a = sample_stationary(EX2, 500, seed=9)
+        b = sample_stationary(EX2, 500, seed=9)
         assert np.all(a.values > 0)
         np.testing.assert_array_equal(a.values, b.values)
 
@@ -130,23 +131,23 @@ class TestSeriesSampler:
         # the tighter run dominates exactly, and the dropped tail is small.
         # The stopping rule bounds the tail's conditional expectation by
         # eta * total, so the realized tail gets an order-of-magnitude slack.
-        tight = sample_series_cp(400, EX2, policy=SeriesTruncationPolicy(eta=1e-12), seed=7)
-        loose = sample_series_cp(400, EX2, policy=SeriesTruncationPolicy(eta=1e-6), seed=7)
+        tight = sample_stationary(EX2, 400, policy=SeriesTruncationPolicy(eta=1e-12), seed=7)
+        loose = sample_stationary(EX2, 400, policy=SeriesTruncationPolicy(eta=1e-6), seed=7)
         diff = tight.values - loose.values
         assert np.all(diff >= 0.0)
         assert np.all(diff <= 50e-6 * tight.values)
 
     def test_term_cap_is_inactive_when_loop_converges(self):
-        a = sample_series_cp(200, EX2, policy=SeriesTruncationPolicy(eta=1e-8), seed=5)
-        b = sample_series_cp(
-            200, EX2, policy=SeriesTruncationPolicy(eta=1e-8, n_max=500), seed=5
+        a = sample_stationary(EX2, 200, policy=SeriesTruncationPolicy(eta=1e-8), seed=5)
+        b = sample_stationary(
+            EX2, 200, policy=SeriesTruncationPolicy(eta=1e-8, n_max=500), seed=5
         )
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_term_cap_raises(self):
         with pytest.raises(TruncationError):
-            sample_series_cp(
-                10, EX2, policy=SeriesTruncationPolicy(eta=1e-12, n_max=2), seed=0
+            sample_stationary(
+                EX2, 10, policy=SeriesTruncationPolicy(eta=1e-12, n_max=2), seed=0
             )
 
     def test_policy_validation(self):
@@ -165,10 +166,21 @@ class TestDispatch:
         assert b.meta["law"] == "beta"
         assert s.meta["law"] == "series"
 
-    def test_gamma_case_matches_direct(self):
-        via = sample_stationary(CPExp(a=0.7, b=1.8, mu=0.0), 50, seed=2)
-        direct = sample_gamma_case(50, a=0.7, b=1.8, seed=2)
-        np.testing.assert_array_equal(via.values, direct.values)
+    @pytest.mark.parametrize("model, draw", [
+        (GAMMA_MODEL, lambda m, rng, n: rng.gamma(m.b + 1.0, 1.0 / m.a, n)),
+        (BETA_MODEL, lambda m, rng, n: np.maximum(rng.beta(m.b + 1.0, m.a / m.mu, n),
+                                                  np.finfo(float).tiny) / m.mu),
+    ], ids=["gamma", "beta"])
+    def test_closed_form_laws_pin_rng_calls(self, model, draw):
+        # the same generator calls in the same order as the direct draw, bitwise
+        got = sample_stationary(model, 50, seed=2, stream=7).values
+        want = draw(model, make_generator(2, 7), 50)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_empty_sample_rejected(self, kind):
+        with pytest.raises(DomainError, match="n >= 1"):
+            sample_stationary(EXAMPLE_MODELS[kind], 0)
 
 
 class TestSampleIO:
@@ -183,7 +195,7 @@ class TestSampleIO:
         assert back.meta["model"] == s.meta["model"]
 
     def test_header_and_line_endings(self, tmp_path):
-        s = sample_gamma_case(3, a=0.7, b=1.8, seed=0)
+        s = sample_stationary(GAMMA_MODEL, 3, seed=0)
         csv_path, _ = write_sample_csv(s, tmp_path / "s.csv")
         raw = csv_path.read_bytes()
         assert raw.startswith(b"x\n")
@@ -405,6 +417,6 @@ def test_power_moments_match_laplace_exponent_property(law, data, seed):
 @settings(max_examples=20)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 64))
 def test_sampler_determinism_property(seed, n):
-    a = sample_series_cp(n, EX2, seed=seed)
-    b = sample_series_cp(n, EX2, seed=seed)
+    a = sample_stationary(EX2, n, seed=seed)
+    b = sample_stationary(EX2, n, seed=seed)
     np.testing.assert_array_equal(a.values, b.values)
