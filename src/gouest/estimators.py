@@ -220,14 +220,16 @@ def estimate_fourier_nu_bar(curve: LaplaceCurve, mu_hat: float, lambda_hat: floa
 
 @functools.lru_cache(maxsize=1)
 def _half_phases(x_bytes: bytes, v_bytes: bytes) -> np.ndarray:
-    """e^{-i v x} on the x-grid and the nonnegative half of the inversion
-    grid, both passed as float64 bytes; read-only, since every call with the
-    same grids shares it. Exponentiated in place: a miss computes the new
+    """[cos(v x) | sin(v x)] on the x-grid and the nonnegative half of the
+    inversion grid, both passed as float64 bytes; read-only, since every call
+    with the same grids shares it. Filled in place: a miss computes the new
     matrix while the old entry is still held."""
-    phase = -1j * np.multiply.outer(np.frombuffer(x_bytes), np.frombuffer(v_bytes))
-    np.exp(phase, out=phase)
-    phase.flags.writeable = False
-    return phase
+    vx = np.multiply.outer(np.frombuffer(x_bytes), np.frombuffer(v_bytes))
+    phases = np.empty((vx.shape[0], 2 * vx.shape[1]))
+    np.cos(vx, out=phases[:, :vx.shape[1]])
+    np.sin(vx, out=phases[:, vx.shape[1]:])
+    phases.flags.writeable = False
+    return phases
 
 
 def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEstimate:
@@ -242,13 +244,17 @@ def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEs
     residual. ``fhat`` must hold the transform estimate at -v_m for each
     grid point, as produced by :func:`estimate_fourier_nu_bar`.
 
-    The grid's mirrors are exact, v_{M-m} = -v_m, so only the phases
-    e^{-i v_m x} of the nonnegative half are exponentiated and the negative
-    half is their conjugate: the same phase matrix bit for bit, for about
-    half the exponentials. The nonnegative half is memoized for the last
-    (x-grid, half-grid) pair, keyed by their bytes, so the replicates of a
-    rate study at one sample size, which share vn, m_inv and the x-grid,
-    exponentiate it once.
+    The grid's mirrors are exact, v_{M-m} = -v_m, and e^{-ivx} is
+    cos(vx) - i sin(vx) at v and its conjugate at -v. So with a the
+    coefficients on the nonnegative half and b those of their mirrors (0 at
+    v = 0), the sum is C (a + b) - i S (a - b), with C and S the cosines and
+    sines of the nonnegative half only: two real einsums and half the
+    multiply-adds of the complex product over the whole grid. einsum, not a
+    BLAS product, so the result does not depend on the BLAS build or its
+    threads. The cosines and sines are memoized for the last (x-grid,
+    half-grid) pair, keyed by their bytes, so the replicates of a rate study
+    at one sample size, which share vn, m_inv and the x-grid, compute them
+    once.
     """
     fhat = np.asarray(fhat, dtype=complex)
     alphas = inversion_alphas(config)
@@ -262,11 +268,16 @@ def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEs
     k = kernel(config.kernel, alphas)
     coeff = fhat * k
     half = (config.m_inv + 1) // 2
-    phase = np.empty((x.size, v.size), dtype=complex)
-    phase[:, half:] = _half_phases(x.tobytes(), v[half:].tobytes())
-    np.conj(phase[:, :-half - 1:-1], out=phase[:, :half])
+    cos_sin = _half_phases(x.tobytes(), v[half:].tobytes())
+    a = coeff[half:]
+    b = np.zeros_like(a)
+    b[a.size - half:] = coeff[half - 1::-1]
+    p, q = a + b, a - b
+    # C p - i S q = (C p.real + S q.imag) + i (C p.imag - S q.real)
+    total = (np.einsum("xm,m->x", cos_sin, np.concatenate([p.real, q.imag]))
+             + 1j * np.einsum("xm,m->x", cos_sin, np.concatenate([p.imag, -q.real])))
     prefactor = config.vn / (np.pi * config.m_inv)
-    nu_complex = np.exp(config.u0 * x) * (prefactor * (phase @ coeff))
+    nu_complex = np.exp(config.u0 * x) * (prefactor * total)
     return LevyDensityEstimate(
         x=x,
         nu_hat=nu_complex.real,

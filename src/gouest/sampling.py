@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,8 +61,8 @@ class Sample:
             raise DomainError("Sample.values contain non-finite entries (inf or nan)")
         if not np.all(self.values > 0.0):
             raise DomainError("Sample.values must be strictly positive")
-        if not (self.delta > 0.0):
-            raise DomainError(f"Sample.delta must be positive, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise DomainError(f"Sample.delta must be positive and finite, got {self.delta}")
 
     @property
     def n(self) -> int:
@@ -184,7 +186,7 @@ def _loadtxt_rows(csv_path: Path) -> np.ndarray:
 # one np.fromstring call, and each value is RN(x), the correctly rounded
 # quotient that float(row) returns (Clinger, PLDI 1990), formed in float64
 # with a double-double residual (Dekker, Numer. Math. 18, 1971). With
-# u = 2^-53, D < 2^62 and k <= 19 (10^k is exact, since 5^19 < 2^53):
+# u = 2^-53, D < 2^62 and k <= 22 (10^k is exact, since 5^22 < 2^53):
 #   q = fl(fl(D) / 10^k) lies within 2 ulp(q) of x;
 #   q * 10^k = ph + pl exactly (Veltkamp split and TwoProduct);
 #   D = fl(D) + dl with dl exact, and fl(D) - ph is exact (Sterbenz), so the
@@ -195,13 +197,15 @@ def _loadtxt_rows(csv_path: Path) -> np.ndarray:
 # s = fl(s + fl(e * (1 + 2^-40))) shows |e| < (1 - 2^-41) h, so x lies
 # strictly inside s's rounding interval and s = RN(x). Rows that fail this
 # test lie within 2^-39 h of a rounding midpoint (exact ties included);
-# they, rows of more than 19 digits or with D >= 2^62 and rows in exponent
-# form are converted by float(row) instead.
+# they, rows of more than 19 significant digits, more than 22 decimal places
+# or D >= 2^62, and rows in exponent form are converted by float(row) instead.
 _CSV_CHUNK_BYTES = 1 << 18
-_MAX_DIGITS = 19  # D < 10^19 < 2^64 parses without overflow, and k <= 19
+_MAX_DIGITS = 19  # significant digits: D < 10^19 < 2^64 parses without overflow
+_MAX_PLACES = 22
 _DIGITS_BOUND = 2**62
-_POW10 = np.array([float(10**k) for k in range(_MAX_DIGITS + 1)])
+_POW10 = np.array([float(10**k) for k in range(_MAX_PLACES + 1)])
 _MIDPOINT_GUARD = 1.0 + 2.0**-40
+_ROWS_SLACK = 1.125  # rows reserved per row a chunk's bytes per row predicts
 _DIGIT, _DOT, _LF = ord("0"), ord("."), ord("\n")
 _EXPONENT_BYTES = np.frombuffer(b"eE+-", np.uint8)
 
@@ -217,8 +221,9 @@ _POW10_HI, _POW10_LO = _split(_POW10)
 
 
 def _round_decimals(digits: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """RN(digits / 10^k) for digits < 2^62 and k <= 19, and the mask of the
-    rows whose rounding is proven (all but those near a rounding midpoint)."""
+    """RN(digits / 10^k) for digits < 10^19 and k <= 22, and the mask of the
+    rows whose rounding is proven (digits < 2^62 and not near a rounding
+    midpoint)."""
     p = _POW10[k]
     df = digits.astype(np.float64)
     dl = (digits - df.astype(np.uint64)).view(np.int64).astype(np.float64)
@@ -231,40 +236,44 @@ def _round_decimals(digits: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.n
     s = q + c
     b = s - q
     e = (q - (s - b)) + (c - b)
-    return s, s + e * _MIDPOINT_GUARD == s
+    return s, (s + e * _MIDPOINT_GUARD == s) & (digits < _DIGITS_BOUND)
 
 
 def _read_decimal_rows(csv_path: Path) -> np.ndarray | None:
     """The values of a sample CSV whose first line is exactly "x", or None when
     a byte or a row shape needs the general reader: anything but digits,
-    dots, LF and exponents, a blank row, a row with two dots or no digit."""
+    dots, LF and exponents, a blank row, a row with two dots or no digit.
+
+    One pass: the array is sized for the rest of the file at the first
+    chunk's bytes per row, plus slack, grown the same way when a later chunk
+    does not fit, and trimmed to the rows read at the end."""
     with open(csv_path, "rb") as fh:
         if fh.read(2) != b"x\n":
             return None
-        rows, last = 0, b"\n"
-        while chunk := fh.read(_CSV_CHUNK_BYTES):
-            rows, last = rows + chunk.count(b"\n"), chunk[-1:]
-        values = np.empty(rows + (last != b"\n"))
-        fh.seek(2)
-        filled, carry = 0, b""
-        while True:
-            more = fh.read(_CSV_CHUNK_BYTES - len(carry))
-            chunk = carry + more
-            if not chunk:
-                break
-            if more:
+        size = os.fstat(fh.fileno()).st_size
+        values, filled, carry = np.empty(0), 0, b""
+        while chunk := carry + fh.read(_CSV_CHUNK_BYTES - len(carry)):
+            if len(chunk) < _CSV_CHUNK_BYTES:  # the end of the file
+                carry = b""
+                if chunk[-1] != _LF:
+                    chunk += b"\n"  # a last row without its LF
+            else:
                 cut = chunk.rfind(b"\n") + 1
                 if cut == 0:
                     return None  # a row longer than a chunk
                 chunk, carry = chunk[:cut], chunk[cut:]
-            else:
-                chunk, carry = chunk + b"\n", b""  # a last row without its LF
             part = _parse_decimal_chunk(chunk)
-            if part is None or filled + part.size > values.size:
+            if part is None:
                 return None
+            if filled + part.size > values.size:
+                left = max(size - fh.tell() + len(carry), 0)  # bytes not yet parsed
+                values.resize(filled + part.size
+                              + math.ceil(_ROWS_SLACK * left * part.size / len(chunk)),
+                              refcheck=False)
             values[filled:filled + part.size] = part
             filled += part.size
-    return values if filled == values.size else None
+    values.resize(filled, refcheck=False)
+    return values
 
 
 def _parse_decimal_chunk(chunk: bytes) -> np.ndarray | None:
@@ -288,25 +297,49 @@ def _parse_decimal_chunk(chunk: bytes) -> np.ndarray | None:
         return None
     k = np.zeros(ends.size, dtype=np.intp)
     k[dot_rows] = ends[dot_rows] - dots - 1
-    slow |= n_digits > _MAX_DIGITS
+    slow |= k > _MAX_PLACES
+    long = np.flatnonzero(~slow & (n_digits > _MAX_DIGITS))
+    if long.size:
+        # leading zeros are not significant: D < 10^19 still parses exactly
+        lead = _leading_bytes(raw, starts[long], ends[long])
+        point = n_digits[long] - k[long]  # the dot's offset in its row
+        slow[long] = n_digits[long] - lead + (lead > point) > _MAX_DIGITS
     text = chunk
     if slow.any():
         # zero the rows float() converts, keeping every offset
         masked = raw.copy()
-        masked[np.repeat(slow, ends - starts + 1)] = _DIGIT
-        masked[ends] = _LF
+        masked[_row_bytes(starts[slow], ends[slow])[0]] = _DIGIT
         text = masked.tobytes()
         k[slow] = 0
     digits = np.fromstring(text.replace(b".", b""), dtype=np.uint64, sep="\n")
     if digits.size != ends.size:
         return None
     values, proven = _round_decimals(digits, k)
-    for i in np.flatnonzero(slow | ~proven | (digits >= _DIGITS_BOUND)).tolist():
+    for i in np.flatnonzero(slow | ~proven).tolist():
         try:
             values[i] = float(chunk[starts[i]:ends[i]])
         except ValueError:
             return None
     return values
+
+
+def _row_bytes(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk offsets of every byte of the rows [starts, ends), row after
+    row, and where each row begins among them."""
+    lengths = ends - starts
+    heads = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(starts - heads, lengths), heads
+
+
+def _leading_bytes(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The number of "0" and "." bytes that open each nonempty row of digits
+    and at most one dot."""
+    index, heads = _row_bytes(starts, ends)
+    row = raw[index]
+    at = index - np.repeat(starts, ends - starts)  # offset in the row
+    nonzero = (row != _DIGIT) & (row != _DOT)
+    return np.minimum(np.minimum.reduceat(np.where(nonzero, at, index.size), heads),
+                      ends - starts)
 
 
 def _mixed_row_marks(marks: np.ndarray, kind: np.ndarray) -> tuple | None:

@@ -231,6 +231,16 @@ class TestEstimate:
         assert man["error"]["type"] == "DomainError"
         assert "sample.json" in man["error"]["message"]
 
+    def test_non_finite_delta_exits_2(self, tmp_path, capsys):
+        csv = _run_simulate(tmp_path / "sim", n=50)
+        csv.with_suffix(".json").write_text('{"delta": 1e400}')
+        out = tmp_path / "est"
+        assert main(["estimate", str(csv), "--out", str(out)]) == 2
+        assert "delta must be positive and finite, got inf" in capsys.readouterr().err
+        man = _manifest(out)
+        assert man["status"] == "error"
+        assert man["error"]["type"] == "DomainError"
+
     def test_sample_directory_exits_4(self, tmp_path, capsys):
         out = tmp_path / "est"
         assert main(["estimate", str(tmp_path), "--out", str(out)]) == 4

@@ -11,6 +11,7 @@ Oracles:
     Yor, Probab. Surveys 2:191, 2005).
 """
 
+import io
 import json
 import math
 import warnings
@@ -35,6 +36,7 @@ from gouest import (
     write_columns_csv,
     write_sample_csv,
 )
+import gouest.sampling
 from gouest.sampling import _CSV_CHUNK_BYTES, _loadtxt_rows, _read_decimal_rows
 
 EX2 = TruncNormCP(lam=1.0, alpha=0.5, q=0.1)
@@ -57,6 +59,11 @@ class TestSampleContainer:
     def test_n_property(self):
         s = Sample(values=np.array([1.0, 2.0, 3.0]), delta=1.0, seed=0)
         assert s.n == 3
+
+    @pytest.mark.parametrize("delta", [float("1e400"), np.inf, np.nan, -np.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(DomainError, match="delta must be positive and finite"):
+            Sample(values=np.array([0.5, 0.2]), delta=delta)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
     def test_non_finite_rejected_as_such(self, bad):
@@ -370,6 +377,99 @@ class TestChunkedReader:
         with pytest.raises(DomainError) as exact:
             read_sample_csv(p)
         assert str(exact.value) == str(general.value)
+
+
+class TestExactReaderPaths:
+    """Which rows the exact reader converts itself and which it hands to
+    float() (counted by patching float in gouest.sampling), the growth of its
+    array, and its one pass over the file."""
+
+    @staticmethod
+    def _read_counting(monkeypatch, path):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return float(text)
+
+        monkeypatch.setattr(gouest.sampling, "float", counting, raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _read_decimal_rows(path)
+        return values, calls
+
+    @staticmethod
+    def _decimal(places, significant):
+        # "0.00...0ddd": `significant` digits, the last of them `places` after the dot
+        digits = "".join(str(1 + i % 9) for i in range(significant))
+        return "0." + "0" * (places - significant) + digits
+
+    @pytest.mark.parametrize("scale, places", [(1e-3, 19), (1e-4, 20)])
+    def test_leading_zeros_take_the_integer_path(self, tmp_path, monkeypatch, scale, places):
+        values = scale * (1.0 + 8.9 * make_generator(3).random(200))
+        rows = ["%.*f" % (places, x) for x in values.tolist()]
+        zeros = "0." + "0" * (places - 17)  # then 17 significant digits
+        assert all(len(r) == places + 2 and r.startswith(zeros) and r[len(zeros)] != "0"
+                   for r in rows)
+        rows += [self._decimal(22, 19), "0000000000000000000001.5"]
+        p = tmp_path / "s.csv"
+        p.write_text("x\n" + "\n".join(rows) + "\n")
+        got, calls = self._read_counting(monkeypatch, p)
+        assert calls == []
+        want = np.array([float(r) for r in rows])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("row", [
+        "0.98765432109876543210",            # 20 significant digits, D >= 2^64
+        "12345678901234567891234",           # 23 digits, no dot
+        "1.00000000000000000000000",         # trailing zeros are significant
+        "0.00000000000000000000001234",      # 26 places
+        "0.00001234567891234567891",         # 23 places, 19 significant digits
+        "0.00012345678912345678912",         # 23 places, 20 significant digits
+    ])
+    def test_long_rows_go_through_float(self, tmp_path, monkeypatch, row):
+        rows = ["0.5", row, "0.25"]
+        p = tmp_path / "s.csv"
+        p.write_text("x\n" + "\n".join(rows) + "\n")
+        got, calls = self._read_counting(monkeypatch, p)
+        assert calls == [row.encode()]
+        want = np.array([float(r) for r in rows])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_denser_rows_after_the_first_chunk(self, tmp_path):
+        # the array is sized from the first chunk's bytes per row, so the
+        # much shorter rows after it make the reader grow it
+        long = TestChunkedReader._rows(20_000, seed=4)
+        short = ["%.3g" % x for x in (make_generator(5).random(60_000) + 1.0).tolist()]
+        rows = long + short
+        p = TestChunkedReader._write(tmp_path / "s.csv", rows)
+        per_row = sum(map(len, long)) / len(long) + 1
+        assert len(rows) > 1.25 * (p.stat().st_size - 2) / per_row
+        got = _read_decimal_rows(p)
+        assert got.flags.owndata and got.size == len(rows)
+        np.testing.assert_array_equal(got, [float(r) for r in rows])
+
+    def test_reads_each_byte_once(self, tmp_path, monkeypatch):
+        p = TestChunkedReader._write(tmp_path / "s.csv", TestChunkedReader._rows(40_000))
+        read = []
+
+        class Counted(io.FileIO):
+            def readinto(self, buffer):
+                read.append(super().readinto(buffer))
+                return read[-1]
+
+        monkeypatch.setattr(gouest.sampling, "open",
+                            lambda path, mode: io.BufferedReader(Counted(path)), raising=False)
+        assert _read_decimal_rows(p).size == 40_000
+        assert sum(read) == p.stat().st_size
+
+    @pytest.mark.parametrize("raw, want", [(b"x\n", []), (b"x\n0.1", [0.1])],
+                             ids=["header_only", "one_row_without_lf"])
+    def test_short_files(self, tmp_path, raw, want):
+        # read_sample_csv then reports the empty file as having no observations
+        p = tmp_path / "s.csv"
+        p.write_bytes(raw)
+        np.testing.assert_array_equal(_read_decimal_rows(p), want)
 
 
 @pytest.mark.parametrize("seed", range(4))
