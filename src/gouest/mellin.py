@@ -10,11 +10,11 @@ stage of both estimation pipelines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, PoleError
 from .models import _conjugate_symmetric
@@ -67,11 +67,13 @@ def default_floor(n: int) -> float:
 
 # Binned Taylor kernel of the empirical moments (see laplace_curve):
 # observations per block of the sorted sample, phases per chunk of rows x
-# bins of a block (2 MB for each of the argument, cosine and sine), and the
-# bound on the Taylor remainder.
+# bins of a block (2 MB for each of the argument, cosine and sine), the
+# bound on the Taylor remainder, and p! (exact in float64) for every Taylor
+# term: _bin_plan's half-width is at most 1/2, so its order is at most 16.
 _BLOCK = 8192
 _PHASES = 2**18
 _TAYLOR_TAIL = 2.0**-60
+_FACTORIALS = np.array([float(math.factorial(p)) for p in range(16)])
 
 
 def symmetric_grid(v_max: float, m: int) -> np.ndarray:
@@ -157,7 +159,7 @@ def _binned_moments(x_sorted: np.ndarray, u0: float, w: np.ndarray) -> np.ndarra
             f"empirical Mellin weight x^u0 or x^(u0-1) overflows float64 at u0={u0:g} "
             f"(min x = {x_sorted[0]:.6g}, max x = {x_sorted[-1]:.6g})")
     p = np.arange(order)
-    taylor = (w[:, None] * (h / 2.0)) ** p / special.factorial(p) * 1j**p
+    taylor = (w[:, None] * (h / 2.0)) ** p / _FACTORIALS[p] * 1j**p
     sums = (sums_re + 1j * sums_im).reshape(w.size, 2, order)
     return np.einsum("rp,rjp->rj", taylor, sums)
 
@@ -241,6 +243,8 @@ def mellin_theoretical_beta(z, a: float, b: float, mu: float):
     Arranged as exp of log-gamma differences that vanish identically at
     z = 1, so M(1) = 1 exactly. Requires Re(z) > -b.
     """
+    from scipy import special
+
     if not (a > 0.0 and b > 0.0 and mu > 0.0):
         raise DomainError(f"need a, b, mu > 0, got a={a}, b={b}, mu={mu}")
     beta = a / mu
@@ -254,6 +258,8 @@ def mellin_theoretical_gamma(z, a: float, b: float):
     """Exact Mellin transform of the Gamma stationary law (zero drift,
     exponential jump model): Gamma(b+1, rate a) moments. M(1) = 1 exactly.
     Requires Re(z) > -b."""
+    from scipy import special
+
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"need a, b > 0, got a={a}, b={b}")
     lg = special.loggamma

@@ -21,7 +21,6 @@ from dataclasses import astuple, dataclass
 from typing import ClassVar, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import AccuracyError, DomainError, PoleError, TruncationError
 
@@ -54,6 +53,8 @@ def complex_erf(z: complex) -> complex:
         exceeds the double range once y^2 - x^2 is large enough; no
         double-precision implementation can represent those values).
     """
+    from scipy import special
+
     z = complex(z)
     if abs(z.imag) > ERF_IM_ENVELOPE:
         raise AccuracyError(
@@ -82,6 +83,8 @@ def complex_log_gamma(z: complex) -> complex:
     PoleError
         At the poles z = 0, -1, -2, ... of the Gamma function.
     """
+    from scipy import special
+
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise PoleError(f"log Gamma has a pole at z = {z.real:g}")
@@ -152,7 +155,9 @@ class CPExp:
             return rng.gamma(shape=self.b + 1.0, scale=1.0 / self.a, size=n), {"law": "gamma"}
         raw = rng.beta(self.b + 1.0, self.a / self.mu, size=n)
         # guard the measure-zero event of a draw rounding to exactly 0
-        return np.maximum(raw, np.finfo(float).tiny) / self.mu, {"law": "beta"}
+        np.maximum(raw, np.finfo(float).tiny, out=raw)
+        raw /= self.mu
+        return raw, {"law": "beta"}
 
 
 @dataclass(frozen=True)
@@ -189,6 +194,8 @@ class TruncNormCP:
         return -np.log(self.q)
 
     def phi(self, w: np.ndarray) -> np.ndarray:
+        from scipy import special
+
         # phi(z) = lam * [1 - e^{c^2 z^2 / 2} * (1 - F(alpha + c z)) / (1 - F(alpha))]
         # evaluated through the scaled complementary error function:
         #   e^{c^2 z^2/2} (1 - F(alpha + c z)) = erfcx((alpha + c z)/sqrt(2))
@@ -200,6 +207,8 @@ class TruncNormCP:
         return self.lam * (1.0 - scaled_sf / (1.0 - special.ndtr(alpha)))
 
     def nu(self, x: np.ndarray) -> np.ndarray:
+        from scipy import special
+
         # lam * p(x/c) / (c * (1 - F(alpha))) on x > c*alpha, p and F standard normal:
         # the density of the jumps c*Z that stationary draws and phi integrates
         c = self.log_scale
@@ -218,6 +227,8 @@ class TruncNormCP:
         and never changes earlier ones. Raises TruncationError if any draw
         is still above the tail tolerance after n_max terms.
         """
+        from scipy import special
+
         lam, q, alpha = self.lam, self.q, self.alpha
         log_q = np.log(q)
         tail_const = 1.0 / (lam * (1.0 - q**alpha))

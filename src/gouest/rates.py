@@ -135,10 +135,14 @@ def mise(estimate: LevyDensityEstimate, truth, x_range=(0.0, 3.0)) -> float:
 
 
 def _log_log_slope(n_values, medians) -> float:
+    """Least-squares slope of log(median) on log(n), in closed form on
+    centred logs; NaN unless every median is finite and positive."""
     medians = np.asarray(medians, dtype=float)
     if np.any(~np.isfinite(medians)) or np.any(medians <= 0.0):
         return float("nan")
-    return float(np.polyfit(np.log(np.asarray(n_values, dtype=float)), np.log(medians), 1)[0])
+    t, y = np.log(np.asarray(n_values, dtype=float)), np.log(medians)
+    t -= t.mean()
+    return float(np.sum(t * (y - y.mean())) / np.sum(t * t))
 
 
 def rate_study(study: RateStudyConfig, model: SubordinatorModel,

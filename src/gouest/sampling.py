@@ -345,20 +345,31 @@ def _leading_bytes(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.
 def _mixed_row_marks(marks: np.ndarray, kind: np.ndarray) -> tuple | None:
     """Dots, row ends, the row of each dot and the exponent rows of a chunk
     whose rows are not all "I.F", or None if a byte or row shape needs the
-    general reader."""
-    is_end, is_dot = kind == _LF, kind == _DOT
-    ends = marks[is_end]
-    row_of_mark = np.cumsum(is_end) - is_end
+    general reader.
+
+    The few marks that are neither a dot nor an LF are set aside. If the
+    rest still alternate dot, LF, the rows are sliced from them as on the
+    plain path; a row without a dot leaves them out of step, and each dot is
+    then placed by a binary search of the row ends, as each set-aside mark
+    always is."""
+    aside = np.flatnonzero((kind != _DOT) & (kind != _LF))
+    other = kind[aside]
+    if not np.isin(other, _EXPONENT_BYTES).all():
+        return None
+    rest, rest_kind = np.delete(marks, aside), np.delete(kind, aside)
+    if (rest_kind.size % 2 == 0 and (rest_kind[::2] == _DOT).all()
+            and (rest_kind[1::2] == _LF).all()):
+        dots, ends, dot_rows = rest[::2], rest[1::2], slice(None)
+    else:
+        is_end = rest_kind == _LF
+        dots, ends = rest[~is_end], rest[is_end]
+        dot_rows = np.searchsorted(ends, dots)
+        if np.any(np.diff(dot_rows) == 0):
+            return None  # a row with two dots
+    row_of_other = np.searchsorted(ends, marks[aside])
     slow = np.zeros(ends.size, dtype=bool)
-    others = ~(is_end | is_dot)
-    if others.any():
-        if not np.isin(kind[others], _EXPONENT_BYTES).all():
-            return None
-        # signs may only stand in rows with an exponent
-        slow[row_of_mark[others & ((kind | 0x20) == ord("e"))]] = True
-        if not slow[row_of_mark[others]].all():
-            return None
-    dot_rows = row_of_mark[is_dot]
-    if np.any(np.diff(dot_rows) == 0):
-        return None  # a row with two dots
-    return marks[is_dot], ends, dot_rows, slow
+    # signs may only stand in rows with an exponent
+    slow[row_of_other[(other | 0x20) == ord("e")]] = True
+    if not slow[row_of_other].all():
+        return None
+    return dots, ends, dot_rows, slow

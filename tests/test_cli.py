@@ -2,10 +2,15 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gouest
 from gouest import MODELS, EstimationConfig, RateStudyConfig, __version__
 from gouest.cli import build_parser, main
 
@@ -496,3 +501,25 @@ class TestParser:
     def test_out_is_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment1"])
+
+
+def test_cp_exp_commands_run_without_scipy_special(tmp_path):
+    # scipy.special loads only for trunc_norm_cp and the theoretical Mellin
+    # transforms, so a fresh interpreter estimates and studies cp_exp without it
+    script = """
+import sys
+from gouest.cli import main
+assert main(["simulate", "--model", "cp_exp", "-n", "500", "--out", "sim"]) == 0
+assert main(["estimate", "sim/sample.csv", "--u0", "29", "--vn", "30", "--out", "est"]) == 0
+assert main(["rate-study", "--model", "cp_exp", "--n-ladder", "200,400", "--reps", "2",
+             "--out", "rs"]) == 0
+assert "scipy.special" not in sys.modules
+assert main(["simulate", "--model", "trunc_norm_cp", "-n", "500", "--out", "tn"]) == 0
+assert "scipy.special" in sys.modules
+"""
+    src = str(Path(gouest.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

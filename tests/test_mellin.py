@@ -34,7 +34,7 @@ from gouest import (
     symmetric_grid,
     write_laplace_curve_csv,
 )
-from gouest.mellin import _BLOCK, _bin_plan
+from gouest.mellin import _BLOCK, _FACTORIALS, _bin_plan
 
 BETA_MODEL = CPExp(a=0.7, b=1.8, mu=1.8)
 GAMMA_MODEL = CPExp(a=0.7, b=1.8, mu=0.0)
@@ -308,6 +308,15 @@ class TestPhaseRecurrence:
         bound = (w_max * h / 2.0) ** np.arange(order + 1) / factorial(np.arange(order + 1))
         assert bound[order] <= 2.0**-60
         assert order == 1 or bound[order - 1] > 2.0**-60
+
+    def test_factorial_table_is_scipys_for_every_order(self):
+        # the half-width w_max*h/2 is at most 1/2, reached at every power of
+        # two from 1 up, so no order exceeds 16 and the table covers them all
+        w_max = np.concatenate(([0.0], np.geomspace(1e-3, 1e5, 20_001), 2.0 ** np.arange(17)))
+        orders = {_bin_plan(w)[1] for w in w_max}
+        assert max(orders) == 16 == _FACTORIALS.size
+        p = np.arange(max(orders))
+        assert _FACTORIALS[p].tobytes() == factorial(p).tobytes()
 
     def test_zero_frequency_is_exact(self):
         # at v = 0 the expansion has the one term u^0 = 1: M_n(1) = 1 and

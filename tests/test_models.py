@@ -30,6 +30,7 @@ from gouest import (
     CPExp,
     DomainError,
     PoleError,
+    SeriesTruncationPolicy,
     TruncNormCP,
     complex_erf,
     complex_log_gamma,
@@ -144,6 +145,27 @@ class TestCPExp:
         # total mass of the jump measure equals the Poisson rate a
         assert np.trapezoid(nu, x) == pytest.approx(1.8, rel=1e-3)
         assert np.all(levy_density(m, np.array([-1.0, 0.0])) == 0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
+    def test_beta_draws_are_guarded_and_scaled_bitwise(self, seed):
+        m = CPExp(a=0.7, b=0.2, mu=1.8)
+        got, law = m.stationary(1000, np.random.default_rng(seed), SeriesTruncationPolicy())
+        raw = np.random.default_rng(seed).beta(m.b + 1.0, m.a / m.mu, size=1000)
+        want = np.maximum(raw, np.finfo(float).tiny) / m.mu
+        assert law == {"law": "beta"}
+        assert got.tobytes() == want.tobytes()
+
+    def test_beta_draw_is_guarded_in_place(self):
+        # one array per draw: the generator's array, with a 0 raised to tiny
+        drawn = np.array([0.0, 0.25, 1.0])
+
+        class Generator:
+            def beta(self, a, b, size):
+                return drawn
+
+        got, _ = CPExp(a=0.7, b=0.2, mu=2.0).stationary(3, Generator(), SeriesTruncationPolicy())
+        assert got is drawn
+        assert got.tolist() == [np.finfo(float).tiny / 2.0, 0.125, 0.5]
 
 
 class TestTruncNormCP:

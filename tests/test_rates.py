@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gouest.estimators
 import gouest.rates
@@ -19,8 +22,11 @@ from gouest import (
     choose_vn_polynomial,
     mise,
     rate_study,
+    run_algorithm2,
+    sample_stationary,
     write_mise_report_json,
 )
+from gouest.rates import _log_log_slope
 
 BETA_MODEL = CPExp(a=0.7, b=1.8, mu=1.8)
 
@@ -235,3 +241,53 @@ class TestRateStudy:
             self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0
         )
         assert all(m is None or np.isnan(m) for m in report.median_mise) or report.median_mise == []
+
+
+@st.composite
+def _ladders(draw):
+    """2-8 increasing sample sizes, each 1.5 to 10 times the last, and a
+    positive median for each."""
+    size = draw(st.integers(2, 8))
+    ratios = draw(st.lists(st.floats(1.5, 10.0), min_size=size - 1, max_size=size - 1))
+    n = np.round(draw(st.integers(10, 10_000)) * np.cumprod([1.0] + ratios))
+    medians = draw(st.lists(st.floats(1e-30, 1e10), min_size=size, max_size=size))
+    return n, medians
+
+
+@given(ladder=_ladders())
+def test_log_log_slope_matches_polyfit_property(ladder):
+    n, medians = ladder
+    want = np.polyfit(np.log(n), np.log(medians), 1)[0]
+    assert abs(_log_log_slope(n, medians) - want) <= 1e-12 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, np.inf, np.nan])
+def test_log_log_slope_needs_positive_finite_medians(bad):
+    assert math.isnan(_log_log_slope([100, 1000, 10_000], [1e-2, bad, 1e-4]))
+
+
+class TestNoLapackOrScipyOnTheRunPath:
+    """The slope is closed form and the Taylor factorials a table, so a study
+    and the density pipeline finish with the LAPACK fits and scipy's
+    factorial made to raise."""
+
+    @pytest.fixture(autouse=True)
+    def forbidden(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("called on the run path")
+
+        monkeypatch.setattr(np, "polyfit", fail)
+        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        monkeypatch.setattr(scipy.special, "factorial", fail)
+
+    @pytest.mark.parametrize("x_grid", [np.linspace(0.0, 3.0, 21), None], ids=["mise", "fit"])
+    def test_rate_study(self, x_grid):
+        report = rate_study(TestRateStudy.STUDY, BETA_MODEL, TestRateStudy.TEMPLATE, seed=0,
+                            x_grid=x_grid)
+        assert report.failures == [] and np.isfinite(report.slope_mu)
+        assert np.isfinite(report.slope_mise) == (x_grid is not None)
+
+    def test_run_algorithm2(self):
+        sample = sample_stationary(BETA_MODEL, 2000, seed=1)
+        estimate = run_algorithm2(sample, TestRateStudy.TEMPLATE, np.linspace(0.0, 3.0, 21))
+        assert np.all(np.isfinite(estimate.nu_bar_hat))

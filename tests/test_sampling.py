@@ -463,6 +463,35 @@ class TestExactReaderPaths:
         assert _read_decimal_rows(p).size == 40_000
         assert sum(read) == p.stat().st_size
 
+    @pytest.mark.parametrize("edge", [0, -1], ids=["first_row", "last_row"])
+    def test_exponent_rows_at_chunk_edges(self, tmp_path, monkeypatch, edge):
+        # 15 bytes and an LF per row fill each read chunk exactly, so the
+        # exponent rows open (or close) each of the file's three chunks
+        per_chunk = _CSV_CHUNK_BYTES // 16
+        values = 0.1 + 0.8 * make_generator(6).random(3 * per_chunk)
+        rows = ["%.13f" % x for x in values.tolist()]
+        placed = [c * per_chunk + edge % per_chunk for c in range(3)]
+        for i in placed:
+            rows[i] = "%.9e" % (1e-5 * values[i])
+        assert {len(r) for r in rows} == {15}
+        p = tmp_path / "s.csv"
+        p.write_text("x\n" + "\n".join(rows) + "\n")
+        assert p.stat().st_size == 2 + 3 * _CSV_CHUNK_BYTES
+        got, calls = self._read_counting(monkeypatch, p)
+        assert calls == [rows[i].encode() for i in placed]
+        want = np.array([float(r) for r in rows])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_mixed_chunk_with_a_dotless_row(self, tmp_path, monkeypatch):
+        # integer rows put the chunk's dots and LFs out of step
+        rows = ["0.5", "1.5e-05", "42", "2.5E+3", "1e-7", "0.25", "7"]
+        p = tmp_path / "s.csv"
+        p.write_text("x\n" + "\n".join(rows) + "\n")
+        got, calls = self._read_counting(monkeypatch, p)
+        assert calls == [b"1.5e-05", b"2.5E+3", b"1e-7"]
+        want = np.array([float(r) for r in rows])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("raw, want", [(b"x\n", []), (b"x\n0.1", [0.1])],
                              ids=["header_only", "one_row_without_lf"])
     def test_short_files(self, tmp_path, raw, want):
