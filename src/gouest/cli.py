@@ -169,6 +169,9 @@ def _cmd_estimate(args, file_config: dict, out_dir: Path, outputs: list) -> dict
         sample = read_sample_csv(args.sample)
     except FileNotFoundError as exc:
         raise DomainError(f"sample file not found: {args.sample}") from exc
+    # the estimators read only the multiset of values: sorted in place, the
+    # sample needs no sorted copy in laplace_curve
+    sample.values.sort()
     config = _estimation_config_from_args(args, file_config)
     x_grid = _x_grid_from_args(args, file_config)
 

@@ -98,7 +98,7 @@ def _bin_plan(w_max: float) -> tuple[float, int]:
 
 
 def _binned_moments(x_sorted: np.ndarray, u0: float, w: np.ndarray) -> np.ndarray:
-    """sum_k c_kj exp(i w_r log x_k) over the sorted sample for every row r
+    """sum_k c_kj exp(i w_r log x_k) over the ascending sample for every row r
     of the ascending, nonnegative w and the weights c_k = (x_k^(u0-1),
     x_k^u0)/n: a (rows, 2) complex array.
 
@@ -168,7 +168,7 @@ def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> Lapl
     """Ratio-estimator curve Y_n(u0+iv) over an ordered v-grid.
 
     Both moments, M_n(u0+iv) and M_n(u0+1+iv), come from one pass over the
-    sorted sample against the real weights x^{u0-1}/n and x^{u0}/n, with a
+    ascending sample against the real weights x^{u0-1}/n and x^{u0}/n, with a
     binned Taylor expansion of the phases e^{iv log x} (the Taylor-series
     NDFT of Anderson & Dahleh, 1996): log x is binned at a power-of-two
     width h with h max|v| <= 1, the pass sums each bin's weighted powers of
@@ -185,6 +185,10 @@ def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> Lapl
     in Y and in |M_n(u0+1+iv)| on the estimators' grids. Negative v come
     from the positive half by conjugation. Raises DomainError when a weight
     overflows float64, which shows as a non-finite accumulated sum.
+
+    The moments read only the multiset of values, so an ascending sample is
+    passed as it is and any other is sorted into a copy: the caller's array
+    is never reordered, and the curve is bitwise the same either way.
     """
     values = sample.values
     if not (u0 > 0.0):
@@ -196,7 +200,8 @@ def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> Lapl
         raise DomainError("need a nonempty, finite 1-d v-grid")
 
     v_abs, inverse = np.unique(np.abs(v), return_inverse=True)
-    moments = _binned_moments(np.sort(values), u0, v_abs)[inverse]
+    ascending = values if np.all(values[:-1] <= values[1:]) else np.sort(values)
+    moments = _binned_moments(ascending, u0, v_abs)[inverse]
     np.conj(moments, out=moments, where=(v < 0.0)[:, None])
     m1, m2 = moments[:, 0], moments[:, 1]
 

@@ -180,6 +180,9 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
             stream = i_n * study.replicates + r
             try:
                 sample = sample_stationary(model, n, seed=seed, stream=stream)
+                # the estimators read only the multiset of values: sorted in
+                # place, the draw needs no sorted copy in laplace_curve
+                sample.values.sort()
                 if with_mise:
                     estimate = run_algorithm2(sample, config, x_grid)
                     triplet = estimate.triplet

@@ -57,9 +57,11 @@ class Sample:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or self.values.size == 0:
             raise DomainError("Sample.values must be a nonempty 1-d array")
-        if not np.all(np.isfinite(self.values)):
+        # min and max see every nan and inf, and build no n-size temporary
+        lo, hi = self.values.min(), self.values.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("Sample.values contain non-finite entries (inf or nan)")
-        if not np.all(self.values > 0.0):
+        if not lo > 0.0:
             raise DomainError("Sample.values must be strictly positive")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise DomainError(f"Sample.delta must be positive and finite, got {self.delta}")
@@ -199,7 +201,7 @@ def _loadtxt_rows(csv_path: Path) -> np.ndarray:
 # test lie within 2^-39 h of a rounding midpoint (exact ties included);
 # they, rows of more than 19 significant digits, more than 22 decimal places
 # or D >= 2^62, and rows in exponent form are converted by float(row) instead.
-_CSV_CHUNK_BYTES = 1 << 18
+_CSV_CHUNK_BYTES = 1 << 17
 _MAX_DIGITS = 19  # significant digits: D < 10^19 < 2^64 parses without overflow
 _MAX_PLACES = 22
 _DIGITS_BOUND = 2**62

@@ -158,6 +158,17 @@ class TestEstimate:
         assert man["seed"] is None  # estimate draws nothing
         assert len(man["outputs"]) == 3
 
+    def test_row_order_changes_no_output_byte(self, tmp_path):
+        csv = _run_simulate(tmp_path / "sim", n=3000)
+        header, *rows = csv.read_text().splitlines(keepends=True)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(header + "".join(np.random.default_rng(1).permutation(rows)))
+        for path, out in ((csv, "a"), (shuffled, "b")):
+            assert main(["estimate", str(path), "--u0", "29", "--vn", "30",
+                         "--out", str(tmp_path / out)]) == 0
+        for name in ("triplet.json", "laplace_curve.csv", "levy_density.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_flags_override_config_file(self, tmp_path):
         csv = _run_simulate(tmp_path / "sim", n=50)
         conf = tmp_path / "conf.json"

@@ -11,6 +11,8 @@ Oracles:
     reference for laplace_curve's binned Taylor expansion of the phases.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from gouest import (
     laplace_curve,
     laplace_curve_from_mellin,
     laplace_exponent,
+    make_generator,
     mellin_theoretical_beta,
     mellin_theoretical_gamma,
     sample_stationary,
@@ -283,6 +286,37 @@ class TestLaplaceCurve:
         first = lines[1].split(",")
         assert float(first[0]) == -2.0
         assert int(first[5]) in (0, 1)
+
+
+class TestSampleOrder:
+    """The moments read only the multiset of values: laplace_curve sorts a
+    copy of an unordered sample and passes an ascending one as it is."""
+
+    def test_order_changes_no_bit_and_no_input(self):
+        values = sample_stationary(BETA_MODEL, 20_000, seed=4).values
+        ascending = np.sort(np.concatenate([values, values[:100]]))  # with ties
+        orders = [ascending, make_generator(5).permutation(ascending), ascending[::-1].copy()]
+        v = symmetric_grid(30.0, 600)
+        want = laplace_curve(_sample_of(ascending), 29.0, v)
+        for order in orders:
+            before = order.tobytes()
+            got = laplace_curve(_sample_of(order), 29.0, v)
+            for name in ("y", "denom_abs", "ill"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert order.tobytes() == before
+
+    def test_ascending_sample_is_not_copied(self):
+        # a sorted copy alone would hold the sample's bytes again
+        s = _sample_of(np.sort(sample_stationary(BETA_MODEL, 200_000, seed=7).values))
+        v = symmetric_grid(30.0, 600)
+        laplace_curve(s, 29.0, v)
+        tracemalloc.start()
+        try:
+            laplace_curve(s, 29.0, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < s.values.nbytes
 
 
 class TestPhaseRecurrence:

@@ -14,6 +14,7 @@ Oracles:
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -70,6 +71,11 @@ class TestSampleContainer:
         # checked before positivity, so the message names the real fault
         with pytest.raises(DomainError, match="non-finite"):
             Sample(values=np.array([0.5, bad, 0.2]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_non_finite_named_among_nonpositive_values(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            Sample(values=np.array([-1.0, bad, 0.0]))
 
 
 class TestGenerators:
@@ -491,6 +497,30 @@ class TestExactReaderPaths:
         assert calls == [b"1.5e-05", b"2.5E+3", b"1e-7"]
         want = np.array([float(r) for r in rows])
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_working_set_beyond_the_values(self, tmp_path):
+        # the array's slack and one chunk's temporaries, not a multiple of the file
+        p, _ = write_sample_csv(sample_stationary(BETA_MODEL, 200_000, seed=7),
+                                tmp_path / "s.csv")
+        read_sample_csv(p)
+        tracemalloc.start()
+        try:
+            values = read_sample_csv(p).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - values.nbytes < 2.5e6
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["exact", "loadtxt"])
+    def test_values_can_be_sorted_in_place(self, tmp_path, end):
+        # estimate sorts the values it reads in place
+        p = tmp_path / "s.csv"
+        p.write_bytes(end.join(["x", "0.5", "0.25", "2.5", ""]).encode())
+        assert (_read_decimal_rows(p) is None) == (end != "\n")
+        values = read_sample_csv(p).values
+        assert values.flags.writeable
+        values.sort()
+        np.testing.assert_array_equal(values, [0.25, 0.5, 2.5])
 
     @pytest.mark.parametrize("raw, want", [(b"x\n", []), (b"x\n0.1", [0.1])],
                              ids=["header_only", "one_row_without_lf"])
