@@ -199,10 +199,11 @@ def _loadtxt_rows(csv_path: Path) -> np.ndarray:
 # s = fl(s + fl(e * (1 + 2^-40))) shows |e| < (1 - 2^-41) h, so x lies
 # strictly inside s's rounding interval and s = RN(x). Rows that fail this
 # test lie within 2^-39 h of a rounding midpoint (exact ties included);
-# they, rows of more than 19 significant digits, more than 22 decimal places
-# or D >= 2^62, and rows in exponent form are converted by float(row) instead.
+# they, rows with D >= 2^62 or more than 22 places, and rows in exponent form
+# (e, E, + and - parsed as 0) go to float(row). The uint64 parse (strtoul)
+# skips leading zeros and saturates at 2^64 - 1, and D is clipped at 2^62, so
+# every row of 20 or more significant digits (D >= 10^19) is among them.
 _CSV_CHUNK_BYTES = 1 << 17
-_MAX_DIGITS = 19  # significant digits: D < 10^19 < 2^64 parses without overflow
 _MAX_PLACES = 22
 _DIGITS_BOUND = 2**62
 _POW10 = np.array([float(10**k) for k in range(_MAX_PLACES + 1)])
@@ -223,9 +224,10 @@ _POW10_HI, _POW10_LO = _split(_POW10)
 
 
 def _round_decimals(digits: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """RN(digits / 10^k) for digits < 10^19 and k <= 22, and the mask of the
-    rows whose rounding is proven (digits < 2^62 and not near a rounding
-    midpoint)."""
+    """RN(digits / 10^k) for k <= 22, and the mask of the rows whose rounding
+    is proven (digits < 2^62 and not near a rounding midpoint). Clips digits
+    at 2^62 in place, so that fl(digits) converts back to uint64."""
+    np.minimum(digits, _DIGITS_BOUND, out=digits)
     p = _POW10[k]
     df = digits.astype(np.float64)
     dl = (digits - df.astype(np.uint64)).view(np.int64).astype(np.float64)
@@ -283,36 +285,27 @@ def _parse_decimal_chunk(chunk: bytes) -> np.ndarray | None:
     raw = np.frombuffer(chunk, np.uint8)
     marks = np.flatnonzero(raw - _DIGIT > 9)  # every byte that is not a digit
     kind = raw[marks]
+    text = chunk
     if kind.size % 2 == 0 and (kind[::2] == _DOT).all() and (kind[1::2] == _LF).all():
-        # every row is "I.F"
-        dots, ends, dot_rows = marks[::2], marks[1::2], slice(None)
-        slow = np.zeros(ends.size, dtype=bool)
+        # every row is "I.F", none in exponent form
+        dots, ends, dot_rows, slow = marks[::2], marks[1::2], slice(None), False
     else:
         found = _mixed_row_marks(marks, kind)
         if found is None:
             return None
-        dots, ends, dot_rows, slow = found
+        dots, ends, dot_rows, slow, exponents = found
+        masked = raw.copy()  # exponent rows parse as digits, keeping every offset
+        masked[exponents] = _DIGIT
+        text = masked.tobytes()
     starts = np.concatenate(([0], ends[:-1] + 1))
     n_digits = ends - starts
     n_digits[dot_rows] -= 1
     if not n_digits.all():
-        return None
+        return None  # an empty row: np.fromstring skips it, or reads b"\n" as [0]
     k = np.zeros(ends.size, dtype=np.intp)
     k[dot_rows] = ends[dot_rows] - dots - 1
     slow |= k > _MAX_PLACES
-    long = np.flatnonzero(~slow & (n_digits > _MAX_DIGITS))
-    if long.size:
-        # leading zeros are not significant: D < 10^19 still parses exactly
-        lead = _leading_bytes(raw, starts[long], ends[long])
-        point = n_digits[long] - k[long]  # the dot's offset in its row
-        slow[long] = n_digits[long] - lead + (lead > point) > _MAX_DIGITS
-    text = chunk
-    if slow.any():
-        # zero the rows float() converts, keeping every offset
-        masked = raw.copy()
-        masked[_row_bytes(starts[slow], ends[slow])[0]] = _DIGIT
-        text = masked.tobytes()
-        k[slow] = 0
+    k[slow] = 0
     digits = np.fromstring(text.replace(b".", b""), dtype=np.uint64, sep="\n")
     if digits.size != ends.size:
         return None
@@ -325,29 +318,10 @@ def _parse_decimal_chunk(chunk: bytes) -> np.ndarray | None:
     return values
 
 
-def _row_bytes(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The chunk offsets of every byte of the rows [starts, ends), row after
-    row, and where each row begins among them."""
-    lengths = ends - starts
-    heads = np.cumsum(lengths) - lengths
-    return np.arange(lengths.sum()) + np.repeat(starts - heads, lengths), heads
-
-
-def _leading_bytes(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The number of "0" and "." bytes that open each nonempty row of digits
-    and at most one dot."""
-    index, heads = _row_bytes(starts, ends)
-    row = raw[index]
-    at = index - np.repeat(starts, ends - starts)  # offset in the row
-    nonzero = (row != _DIGIT) & (row != _DOT)
-    return np.minimum(np.minimum.reduceat(np.where(nonzero, at, index.size), heads),
-                      ends - starts)
-
-
 def _mixed_row_marks(marks: np.ndarray, kind: np.ndarray) -> tuple | None:
-    """Dots, row ends, the row of each dot and the exponent rows of a chunk
-    whose rows are not all "I.F", or None if a byte or row shape needs the
-    general reader.
+    """Dots, row ends, the row of each dot, the exponent rows and the offsets
+    of their exponent and sign bytes in a chunk whose rows are not all "I.F",
+    or None if a byte or row shape needs the general reader.
 
     The few marks that are neither a dot nor an LF are set aside. If the
     rest still alternate dot, LF, the rows are sliced from them as on the
@@ -374,4 +348,4 @@ def _mixed_row_marks(marks: np.ndarray, kind: np.ndarray) -> tuple | None:
     slow[row_of_other[(other | 0x20) == ord("e")]] = True
     if not slow[row_of_other].all():
         return None
-    return dots, ends, dot_rows, slow
+    return dots, ends, dot_rows, slow, marks[aside]

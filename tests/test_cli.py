@@ -321,6 +321,27 @@ class TestExperiments:
         assert float(row[0]) == 0.0
         assert float(row[4]) == 0.0
 
+    @pytest.mark.parametrize("command", [["experiment1", "-n", "300", "--reps", "2"],
+                                         ["experiment2", "-n", "300"]])
+    def test_figure_sample_is_sorted_in_place(self, tmp_path, monkeypatch, command):
+        # sorted once after the draw, so laplace_curve sorts no copy of it
+        seen = []
+
+        def spy(name, func):
+            def wrapper(sample, *args, **kwargs):
+                seen.append((name, sample.values))
+                return func(sample, *args, **kwargs)
+            monkeypatch.setattr(gouest.cli, name, wrapper)
+
+        spy("laplace_curve", gouest.cli.laplace_curve)
+        spy("run_algorithm2", gouest.cli.run_algorithm2)
+        assert main([*command, "--out", str(tmp_path / "e")]) == 0
+        names = ["laplace_curve"] + ["run_algorithm2"] * (command[0] == "experiment2")
+        assert [name for name, _ in seen] == names
+        for _, values in seen:
+            assert values is seen[0][1]  # the draw's own array
+            assert values.size == 300 and np.all(values[:-1] <= values[1:])
+
     def test_experiment2_deterministic(self, tmp_path):
         rc1 = main(["experiment2", "-n", "200", "--out", str(tmp_path / "a")])
         rc2 = main(["experiment2", "-n", "200", "--out", str(tmp_path / "b")])

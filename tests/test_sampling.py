@@ -262,7 +262,8 @@ class TestSampleIO:
         (b"x\nnan\n", "non-finite"),
         (b"x\n", "no observations"),
         (b"x\r\n", "no observations"),
-    ], ids=["comment_row", "inf", "nan", "header_only", "header_only_crlf"])
+        (b"x\n\n", "no observations"),
+    ], ids=["comment_row", "inf", "nan", "header_only", "header_only_crlf", "blank_row"])
     def test_read_rejects_without_warning(self, tmp_path, raw, message):
         p = tmp_path / "s.csv"
         p.write_bytes(raw)
@@ -432,6 +433,10 @@ class TestExactReaderPaths:
         "0.00000000000000000000001234",      # 26 places
         "0.00001234567891234567891",         # 23 places, 19 significant digits
         "0.00012345678912345678912",         # 23 places, 20 significant digits
+        "18446744073709551616",              # 2^64: the integer parse saturates
+        "18446744073709551615",              # 2^64 - 1
+        "4611686018427387904",               # 2^62: 19 digits, D not below 2^62
+        "1.2345678901234567e-300",           # e and - read as 0: 22 digits, saturates
     ])
     def test_long_rows_go_through_float(self, tmp_path, monkeypatch, row):
         rows = ["0.5", row, "0.25"]
@@ -521,6 +526,14 @@ class TestExactReaderPaths:
         assert values.flags.writeable
         values.sort()
         np.testing.assert_array_equal(values, [0.25, 0.5, 2.5])
+
+    @pytest.mark.parametrize("raw", [b"x\n\n", b"x\n.\n"], ids=["blank_row", "lone_dot"])
+    def test_empty_only_row_takes_the_general_reader(self, tmp_path, raw):
+        # np.fromstring reads the row's b"\n" as [0], so the exact reader
+        # must reject the empty row itself
+        p = tmp_path / "s.csv"
+        p.write_bytes(raw)
+        assert _read_decimal_rows(p) is None
 
     @pytest.mark.parametrize("raw, want", [(b"x\n", []), (b"x\n0.1", [0.1])],
                              ids=["header_only", "one_row_without_lf"])
