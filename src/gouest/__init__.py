@@ -15,8 +15,7 @@ from .errors import (AccuracyError, DegenerateWeights, DomainError, GouestError,
 from .models import (MODELS, CPExp, SeriesTruncationPolicy, SubordinatorModel, TruncNormCP,
                      complex_erf, complex_log_gamma, laplace_exponent, levy_density,
                      model_from_config, model_to_config)
-from .kernels import (FLAT_TOP_PLATEAU, KernelSpec, WeightSpec, flat_top, kernel,
-                      verify_kernel_condition, weight)
+from .kernels import FLAT_TOP_PLATEAU, flat_top, verify_kernel_condition, weight
 from .sampling import (Sample, make_generator, read_sample_csv, sample_stationary,
                        write_columns_csv, write_json, write_sample_csv)
 from .mellin import (LaplaceCurve, default_floor, laplace_curve, laplace_curve_from_mellin,
@@ -40,8 +39,7 @@ __all__ = [
     "laplace_exponent", "levy_density", "model_from_config", "model_to_config",
     "complex_erf", "complex_log_gamma",
     # kernels
-    "WeightSpec", "KernelSpec", "FLAT_TOP_PLATEAU", "weight", "kernel", "flat_top",
-    "verify_kernel_condition",
+    "FLAT_TOP_PLATEAU", "weight", "flat_top", "verify_kernel_condition",
     # sampling
     "Sample", "make_generator", "sample_stationary",
     "write_columns_csv", "write_json", "write_sample_csv", "read_sample_csv",

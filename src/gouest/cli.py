@@ -22,7 +22,7 @@ from .errors import (AccuracyError, DegenerateWeights, DomainError, GouestError,
                      PoleError, TruncationError)
 from .estimators import (EstimationConfig, default_x_grid, run_algorithm2,
                          write_levy_density_csv, write_triplet_json)
-from .kernels import WeightSpec
+from .kernels import WEIGHT_VARIANTS
 from .mellin import laplace_curve, symmetric_grid, write_laplace_curve_csv
 from .models import (MODELS, CPExp, SeriesTruncationPolicy, TruncNormCP, laplace_exponent,
                      levy_density, model_from_config, model_to_config)
@@ -122,7 +122,7 @@ def _estimation_config_from_args(args, file_config: dict,
         eps=_merge(args.eps, section, "eps", default.eps),
         m_fit=_merge(grid_m, section, "m_fit", default.m_fit, int),
         m_inv=_merge(grid_m, section, "m_inv", default.m_inv, int),
-        weight=WeightSpec(_merge(args.weight, section, "weight", default.weight.variant, str)),
+        weight=_merge(args.weight, section, "weight", default.weight, str),
         floor=_merge(args.floor, section, "floor", default.floor),
     )
 
@@ -306,7 +306,7 @@ def _add_estimation_flags(parser: argparse.ArgumentParser,
     parser.add_argument("--eps", type=float, default=None, help="lower edge of the fitting band")
     parser.add_argument("--grid-m", type=int, default=None, dest="grid_m",
                         help="grid count for both the fitting and inversion grids")
-    parser.add_argument("--weight", choices=["flat", "epanechnikov"], default=None)
+    parser.add_argument("--weight", choices=WEIGHT_VARIANTS, default=None)
     parser.add_argument("--floor", type=float, default=None,
                         help="ill-conditioning floor (default 10/sqrt(n))")
     parser.add_argument("--x-min", type=float, default=None, dest="x_min")

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateWeights, DomainError, GridMismatch
-from .kernels import KernelSpec, WeightSpec, kernel, weight
+from .kernels import WEIGHT_VARIANTS, flat_top, weight
 from .mellin import LaplaceCurve, laplace_curve, symmetric_grid
 from .sampling import Sample, write_columns_csv, write_json
 
@@ -49,8 +49,10 @@ class EstimationConfig:
 
     ``m_fit`` points span the one-sided fitting band [eps, 1] (scaled by
     ``vn``); ``m_inv + 1`` points span the symmetric inversion band [-1, 1].
-    ``floor`` is the ill-conditioning threshold for the empirical Mellin
-    denominator (None: 10/sqrt(n) at run time).
+    ``weight`` names the fit weight on [eps, 1], one of
+    :data:`~gouest.kernels.WEIGHT_VARIANTS`; the inversion's window is always
+    the flat-top kernel. ``floor`` is the ill-conditioning threshold for the
+    empirical Mellin denominator (None: 10/sqrt(n) at run time).
     """
 
     u0: float = 1.0
@@ -58,28 +60,27 @@ class EstimationConfig:
     eps: float = 0.1
     m_fit: int = 50
     m_inv: int = 200
-    weight: WeightSpec = WeightSpec()
-    kernel: KernelSpec = KernelSpec()
+    weight: str = "flat"
     floor: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.u0 > 0.0):
-            raise DomainError(f"u0 must be positive, got {self.u0}")
-        if not (self.vn > 0.0):
-            raise DomainError(f"vn must be positive, got {self.vn}")
+        positive = {"u0": self.u0, "vn": self.vn}
+        if self.floor is not None:
+            positive["floor"] = self.floor
+        for name, value in positive.items():
+            if not (0.0 < value < np.inf):
+                raise DomainError(f"{name} must be positive and finite, got {value}")
         if not (0.0 < self.eps < 1.0):
             raise DomainError(f"eps must be in (0,1), got {self.eps}")
         if self.m_fit < 2 or self.m_inv < 2:
             raise DomainError(
                 f"grid counts must be >= 2, got m_fit={self.m_fit}, m_inv={self.m_inv}")
-        if self.floor is not None and not (self.floor > 0.0):
-            raise DomainError(f"floor must be positive, got {self.floor}")
+        if self.weight not in WEIGHT_VARIANTS:
+            raise DomainError(f"unknown weight variant {self.weight!r}")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["weight"] = self.weight.variant
-        d["kernel"] = self.kernel.variant
-        return d
+        """The fields, and the inversion's fixed window under ``kernel``."""
+        return {**asdict(self), "kernel": "flat_top"}
 
 
 @dataclass
@@ -157,41 +158,26 @@ def _check_fit_grid(curve: LaplaceCurve, config: EstimationConfig) -> np.ndarray
     return alphas
 
 
-def _fit_weights(config: EstimationConfig, alphas: np.ndarray, weights) -> np.ndarray:
-    if weights is None:
-        w = weight(config.weight, alphas, config.eps)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != alphas.shape:
-            raise GridMismatch(f"weight vector length {w.size} != grid length {alphas.size}")
-        if np.any(w < 0.0):
-            raise DomainError("weights must be nonnegative")
-    return w
-
-
-def estimate_mu(curve: LaplaceCurve, config: EstimationConfig, weights=None) -> float:
+def estimate_mu(curve: LaplaceCurve, config: EstimationConfig) -> float:
     """Drift estimate: weighted slope of Im Y against v over the fitting band.
 
     mu_hat = sum_m w(a_m) a_m Im Y(u0 + i a_m V) / (V sum_m w(a_m) a_m^2).
-    ``weights`` optionally overrides the configured weight function with an
-    explicit nonnegative vector on the fitting grid.
     """
     alphas = _check_fit_grid(curve, config)
-    w = _fit_weights(config, alphas, weights)
+    w = weight(config.weight, alphas, config.eps)
     denom = config.vn * np.sum(w * alphas**2)
     if denom == 0.0 or not np.isfinite(denom):
         raise DegenerateWeights("weighted sum of alpha^2 vanished; all weights zero on the grid?")
     return float(np.sum(w * alphas * curve.y.imag) / denom)
 
 
-def estimate_lambda(curve: LaplaceCurve, mu_hat: float, config: EstimationConfig,
-                    weights=None) -> float:
+def estimate_lambda(curve: LaplaceCurve, mu_hat: float, config: EstimationConfig) -> float:
     """Intensity estimate: weighted mean of Re Y minus the drift part.
 
     lambda_hat = sum_m w(a_m) Re Y(u0 + i a_m V) / sum_m w(a_m) - mu_hat*u0.
     """
     alphas = _check_fit_grid(curve, config)
-    w = _fit_weights(config, alphas, weights)
+    w = weight(config.weight, alphas, config.eps)
     denom = np.sum(w)
     if denom == 0.0 or not np.isfinite(denom):
         raise DegenerateWeights("weight sum vanished; all weights zero on the grid?")
@@ -265,8 +251,7 @@ def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEs
     if x.ndim != 1 or x.size == 0:
         raise DomainError("need a nonempty 1-d x-grid")
     v = alphas * config.vn
-    k = kernel(config.kernel, alphas)
-    coeff = fhat * k
+    coeff = fhat * flat_top(alphas)
     half = (config.m_inv + 1) // 2
     cos_sin = _half_phases(x.tobytes(), v[half:].tobytes())
     a = coeff[half:]
@@ -330,6 +315,9 @@ def run_algorithm2(sample: Sample, config: EstimationConfig, x_grid) -> LevyDens
 
 
 def default_x_grid(x_min: float = 0.0, x_max: float = 3.0, x_points: int = 301) -> np.ndarray:
+    for name, value in (("x_min", x_min), ("x_max", x_max)):
+        if not np.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if not (x_max > x_min):
         raise DomainError(f"need x_max > x_min, got [{x_min}, {x_max}]")
     if x_points < 2:

@@ -9,8 +9,6 @@ polynomial order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -18,42 +16,23 @@ from .errors import DomainError
 #: Half-width of the flat-top plateau.
 FLAT_TOP_PLATEAU = 0.05
 
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Weight function on [eps, 1] used by the weighted least-squares fit;
-    the support edge eps is the fitting band's (``EstimationConfig.eps``).
-
-    variant: "flat" (w = 1 on the support) or "epanechnikov" (parabola
-    vanishing at both ends of [eps, 1], peak value 1 at the midpoint).
-    """
-
-    variant: str = "flat"
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("flat", "epanechnikov"):
-            raise DomainError(f"unknown weight variant {self.variant!r}")
+#: Fit-weight variants: "flat" (w = 1 on the support) or "epanechnikov"
+#: (parabola vanishing at both ends of [eps, 1], peak value 1 at the midpoint).
+WEIGHT_VARIANTS = ("flat", "epanechnikov")
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Regularizing kernel; only the flat-top kernel is provided."""
-
-    variant: str = "flat_top"
-
-    def __post_init__(self) -> None:
-        if self.variant != "flat_top":
-            raise DomainError(f"unknown kernel variant {self.variant!r}")
-
-
-def weight(spec: WeightSpec, alpha, eps: float) -> np.ndarray | float:
-    """Evaluate the weight function on [eps, 1] at grid fraction(s) ``alpha``.
+def weight(variant: str, alpha, eps: float) -> np.ndarray | float:
+    """Evaluate the fit weight ``variant`` (one of :data:`WEIGHT_VARIANTS`) on
+    [eps, 1] at grid fraction(s) ``alpha``; eps is the fitting band's
+    (``EstimationConfig.eps``).
 
     Zero outside [eps, 1]; vectorized over ``alpha``.
     """
+    if variant not in WEIGHT_VARIANTS:
+        raise DomainError(f"unknown weight variant {variant!r}")
     a = np.asarray(alpha, dtype=float)
     inside = (a >= eps) & (a <= 1.0)
-    if spec.variant == "flat":
+    if variant == "flat":
         out = np.where(inside, 1.0, 0.0)
     else:
         # parabola on [eps, 1], rescaled to peak at 1 in the midpoint
@@ -82,23 +61,17 @@ def flat_top(x) -> np.ndarray | float:
     return out
 
 
-def kernel(spec: KernelSpec, x) -> np.ndarray | float:
-    """Evaluate the configured regularizing kernel."""
-    if spec.variant == "flat_top":
-        return flat_top(x)
-    raise DomainError(f"unknown kernel variant {spec.variant!r}")
+def verify_kernel_condition(s: int, big_a: float, grid_points: int = 10_000) -> bool:
+    """Check |1 - K(x)| <= A*|x|^s for the flat-top kernel numerically on a
+    grid of [-1, 1] \\ {0}.
 
-
-def verify_kernel_condition(spec: KernelSpec, s: int, big_a: float, grid_points: int = 10_000) -> bool:
-    """Check |1 - K(x)| <= A*|x|^s numerically on a grid of [-1, 1] \\ {0}.
-
-    For the flat-top kernel the bound holds for every s >= 0 with
-    A = sup |1-K(x)|/|x|^s, finite because K = 1 on the plateau.
+    The bound holds for every s >= 0 with A = sup |1-K(x)|/|x|^s, finite
+    because K = 1 on the plateau.
     """
     if s < 0:
         raise DomainError(f"kernel condition needs s >= 0, got {s}")
     x = np.linspace(-1.0, 1.0, grid_points)
     x = x[x != 0.0]
-    lhs = np.abs(1.0 - np.asarray(kernel(spec, x)))
+    lhs = np.abs(1.0 - flat_top(x))
     rhs = big_a * np.abs(x) ** s
     return bool(np.all(lhs <= rhs + 1e-15))

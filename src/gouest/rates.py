@@ -58,6 +58,9 @@ class RateStudyConfig:
             raise DomainError(f"need at least 2 replicates, got {self.replicates}")
         if not (0.0 <= self.smoothness < np.inf):
             raise DomainError(f"smoothness must be finite and >= 0, got {self.smoothness}")
+        for name, value in (("beta", self.beta), ("alpha", self.alpha)):
+            if value is not None and not np.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.decay_class not in ("polynomial", "exponential"):
             raise DomainError(f"unknown decay class {self.decay_class!r}")
         if self.decay_class == "polynomial" and self.beta is None:

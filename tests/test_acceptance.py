@@ -21,7 +21,6 @@ from scipy.special import loggamma
 from gouest import (
     CPExp,
     EstimationConfig,
-    KernelSpec,
     RateStudyConfig,
     TruncNormCP,
     complex_erf,
@@ -267,8 +266,7 @@ def test_07_rate_slope_in_band(rate_report):
 
 def test_08_kernel_condition():
     """Flat-top kernel satisfies |1 - K(x)| <= A |x|^s for the stated orders."""
-    spec = KernelSpec()
-    results = {s: verify_kernel_condition(spec, s, 1.0 / 0.05**s, grid_points=10**4)
+    results = {s: verify_kernel_condition(s, 1.0 / 0.05**s, grid_points=10**4)
                for s in (0, 1, 2, 4)}
     ok = all(results.values())
     print(f"[check 8] kernel condition by order: {results} -> "

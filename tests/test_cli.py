@@ -490,6 +490,39 @@ class TestConfigErrors:
         assert not (tmp_path / "out" / "mise_report.json").exists()
 
 
+def _reject_json_constant(name):
+    raise AssertionError(f"JSON output holds the non-finite constant {name}")
+
+
+@pytest.mark.parametrize("command, flags, field", [
+    ("estimate", "--u0 inf", "u0"),
+    ("estimate", "--vn inf", "vn"),
+    ("estimate", "--floor inf", "floor"),
+    ("estimate", "--x-max inf", "x_max"),
+    ("estimate", "--x-min=-inf", "x_min"),
+    ("rate-study", "--beta inf", "beta"),
+    ("rate-study", "--beta nan", "beta"),
+    ("rate-study", "--alpha-decay inf", "alpha"),
+    ("rate-study", "--alpha-decay nan", "alpha"),
+    ("rate-study", "--u0 inf", "u0"),
+    ("rate-study", "--floor inf", "floor"),
+])
+def test_non_finite_input_exits_2_naming_it(tmp_path, command, flags, field):
+    """A non-finite setting is a DomainError that names it, and no JSON
+    output holds Infinity or NaN."""
+    if command == "estimate":
+        argv = ["estimate", str(_run_simulate(tmp_path / "sim", n=50))]
+    else:
+        argv = ["rate-study", "--n-ladder", "200,400", "--reps", "2"]
+    out = tmp_path / "out"
+    assert main(argv + flags.split() + ["--out", str(out)]) == 2
+    man = _manifest(out)
+    assert man["error"]["type"] == "DomainError"
+    assert man["error"]["message"].startswith(f"{field} must be")
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_json_constant)
+
+
 class TestParser:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -23,13 +23,11 @@ import gouest
 
 from gouest import (
     CPExp,
-    DegenerateWeights,
     DomainError,
     EstimationConfig,
     GridMismatch,
     LaplaceCurve,
     TruncNormCP,
-    WeightSpec,
     default_x_grid,
     estimate_fourier_nu_bar,
     estimate_lambda,
@@ -38,7 +36,6 @@ from gouest import (
     flat_top,
     inversion_alphas,
     invert_levy_density,
-    kernel,
     laplace_exponent,
     levy_density,
     run_algorithm1,
@@ -78,17 +75,25 @@ class TestConfig:
         cfg = EstimationConfig()
         assert (cfg.u0, cfg.vn, cfg.eps) == (1.0, 5.0, 0.1)
         assert (cfg.m_fit, cfg.m_inv) == (50, 200)
-        assert cfg.weight.variant == "flat"
-        assert cfg.kernel.variant == "flat_top"
+        assert cfg.weight == "flat"
 
     def test_weight_eps_synced(self):
-        # the fit weights take their support edge from the config's eps
-        cfg = EstimationConfig(eps=0.3, weight=WeightSpec("epanechnikov"))
+        # the fit weights take their variant and their support edge from the
+        # config: the slope is the one under weight(variant, a, eps) and not
+        # under the other variant or another edge
+        cfg = EstimationConfig(eps=0.3, weight="epanechnikov")
         a = fit_alphas(cfg)
         curve = _curve_on(cfg.vn * a, 1j * a**2, u0=cfg.u0)  # not affine: weights matter
+
+        def slope(w):
+            return float(np.sum(w * a * curve.y.imag) / (cfg.vn * np.sum(w * a**2)))
+
         mu_hat = estimate_mu(curve, cfg)
-        assert mu_hat == estimate_mu(curve, cfg, weights=weight(cfg.weight, a, 0.3))
-        assert mu_hat != estimate_mu(curve, cfg, weights=weight(cfg.weight, a, 0.1))
+        assert mu_hat == slope(weight("epanechnikov", a, 0.3))
+        assert mu_hat != slope(weight("epanechnikov", a, 0.1))
+        flat = EstimationConfig(eps=0.3, weight="flat")
+        assert estimate_mu(curve, flat) == slope(weight("flat", a, 0.3))
+        assert estimate_mu(curve, flat) != mu_hat
 
     def test_validation(self):
         for kw in [
@@ -102,11 +107,19 @@ class TestConfig:
             with pytest.raises(DomainError):
                 EstimationConfig(**kw)
 
+    @pytest.mark.parametrize("field", ["u0", "vn", "floor"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_is_rejected_by_name(self, field, value):
+        with pytest.raises(DomainError, match=f"^{field} must be positive and finite"):
+            EstimationConfig(**{field: value})
+
     def test_to_dict(self):
         d = EstimationConfig().to_dict()
         assert d["weight"] == "flat"
         assert d["kernel"] == "flat_top"
         assert d["u0"] == 1.0
+        # the keys every manifest and triplet.json has carried
+        assert sorted(d) == ["eps", "floor", "kernel", "m_fit", "m_inv", "u0", "vn", "weight"]
 
 
 class TestGrids:
@@ -137,6 +150,14 @@ class TestGrids:
         x = default_x_grid()
         assert x[0] == 0.0 and x[-1] == 3.0 and len(x) == 301
 
+    @pytest.mark.parametrize("bounds, field", [((0.0, math.inf), "x_max"),
+                                               ((-math.inf, 3.0), "x_min"),
+                                               ((math.nan, 3.0), "x_min"),
+                                               ((0.0, math.nan), "x_max")])
+    def test_default_x_grid_rejects_non_finite_bounds(self, bounds, field):
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            default_x_grid(*bounds)
+
 
 class TestFitEstimators:
     def test_affine_exactness_default_weights(self):
@@ -148,34 +169,19 @@ class TestFitEstimators:
         assert lam_hat == pytest.approx(0.7, abs=1e-12)
 
     def test_affine_exactness_random_weights(self):
-        # the estimator equations are exact for affine curves under ANY
-        # nonnegative, nondegenerate weight vector
-        cfg = EstimationConfig()
+        # the estimator equations are exact for affine curves under any
+        # nonnegative, nondegenerate weights: either variant, any band edge
         rng = np.random.default_rng(42)
         for _ in range(20):
             mu = rng.uniform(0.1, 5.0)
             lam = rng.uniform(0.1, 5.0)
-            w = rng.uniform(0.0, 1.0, size=cfg.m_fit)
-            w[rng.integers(0, cfg.m_fit)] += 0.5  # keep it nondegenerate
+            cfg = EstimationConfig(eps=rng.uniform(0.05, 0.9),
+                                   weight=("flat", "epanechnikov")[rng.integers(2)])
             curve = _affine_curve(cfg, mu, lam)
-            mu_hat = estimate_mu(curve, cfg, weights=w)
-            lam_hat = estimate_lambda(curve, mu_hat, cfg, weights=w)
+            mu_hat = estimate_mu(curve, cfg)
+            lam_hat = estimate_lambda(curve, mu_hat, cfg)
             assert mu_hat == pytest.approx(mu, abs=1e-10)
             assert lam_hat == pytest.approx(lam, abs=1e-10)
-
-    def test_weight_scaling_invariance(self):
-        cfg = EstimationConfig()
-        s = sample_stationary(CPExp(mu=1.8, a=0.7, b=1.8), 500, seed=21)
-        from gouest import laplace_curve
-
-        curve = laplace_curve(s, cfg.u0, cfg.vn * fit_alphas(cfg))
-        w = np.random.default_rng(1).uniform(0.1, 1.0, cfg.m_fit)
-        mu_a = estimate_mu(curve, cfg, weights=w)
-        mu_b = estimate_mu(curve, cfg, weights=7.3 * w)
-        assert mu_a == pytest.approx(mu_b, rel=1e-14)
-        lam_a = estimate_lambda(curve, mu_a, cfg, weights=w)
-        lam_b = estimate_lambda(curve, mu_a, cfg, weights=7.3 * w)
-        assert lam_a == pytest.approx(lam_b, rel=1e-14)
 
     def test_zero_imaginary_part_gives_zero_drift(self):
         cfg = EstimationConfig()
@@ -189,14 +195,6 @@ class TestFitEstimators:
         curve = _curve_on(v, np.ones(v.size, dtype=complex), u0=cfg.u0)
         with pytest.raises(GridMismatch):
             estimate_mu(curve, cfg)
-
-    def test_degenerate_weights(self):
-        cfg = EstimationConfig()
-        curve = _affine_curve(cfg, 1.0, 1.0)
-        with pytest.raises(DegenerateWeights):
-            estimate_mu(curve, cfg, weights=np.zeros(cfg.m_fit))
-        with pytest.raises(DomainError):
-            estimate_mu(curve, cfg, weights=-np.ones(cfg.m_fit))
 
 
 class TestFourierData:
@@ -331,7 +329,7 @@ class TestInversion:
         est = invert_levy_density(f, cfg, x)
         alphas = inversion_alphas(cfg)
         phase = np.exp(-1j * np.multiply.outer(x, alphas * cfg.vn))
-        coeff = f * kernel(cfg.kernel, alphas)
+        coeff = f * flat_top(alphas)
         scale = np.exp(cfg.u0 * x) * cfg.vn / (np.pi * m_inv)
         want = scale * (phase @ coeff)
         bound = scale * 2 * (m_inv + 4) * np.finfo(float).eps * np.abs(coeff).sum()

@@ -11,10 +11,7 @@ from gouest import (
     FLAT_TOP_PLATEAU,
     DomainError,
     EstimationConfig,
-    KernelSpec,
-    WeightSpec,
     flat_top,
-    kernel,
     verify_kernel_condition,
     weight,
 )
@@ -64,31 +61,18 @@ class TestFlatTop:
             assert v == flat_top(float(x))
 
 
-class TestKernelSpec:
-    def test_from_name(self):
-        spec = KernelSpec("flat_top")
-        assert spec == KernelSpec()
-        assert kernel(spec, 0.5) == flat_top(0.5)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(DomainError):
-            KernelSpec("triangle")
-
-
 class TestWeights:
     def test_flat_indicator(self):
-        spec = WeightSpec("flat")
         alphas = np.array([0.05, 0.1, 0.5, 1.0, 1.0001, -0.2])
-        np.testing.assert_array_equal(weight(spec, alphas, 0.1), [0, 1, 1, 1, 0, 0])
+        np.testing.assert_array_equal(weight("flat", alphas, 0.1), [0, 1, 1, 1, 0, 0])
 
     def test_epanechnikov_shape(self):
-        spec = WeightSpec("epanechnikov")
         # parabola on [eps, 1]: 1 at the midpoint, 0 at both endpoints
-        assert weight(spec, 0.55, 0.1) == pytest.approx(1.0, abs=1e-14)
-        assert weight(spec, 0.1, 0.1) == pytest.approx(0.0, abs=1e-14)
-        assert weight(spec, 1.0, 0.1) == pytest.approx(0.0, abs=1e-14)
-        assert weight(spec, 0.05, 0.1) == 0.0
-        assert weight(spec, 1.2, 0.1) == 0.0
+        assert weight("epanechnikov", 0.55, 0.1) == pytest.approx(1.0, abs=1e-14)
+        assert weight("epanechnikov", 0.1, 0.1) == pytest.approx(0.0, abs=1e-14)
+        assert weight("epanechnikov", 1.0, 0.1) == pytest.approx(0.0, abs=1e-14)
+        assert weight("epanechnikov", 0.05, 0.1) == 0.0
+        assert weight("epanechnikov", 1.2, 0.1) == 0.0
 
     @given(
         eps=st.floats(0.01, 0.9),
@@ -96,34 +80,35 @@ class TestWeights:
         name=st.sampled_from(["flat", "epanechnikov"]),
     )
     def test_nonnegative_and_supported(self, eps, alpha, name):
-        val = float(weight(WeightSpec(name), alpha, eps))
+        val = float(weight(name, alpha, eps))
         assert val >= 0.0
         if not (eps <= alpha <= 1.0):
             assert val == 0.0
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(DomainError):
-            WeightSpec("uniformish")
+        with pytest.raises(DomainError, match="unknown weight variant 'uniformish'"):
+            EstimationConfig(weight="uniformish")
+        with pytest.raises(DomainError, match="unknown weight variant 'uniformish'"):
+            weight("uniformish", 0.5, 0.1)
 
     def test_weight_spec_validation(self):
         # the weight's support edge is the fitting band's eps, which the
         # estimation config keeps inside (0, 1)
         for eps in (0.0, 1.0):
             with pytest.raises(DomainError):
-                EstimationConfig(eps=eps, weight=WeightSpec("flat"))
+                EstimationConfig(eps=eps, weight="flat")
 
 
 class TestKernelCondition:
     def test_holds_for_stated_orders(self):
-        spec = KernelSpec()
         for s in (0, 1, 2, 4):
             big_a = 1.0 / FLAT_TOP_PLATEAU**s
-            assert verify_kernel_condition(spec, s, big_a)
+            assert verify_kernel_condition(s, big_a)
 
     def test_fails_for_tiny_constant(self):
-        assert not verify_kernel_condition(KernelSpec(), 1, 1e-9)
+        assert not verify_kernel_condition(1, 1e-9)
 
     def test_order_zero_tight_constant(self):
         # |1 - K(x)| <= A |x|^s with s = 0 needs A >= sup |1 - K| = 1
-        assert verify_kernel_condition(KernelSpec(), 0, 1.0)
-        assert not verify_kernel_condition(KernelSpec(), 0, 0.5)
+        assert verify_kernel_condition(0, 1.0)
+        assert not verify_kernel_condition(0, 0.5)

@@ -93,6 +93,15 @@ class TestRateStudyConfig:
                 n_ladder=(100, 200), replicates=5, decay_class="exponential"
             )  # no alpha
 
+    @pytest.mark.parametrize("decay", ["polynomial", "exponential"])
+    @pytest.mark.parametrize("field", ["beta", "alpha"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_decay_parameter_is_rejected_by_name(self, decay, field, value):
+        # a given beta or alpha must be finite whichever rule reads it
+        decay_params = {"beta": 0.4, "alpha": 1.0, field: value}
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            RateStudyConfig(n_ladder=(100, 200), replicates=5, decay_class=decay, **decay_params)
+
     def test_bandwidth_dispatch(self):
         poly = RateStudyConfig(n_ladder=(100, 200), replicates=5, beta=0.4)
         assert poly.bandwidth(10**5) == choose_vn_polynomial(10**5, 0.4, 0)
