@@ -10,8 +10,8 @@ inversion.
 
 __version__ = "0.1.0"
 
-from .errors import (AccuracyError, DegenerateWeights, DomainError, GouestError,
-                     GridMismatch, PoleError, TruncationError)
+from .errors import (AccuracyError, DomainError, GouestError, GridMismatch, PoleError,
+                     TruncationError)
 from .models import (MODELS, CPExp, SeriesTruncationPolicy, SubordinatorModel, TruncNormCP,
                      complex_erf, complex_log_gamma, laplace_exponent, levy_density,
                      model_from_config, model_to_config)
@@ -33,7 +33,7 @@ __all__ = [
     "__version__",
     # errors
     "GouestError", "PoleError", "AccuracyError", "TruncationError", "DomainError",
-    "DegenerateWeights", "GridMismatch",
+    "GridMismatch",
     # models
     "SubordinatorModel", "CPExp", "TruncNormCP", "MODELS", "SeriesTruncationPolicy",
     "laplace_exponent", "levy_density", "model_from_config", "model_to_config",

@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (AccuracyError, DegenerateWeights, DomainError, GouestError,
-                     PoleError, TruncationError)
+from .errors import AccuracyError, DomainError, GouestError, PoleError, TruncationError
 from .estimators import (EstimationConfig, default_x_grid, run_algorithm2,
                          write_levy_density_csv, write_triplet_json)
 from .kernels import WEIGHT_VARIANTS
@@ -27,8 +26,8 @@ from .mellin import laplace_curve, symmetric_grid, write_laplace_curve_csv
 from .models import (MODELS, CPExp, SeriesTruncationPolicy, TruncNormCP, laplace_exponent,
                      levy_density, model_from_config, model_to_config)
 from .rates import RateStudyConfig, rate_study, write_mise_report_json
-from .sampling import (read_sample_csv, sample_stationary, write_columns_csv, write_json,
-                       write_sample_csv)
+from .sampling import (Sample, read_sample_csv, sample_stationary, write_columns_csv,
+                       write_json, write_sample_csv)
 
 __all__ = ["main"]
 
@@ -136,14 +135,22 @@ def _x_grid_from_args(args, file_config: dict, x_points: int = 301) -> np.ndarra
     )
 
 
-def _write_curve_with_theory(curve, model, path: Path) -> Path:
-    """Laplace-curve CSV with theoretical columns alongside the estimates."""
+def _figure_curve(model, n: int, seed: int, u0: float, v_max: float, m: int,
+                  path: Path, outputs: list) -> Sample:
+    """Write a reference figure's Laplace curve on symmetric_grid(v_max, m),
+    with the theoretical columns alongside, from n draws; return them sorted."""
+    sample = sample_stationary(model, n, seed=seed, stream=_FIG_STREAM)
+    # the estimators read only the multiset of values: sorted in place, the
+    # sample needs no sorted copy in laplace_curve
+    sample.values.sort()
+    curve = laplace_curve(sample, u0, symmetric_grid(v_max, m))
     phi = laplace_exponent(model, curve.u0 + 1j * curve.v)
-    return write_columns_csv(path, {
+    outputs.append(write_columns_csv(path, {
         "v": curve.v, "re_Y": curve.y.real, "im_Y": curve.y.imag,
         "re_phi": phi.real, "im_phi": phi.imag,
         "denom_abs": curve.denom_abs, "ill_flag": curve.ill,
-    })
+    }))
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +202,8 @@ def _cmd_experiment1(args, file_config: dict, out_dir: Path, outputs: list) -> d
     replicates = _merge(args.reps, {}, "replicates", RateStudyConfig.replicates, int)
     model = _EXAMPLE1_MODEL
 
-    sample = sample_stationary(model, n_fig, seed=seed, stream=_FIG_STREAM)
-    # the estimators read only the multiset of values: sorted in place, the
-    # sample needs no sorted copy in laplace_curve
-    sample.values.sort()
-    v_grid = symmetric_grid(_EXAMPLE1_V, 600)
-    curve = laplace_curve(sample, _EXAMPLE1_U0, v_grid)
-    outputs.append(_write_curve_with_theory(curve, model, out_dir / "fig1_laplace.csv"))
+    _figure_curve(model, n_fig, seed, _EXAMPLE1_U0, _EXAMPLE1_V, 600,
+                  out_dir / "fig1_laplace.csv", outputs)
 
     beta = model.jump_mass / model.mu
     study = RateStudyConfig(n_ladder=_LADDER, replicates=replicates, beta=beta)
@@ -224,13 +226,8 @@ def _cmd_experiment2(args, file_config: dict, out_dir: Path, outputs: list) -> d
     vn = _merge(args.vn, {}, "vn", _EXAMPLE2_VN)
     model = _EXAMPLE2_MODEL
 
-    sample = sample_stationary(model, n, seed=seed, stream=_FIG_STREAM)
-    # the estimators read only the multiset of values: sorted in place, the
-    # sample needs no sorted copy in laplace_curve
-    sample.values.sort()
-    v_grid = symmetric_grid(_EXAMPLE2_V, 500)
-    curve = laplace_curve(sample, _EXAMPLE2_U0, v_grid)
-    outputs.append(_write_curve_with_theory(curve, model, out_dir / "fig3_laplace.csv"))
+    sample = _figure_curve(model, n, seed, _EXAMPLE2_U0, _EXAMPLE2_V, 500,
+                           out_dir / "fig3_laplace.csv", outputs)
 
     config = EstimationConfig(u0=_EXAMPLE2_U0, vn=vn, eps=_EXAMPLE2_EPS)
     x_grid = default_x_grid(0.0, 3.0, 301)
@@ -372,7 +369,7 @@ _COMMANDS = {
 }
 
 # Exit code by error kind; the first kind that matches wins.
-_EXIT_CODES = (((DegenerateWeights, TruncationError, PoleError, AccuracyError), 3),
+_EXIT_CODES = (((TruncationError, PoleError, AccuracyError), 3),
                (GouestError, 2), (OSError, 4))
 
 

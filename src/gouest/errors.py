@@ -21,9 +21,5 @@ class DomainError(GouestError):
     """Argument outside the mathematical domain of the operation."""
 
 
-class DegenerateWeights(GouestError):
-    """All weights vanish on the fitting grid; the weighted fit is undefined."""
-
-
 class GridMismatch(GouestError):
     """Fourier input grid is inconsistent with the configured inversion grid."""

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateWeights, DomainError, GridMismatch
+from .errors import DomainError, GridMismatch
 from .kernels import WEIGHT_VARIANTS, flat_top, weight
 from .mellin import LaplaceCurve, laplace_curve, symmetric_grid
 from .sampling import Sample, write_columns_csv, write_json
@@ -108,8 +108,9 @@ class LevyDensityEstimate:
     e^{-u0 x} nu_hat used by the integrated-error theory; ``imag_residual``
     the imaginary part of the inversion on the same scale as ``nu_hat``,
     recorded and never dropped: the inversion grid has exact mirror pairs
-    and the transform estimate is conjugate-symmetric on it, so the residual
-    is rounding-level and a larger one flags a broken symmetry.
+    and the pipeline's transform estimate is exactly conjugate-symmetric on
+    it, so the mirrored sum cancels the imaginary parts term by term and the
+    residual is exactly 0; a nonzero one flags a broken symmetry.
     :func:`run_algorithm2` also keeps the fitted
     ``triplet`` and the symmetric-band ``curve`` it inverted.
     """
@@ -165,10 +166,7 @@ def estimate_mu(curve: LaplaceCurve, config: EstimationConfig) -> float:
     """
     alphas = _check_fit_grid(curve, config)
     w = weight(config.weight, alphas, config.eps)
-    denom = config.vn * np.sum(w * alphas**2)
-    if denom == 0.0 or not np.isfinite(denom):
-        raise DegenerateWeights("weighted sum of alpha^2 vanished; all weights zero on the grid?")
-    return float(np.sum(w * alphas * curve.y.imag) / denom)
+    return float(np.sum(w * alphas * curve.y.imag) / (config.vn * np.sum(w * alphas**2)))
 
 
 def estimate_lambda(curve: LaplaceCurve, mu_hat: float, config: EstimationConfig) -> float:
@@ -178,10 +176,7 @@ def estimate_lambda(curve: LaplaceCurve, mu_hat: float, config: EstimationConfig
     """
     alphas = _check_fit_grid(curve, config)
     w = weight(config.weight, alphas, config.eps)
-    denom = np.sum(w)
-    if denom == 0.0 or not np.isfinite(denom):
-        raise DegenerateWeights("weight sum vanished; all weights zero on the grid?")
-    return float(np.sum(w * curve.y.real) / denom - mu_hat * config.u0)
+    return float(np.sum(w * curve.y.real) / np.sum(w) - mu_hat * config.u0)
 
 
 def _check_symmetric(curve: LaplaceCurve) -> None:
@@ -235,9 +230,11 @@ def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEs
     coefficients on the nonnegative half and b those of their mirrors (0 at
     v = 0), the sum is C (a + b) - i S (a - b), with C and S the cosines and
     sines of the nonnegative half only: two real einsums and half the
-    multiply-adds of the complex product over the whole grid. einsum, not a
-    BLAS product, so the result does not depend on the BLAS build or its
-    threads. The cosines and sines are memoized for the last (x-grid,
+    multiply-adds of the complex product over the whole grid. A
+    conjugate-symmetric fhat, as the pipeline's is, gives b = conj(a) and a
+    real a at v = 0, so a + b is real, a - b imaginary and the imaginary part
+    exactly 0. einsum, not a BLAS product, so the result does not depend on
+    the BLAS build or its threads. The cosines and sines are memoized for the last (x-grid,
     half-grid) pair, keyed by their bytes, so the replicates of a rate study
     at one sample size, which share vn, m_inv and the x-grid, compute them
     once.

@@ -17,7 +17,7 @@ and the module functions wrap the methods.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import ClassVar, Union
 
 import numpy as np
@@ -110,6 +110,14 @@ class SeriesTruncationPolicy:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
 
 
+def _require_finite(model) -> None:
+    """DomainError naming the first parameter of ``model`` that is inf or NaN."""
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if not np.isfinite(value):
+            raise DomainError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CPExp:
     """Subordinator with drift ``mu`` and exponential jump density a*b*exp(-b*x).
@@ -127,6 +135,7 @@ class CPExp:
     b: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not (self.mu >= 0.0):
             raise DomainError(f"CPExp requires mu >= 0, got {self.mu}")
         if not (self.a > 0.0 and self.b > 0.0):
@@ -177,6 +186,7 @@ class TruncNormCP:
     alpha: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not (self.lam > 0.0):
             raise DomainError(f"TruncNormCP requires lam > 0, got {self.lam}")
         if not (0.0 < self.q < 1.0):

@@ -9,7 +9,7 @@ rate alpha).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -173,12 +173,14 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
             x = np.asarray(x, dtype=float)
             return np.exp(-config_template.u0 * x) * levy_density(model, x)
 
-    med_mu, med_lam, med_mise_list = [], [], []
+    # per n, one list of per-replicate errors under each report name; the
+    # MISE list stays empty without a grid
     quartiles = {"sq_err_mu": [], "sq_err_lambda": [], "mise": []}
+    medians = {name: [] for name in quartiles}
     failures, rows = [], []
     for i_n, n in enumerate(study.n_ladder):
         config = replace(config_template, vn=study.bandwidth(n))
-        sq_mu, sq_lam, mise_vals = [], [], []
+        errors = {name: [] for name in quartiles}
         for r in range(study.replicates):
             stream = i_n * study.replicates + r
             try:
@@ -189,34 +191,31 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
                 if with_mise:
                     estimate = run_algorithm2(sample, config, x_grid)
                     triplet = estimate.triplet
-                    mise_vals.append(mise(estimate, truth, x_range))
+                    errors["mise"].append(mise(estimate, truth, x_range))
                 else:
                     triplet = run_algorithm1(sample, config)
             except GouestError as exc:
                 failures.append({"n": n, "replicate": r,
                                  "error": type(exc).__name__, "message": str(exc)})
                 continue
-            sq_mu.append((triplet.mu_hat - mu_true) ** 2)
-            sq_lam.append((triplet.lambda_hat - lambda_true) ** 2)
+            errors["sq_err_mu"].append((triplet.mu_hat - mu_true) ** 2)
+            errors["sq_err_lambda"].append((triplet.lambda_hat - lambda_true) ** 2)
             rows.append((n, r, config.vn, triplet.mu_hat, triplet.lambda_hat,
                          triplet.ill_count))
-        if not sq_mu:
+        if not errors["sq_err_mu"]:
             raise DomainError(f"all {study.replicates} replicates failed at n={n}")
-        med_mu.append(float(np.median(sq_mu)))
-        med_lam.append(float(np.median(sq_lam)))
-        quartiles["sq_err_mu"].append([float(q) for q in np.percentile(sq_mu, [25, 75])])
-        quartiles["sq_err_lambda"].append([float(q) for q in np.percentile(sq_lam, [25, 75])])
-        if with_mise:
-            med_mise_list.append(float(np.median(mise_vals)))
-            quartiles["mise"].append([float(q) for q in np.percentile(mise_vals, [25, 75])])
+        for name, values in errors.items():
+            if values:
+                medians[name].append(float(np.median(values)))
+                quartiles[name].append([float(q) for q in np.percentile(values, [25, 75])])
 
     return MiseReport(
         n=list(study.n_ladder),
-        median_sq_err_mu=med_mu,
-        median_sq_err_lambda=med_lam,
-        median_mise=med_mise_list,
-        slope_mu=_log_log_slope(study.n_ladder, med_mu),
-        slope_mise=_log_log_slope(study.n_ladder, med_mise_list) if with_mise else float("nan"),
+        median_sq_err_mu=medians["sq_err_mu"],
+        median_sq_err_lambda=medians["sq_err_lambda"],
+        median_mise=medians["mise"],
+        slope_mu=_log_log_slope(study.n_ladder, medians["sq_err_mu"]),
+        slope_mise=_log_log_slope(study.n_ladder, medians["mise"]) if with_mise else float("nan"),
         quartiles=quartiles,
         failures=failures,
         meta=meta,
@@ -229,18 +228,11 @@ def _json_safe(value: float):
 
 
 def write_mise_report_json(report: MiseReport, path: str | Path) -> Path:
-    """Serialize the study summary: the per-n medians and slopes, the
-    interquartile ranges behind them (``quartiles``), the failed replicates
-    (``failures``) and the study's settings (``meta``)."""
-    payload = {
-        "n": report.n,
-        "median_sq_err_mu": report.median_sq_err_mu,
-        "median_sq_err_lambda": report.median_sq_err_lambda,
-        "median_mise": report.median_mise,
-        "slope_mu": _json_safe(report.slope_mu),
-        "slope_mise": _json_safe(report.slope_mise),
-        "quartiles": report.quartiles,
-        "failures": report.failures,
-        "meta": report.meta,
-    }
+    """Serialize the report's fields but ``rows``: the per-n medians and
+    slopes (a NaN slope as null), the interquartile ranges behind them
+    (``quartiles``), the failed replicates (``failures``) and the study's
+    settings (``meta``)."""
+    payload = asdict(report)
+    del payload["rows"]
+    payload.update(slope_mu=_json_safe(report.slope_mu), slope_mise=_json_safe(report.slope_mise))
     return write_json(path, payload)

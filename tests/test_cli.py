@@ -506,12 +506,22 @@ def _reject_json_constant(name):
     ("rate-study", "--alpha-decay nan", "alpha"),
     ("rate-study", "--u0 inf", "u0"),
     ("rate-study", "--floor inf", "floor"),
+    ("rate-study", "--mu inf", "mu"),
+    ("rate-study", "--model trunc_norm_cp --alpha inf", "alpha"),
+    ("simulate", "--model cp_exp --mu inf", "mu"),
+    ("simulate", "--model cp_exp --a inf", "a"),
+    ("simulate", "--model cp_exp --b inf", "b"),
+    ("simulate", "--model trunc_norm_cp --alpha inf", "alpha"),
+    ("simulate", "--model trunc_norm_cp --lam inf", "lam"),
+    ("simulate", "--model trunc_norm_cp --q nan", "q"),
 ])
 def test_non_finite_input_exits_2_naming_it(tmp_path, command, flags, field):
     """A non-finite setting is a DomainError that names it, and no JSON
     output holds Infinity or NaN."""
     if command == "estimate":
         argv = ["estimate", str(_run_simulate(tmp_path / "sim", n=50))]
+    elif command == "simulate":
+        argv = ["simulate", "-n", "50"]
     else:
         argv = ["rate-study", "--n-ladder", "200,400", "--reps", "2"]
     out = tmp_path / "out"

@@ -13,6 +13,7 @@ Oracles:
 """
 
 import cmath
+import dataclasses
 import math
 
 import mpmath
@@ -342,6 +343,16 @@ class TestModelConfig:
     def test_unknown_model_rejected(self):
         with pytest.raises(DomainError):
             model_from_config({"model": "mystery"})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_non_finite_parameter_is_rejected_by_name(self, kind, value):
+        # an infinite drift or truncation point used to reach the sampler
+        # (a Beta shape of 0, a series of zeros) or the manifest as Infinity
+        model = EXAMPLE_MODELS[kind]
+        for f in dataclasses.fields(model):
+            with pytest.raises(DomainError, match=f"^{f.name} must be finite, got {value}"):
+                dataclasses.replace(model, **{f.name: value})
 
     @pytest.mark.parametrize("value", ["fast", None, [1.0]])
     def test_non_numeric_parameter_names_its_key(self, value):

@@ -16,6 +16,7 @@ from gouest import (
     DomainError,
     EstimationConfig,
     LevyDensityEstimate,
+    PoleError,
     RateStudyConfig,
     TripletEstimate,
     choose_vn_exponential,
@@ -250,6 +251,78 @@ class TestRateStudy:
             self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0
         )
         assert all(m is None or np.isnan(m) for m in report.median_mise) or report.median_mise == []
+
+
+class TestReplicateFailures:
+    """A replicate whose fit or score raises is recorded in ``failures`` and
+    left out of ``rows`` and of every median and quartile; the others still
+    give them."""
+
+    STUDY = RateStudyConfig(n_ladder=(200, 400), replicates=4, beta=0.7 / 1.8)
+    X_GRID = np.linspace(0.0, 3.0, 21)
+
+    def _study(self, monkeypatch, fail_fit=(), fail_mise=(), x_grid=X_GRID):
+        """rate_study with PoleError raised by the fit of the (n, replicate)
+        pairs in fail_fit and by the MISE of those in fail_mise; returns the
+        report and each scored replicate's MISE."""
+        current, scores = {}, {}
+
+        def drawing(model, n, seed, stream):
+            current["key"] = (n, stream % self.STUDY.replicates)
+            return sample_stationary(model, n, seed=seed, stream=stream)
+
+        def failing(fit):
+            def wrapped(*args, **kwargs):
+                if current["key"] in fail_fit:
+                    raise PoleError("denominator vanished")
+                return fit(*args, **kwargs)
+            return wrapped
+
+        def scoring(*args, **kwargs):
+            if current["key"] in fail_mise:
+                raise PoleError("truth has a pole")
+            scores[current["key"]] = mise(*args, **kwargs)
+            return scores[current["key"]]
+
+        monkeypatch.setattr(gouest.rates, "sample_stationary", drawing)
+        monkeypatch.setattr(gouest.rates, "run_algorithm1", failing(gouest.estimators.run_algorithm1))
+        monkeypatch.setattr(gouest.rates, "run_algorithm2", failing(run_algorithm2))
+        monkeypatch.setattr(gouest.rates, "mise", scoring)
+        report = rate_study(self.STUDY, BETA_MODEL, TestRateStudy.TEMPLATE, seed=0,
+                            x_grid=x_grid)
+        return report, scores
+
+    @staticmethod
+    def _summary(values):
+        return float(np.median(values)), [float(q) for q in np.percentile(values, [25, 75])]
+
+    @pytest.mark.parametrize("x_grid", [X_GRID, None], ids=["mise", "fit"])
+    def test_failed_replicates_are_recorded_and_left_out(self, monkeypatch, x_grid):
+        clean, _ = self._study(monkeypatch, x_grid=x_grid)
+        failed_fit = {(200, 1), (400, 0), (400, 3)}
+        failed_mise = {(200, 2)} if x_grid is not None else set()
+        report, scores = self._study(monkeypatch, failed_fit, failed_mise, x_grid=x_grid)
+
+        assert sorted((f["n"], f["replicate"], f["error"]) for f in report.failures) == sorted(
+            (n, r, "PoleError") for n, r in failed_fit | failed_mise)
+        assert report.rows == [row for row in clean.rows
+                               if row[:2] not in failed_fit | failed_mise]
+        for i, n in enumerate(self.STUDY.n_ladder):
+            rows = [row for row in report.rows if row[0] == n]
+            assert len(rows) >= 2
+            for name, key, truth in (("mu", 3, 1.8), ("lambda", 4, 0.7)):
+                median, quartiles = self._summary([(row[key] - truth) ** 2 for row in rows])
+                assert getattr(report, f"median_sq_err_{name}")[i] == median
+                assert report.quartiles[f"sq_err_{name}"][i] == quartiles
+            if x_grid is not None:
+                median, quartiles = self._summary([scores[row[:2]] for row in rows])
+                assert report.median_mise[i] == median
+                assert report.quartiles["mise"][i] == quartiles
+
+    def test_every_replicate_failing_at_one_n_is_fatal(self, monkeypatch):
+        every = {(400, r) for r in range(self.STUDY.replicates)}
+        with pytest.raises(DomainError, match="all 4 replicates failed at n=400"):
+            self._study(monkeypatch, fail_fit=every - {(400, 1)}, fail_mise={(400, 1)})
 
 
 @st.composite
