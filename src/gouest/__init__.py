@@ -19,8 +19,7 @@ from .kernels import FLAT_TOP_PLATEAU, flat_top, verify_kernel_condition, weight
 from .sampling import (Sample, make_generator, read_sample_csv, sample_stationary,
                        write_columns_csv, write_json, write_sample_csv)
 from .mellin import (LaplaceCurve, default_floor, laplace_curve, laplace_curve_from_mellin,
-                     mellin_theoretical_beta, mellin_theoretical_gamma, symmetric_grid,
-                     write_laplace_curve_csv)
+                     symmetric_grid, write_laplace_curve_csv)
 from .estimators import (EstimationConfig, LevyDensityEstimate, TripletEstimate,
                          default_x_grid, estimate_fourier_nu_bar, estimate_lambda,
                          estimate_mu, fit_alphas, invert_levy_density,
@@ -45,8 +44,7 @@ __all__ = [
     "write_columns_csv", "write_json", "write_sample_csv", "read_sample_csv",
     # mellin
     "LaplaceCurve", "default_floor", "laplace_curve", "laplace_curve_from_mellin",
-    "mellin_theoretical_beta", "mellin_theoretical_gamma", "symmetric_grid",
-    "write_laplace_curve_csv",
+    "symmetric_grid", "write_laplace_curve_csv",
     # estimators
     "EstimationConfig", "TripletEstimate", "LevyDensityEstimate", "fit_alphas",
     "inversion_alphas", "estimate_mu", "estimate_lambda", "estimate_fourier_nu_bar",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -98,8 +98,8 @@ def _ladder(raw) -> tuple:
 def _model_from_args(args, file_config: dict, default_kind: str | None = None):
     """Flags beat the file's model section, which beats the parameters of the
     reference model of the same kind; model_from_config builds the result."""
-    flags = {"model": args.model, "mu": args.mu, "a": args.a, "b": args.b,
-             "lambda": args.lam, "q": args.q, "alpha": args.alpha}
+    keys = ["model", *(key for cls in MODELS.values() for key in cls.keys)]
+    flags = {key: getattr(args, key) for key in keys}
     config = {**_section(file_config, "model"),
               **{k: v for k, v in flags.items() if v is not None}}
     kind = config.setdefault("model", default_kind)
@@ -287,13 +287,15 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = True, config: bool
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    """--model, and one --<field> per field name of the MODELS classes."""
     parser.add_argument("--model", choices=list(MODELS), default=None)
-    parser.add_argument("--mu", type=float, default=None, help="drift (cp_exp)")
-    parser.add_argument("--a", type=float, default=None, help="jump intensity (cp_exp)")
-    parser.add_argument("--b", type=float, default=None, help="jump-size rate (cp_exp)")
-    parser.add_argument("--lam", type=float, default=None, help="intensity (trunc_norm_cp)")
-    parser.add_argument("--q", type=float, default=None, help="scale parameter in (0,1)")
-    parser.add_argument("--alpha", type=float, default=None, help="truncation point")
+    flags: dict = {}  # field name -> its config key (the dest), help text and kinds
+    for cls in MODELS.values():
+        for f, key in zip(fields(cls), cls.keys):
+            flags.setdefault(f.name, (key, f.metadata["help"], []))[2].append(cls.kind)
+    for name, (key, text, kinds) in flags.items():
+        parser.add_argument(f"--{name}", type=float, default=None, dest=key,
+                            help=f"{text} ({', '.join(kinds)})")
 
 
 def _add_estimation_flags(parser: argparse.ArgumentParser,

@@ -237,7 +237,8 @@ def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEs
     the BLAS build or its threads. The cosines and sines are memoized for the last (x-grid,
     half-grid) pair, keyed by their bytes, so the replicates of a rate study
     at one sample size, which share vn, m_inv and the x-grid, compute them
-    once.
+    once. Raises DomainError when the un-tilting e^{u0 x} or the sum
+    overflows float64, which shows as a non-finite result.
     """
     fhat = np.asarray(fhat, dtype=complex)
     alphas = inversion_alphas(config)
@@ -259,11 +260,17 @@ def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEs
     total = (np.einsum("xm,m->x", cos_sin, np.concatenate([p.real, q.imag]))
              + 1j * np.einsum("xm,m->x", cos_sin, np.concatenate([p.imag, -q.real])))
     prefactor = config.vn / (np.pi * config.m_inv)
-    nu_complex = np.exp(config.u0 * x) * (prefactor * total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu_complex = np.exp(config.u0 * x) * (prefactor * total)
+        nu_bar_hat = np.exp(-config.u0 * x) * nu_complex.real
+    if not (np.all(np.isfinite(nu_complex)) and np.all(np.isfinite(nu_bar_hat))):
+        raise DomainError(
+            f"density inversion overflows float64 at u0={config.u0:g}, vn={config.vn:g} "
+            f"(largest |x| = {np.max(np.abs(x)):.6g})")
     return LevyDensityEstimate(
         x=x,
         nu_hat=nu_complex.real,
-        nu_bar_hat=np.exp(-config.u0 * x) * nu_complex.real,
+        nu_bar_hat=nu_bar_hat,
         imag_residual=nu_complex.imag,
         config=config,
     )

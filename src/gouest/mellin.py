@@ -1,11 +1,11 @@
-"""Empirical and theoretical Mellin transforms and the ratio estimator for
-the Laplace exponent.
+"""Empirical Mellin transforms and the ratio estimator for the Laplace exponent.
 
 The stationary observations satisfy a one-step moment recursion linking the
 Mellin transform M(z) = E[X^{z-1}] to the driving Laplace exponent:
 phi(z) = z * M(z) / M(z+1). Replacing M by the empirical moment
 M_n(z) = (1/n) sum X_k^{z-1} gives the estimator Y_n(z), the shared first
-stage of both estimation pipelines.
+stage of both estimation pipelines. A model's exact M (``CPExp.mellin``)
+gives the zero-noise curve of :func:`laplace_curve_from_mellin`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .models import _conjugate_symmetric
 from .sampling import write_columns_csv
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "default_floor",
     "laplace_curve",
     "laplace_curve_from_mellin",
-    "mellin_theoretical_beta",
-    "mellin_theoretical_gamma",
     "symmetric_grid",
     "write_laplace_curve_csv",
 ]
@@ -219,7 +216,7 @@ def laplace_curve_from_mellin(mellin_fn, u0: float, v_grid, n: int = 0) -> Lapla
     """Plug-in curve with the empirical moment replaced by an exact Mellin
     transform; by the moment recursion the result is the exact Laplace
     exponent. Used for zero-noise oracle checks. mellin_fn takes the whole
-    z-array at once, as the mellin_theoretical_* functions do."""
+    z-array at once, as ``CPExp.mellin`` does."""
     v = np.asarray(v_grid, dtype=float)
     z = u0 + 1j * v
     m1 = np.asarray(mellin_fn(z), dtype=complex)
@@ -229,47 +226,6 @@ def laplace_curve_from_mellin(mellin_fn, u0: float, v_grid, n: int = 0) -> Lapla
     return LaplaceCurve(u0=float(u0), v=v, y=z * m1 / m2, denom_abs=np.abs(m2),
                         ill=np.zeros(v.size, dtype=bool), n=int(n),
                         meta={"plugin": True})
-
-
-def _closed_form(z, b: float, log_m):
-    """exp(log_m(w)) for Re(z) > -b, exactly conjugate-symmetric through
-    the same half-plane reflection as laplace_exponent. A scalar z gives a
-    complex, an array an array."""
-    w = np.asarray(z, dtype=complex)
-    if np.any(w.real <= -b):
-        raise DomainError(f"need Re(z) > {-b}, got {w[w.real <= -b].flat[0]}")
-    return _conjugate_symmetric(lambda u: np.exp(log_m(u)), w)
-
-
-def mellin_theoretical_beta(z, a: float, b: float, mu: float):
-    """Exact Mellin transform E[X^{z-1}] of the scaled-Beta stationary law
-    (positive drift mu, exponential jump model with intensity a, rate b).
-
-    Arranged as exp of log-gamma differences that vanish identically at
-    z = 1, so M(1) = 1 exactly. Requires Re(z) > -b.
-    """
-    from scipy import special
-
-    if not (a > 0.0 and b > 0.0 and mu > 0.0):
-        raise DomainError(f"need a, b, mu > 0, got a={a}, b={b}, mu={mu}")
-    beta = a / mu
-    lg = special.loggamma
-    return _closed_form(z, b, lambda w: (
-        (1.0 - w) * np.log(mu) + lg(b + w) - lg(complex(b + 1.0))
-        + lg(complex(b + 1.0 + beta)) - lg(b + w + beta)))
-
-
-def mellin_theoretical_gamma(z, a: float, b: float):
-    """Exact Mellin transform of the Gamma stationary law (zero drift,
-    exponential jump model): Gamma(b+1, rate a) moments. M(1) = 1 exactly.
-    Requires Re(z) > -b."""
-    from scipy import special
-
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"need a, b > 0, got a={a}, b={b}")
-    lg = special.loggamma
-    return _closed_form(z, b, lambda w: (
-        lg(b + w) - lg(complex(b + 1.0)) - (w - 1.0) * np.log(a)))
 
 
 def write_laplace_curve_csv(curve: LaplaceCurve, path: str | Path) -> Path:

@@ -7,17 +7,18 @@ Two finite-activity subordinators are supported:
 * ``TruncNormCP`` -- compound Poisson with intensity ``lam`` whose jumps are
   ``-log(q)`` times a standard normal truncated to ``(alpha, inf)``.
 
-Each model class holds its config ``kind`` and ``keys`` (one per field),
-``drift``, ``jump_mass`` and three array methods: ``phi``, the Laplace
-exponent -log E[exp(-z*xi_1)] on the closed upper half-plane; ``nu``, the
-Levy density; ``stationary(n, rng, policy)``, n draws of A = int_0^inf
-e^{-xi_t} dt and the law's metadata. ``MODELS`` maps each kind to its class,
-and the module functions wrap the methods.
+Each model class holds its config ``kind`` and ``keys`` (one per field; a
+field's metadata holds its CLI ``help``), ``drift``, ``jump_mass`` and three
+array methods: ``phi``, the Laplace exponent -log E[exp(-z*xi_1)] on the
+closed upper half-plane; ``nu``, the Levy density; ``stationary(n, rng,
+policy)``, n draws of A = int_0^inf e^{-xi_t} dt and the law's metadata.
+``CPExp.mellin`` is its stationary law's Mellin transform. ``MODELS`` maps
+each kind to its class, and the module functions wrap the methods.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 from typing import ClassVar, Union
 
 import numpy as np
@@ -124,15 +125,16 @@ class CPExp:
 
     Total jump mass (intensity) equals ``a``; ``b`` is the jump-size rate.
     Its stationary law is closed form: A ~ Gamma(shape b+1, rate a) for
-    zero drift, A ~ Beta(b+1, a/mu) / mu, in (0, 1/mu], otherwise.
+    zero drift, A ~ Beta(b+1, a/mu) / mu, in (0, 1/mu], otherwise; the
+    Beta shape a/mu must be finite.
     """
 
     kind: ClassVar[str] = "cp_exp"
     keys: ClassVar[tuple] = ("mu", "a", "b")
 
-    mu: float
-    a: float
-    b: float
+    mu: float = field(metadata={"help": "drift"})
+    a: float = field(metadata={"help": "jump intensity"})
+    b: float = field(metadata={"help": "jump-size rate"})
 
     def __post_init__(self) -> None:
         _require_finite(self)
@@ -140,6 +142,8 @@ class CPExp:
             raise DomainError(f"CPExp requires mu >= 0, got {self.mu}")
         if not (self.a > 0.0 and self.b > 0.0):
             raise DomainError(f"CPExp requires a, b > 0, got a={self.a}, b={self.b}")
+        if self.mu > 0.0 and np.isinf(float(self.a) / float(self.mu)):
+            raise DomainError(f"a/mu must be finite, got a={self.a} / mu={self.mu} = inf")
 
     @property
     def jump_mass(self) -> float:
@@ -168,6 +172,24 @@ class CPExp:
         raw /= self.mu
         return raw, {"law": "beta"}
 
+    def mellin(self, z):
+        """Exact Mellin transform E[A^{z-1}] of the stationary law for
+        Re(z) > -b: exp of log-gamma differences that vanish at z = 1, so
+        M(1) = 1 exactly; conjugate-symmetric as laplace_exponent is."""
+        from scipy import special
+
+        w = np.asarray(z, dtype=complex)
+        if np.any(w.real <= -self.b):
+            raise DomainError(f"need Re(z) > {-self.b}, got {w[w.real <= -self.b].flat[0]}")
+        lg, a, b, mu = special.loggamma, self.a, self.b, self.mu
+
+        def m(u):
+            if mu == 0.0:  # Gamma(b+1, rate a)
+                return np.exp(lg(b + u) - lg(complex(b + 1.0)) - (u - 1.0) * np.log(a))
+            return np.exp((1.0 - u) * np.log(mu) + lg(b + u) - lg(complex(b + 1.0))
+                          + lg(complex(b + 1.0 + a / mu)) - lg(b + u + a / mu))
+        return _conjugate_symmetric(m, w)
+
 
 @dataclass(frozen=True)
 class TruncNormCP:
@@ -181,9 +203,9 @@ class TruncNormCP:
     keys: ClassVar[tuple] = ("lambda", "q", "alpha")
     drift: ClassVar[float] = 0.0
 
-    lam: float
-    q: float
-    alpha: float
+    lam: float = field(metadata={"help": "intensity"})
+    q: float = field(metadata={"help": "scale parameter in (0,1)"})
+    alpha: float = field(metadata={"help": "truncation point"})
 
     def __post_init__(self) -> None:
         _require_finite(self)

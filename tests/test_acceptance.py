@@ -35,8 +35,6 @@ from gouest import (
     laplace_curve_from_mellin,
     laplace_exponent,
     levy_density,
-    mellin_theoretical_beta,
-    mellin_theoretical_gamma,
     rate_study,
     run_algorithm2,
     sample_stationary,
@@ -63,10 +61,8 @@ def test_01_mellin_recursion_oracle():
     for u0 in (1.0, 5.0, 29.0):
         v = np.linspace(-30.0, 30.0, 50)
         z = u0 + 1j * v
-        for mellin, model in [
-            (lambda w: mellin_theoretical_beta(w, 0.7, 0.2, 1.8), EXAMPLE1),
-            (lambda w: mellin_theoretical_gamma(w, 0.7, 0.2), CPExp(mu=0.0, a=0.7, b=0.2)),
-        ]:
+        gamma_case = CPExp(mu=0.0, a=0.7, b=0.2)
+        for mellin, model in [(EXAMPLE1.mellin, EXAMPLE1), (gamma_case.mellin, gamma_case)]:
             for zj in z:
                 got = zj * mellin(zj) / mellin(zj + 1.0)
                 err = abs(got - laplace_exponent(model, zj))

@@ -1,16 +1,19 @@
 """End-to-end tests of the command-line interface (run in process)."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 import pytest
 
 import gouest
+import gouest.models
 from gouest import MODELS, EstimationConfig, RateStudyConfig, __version__
 from gouest.cli import build_parser, main
 
@@ -233,6 +236,19 @@ class TestEstimate:
         assert rc == 2
         err = capsys.readouterr().err
         assert "overflows" in err and "u0=29" in err and "max x = 1e+12" in err
+        assert _manifest(out)["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize("flags", ["--u0 29 --vn 30 --x-max 30", "--vn 1e200"],
+                             ids=["untilt", "bandwidth"])
+    def test_overflowing_inversion_exits_2(self, tmp_path, capsys, flags):
+        # e^{u0 x} at x = 30, or the sum at vn = 1e200, overflows float64:
+        # no levy_density.csv of inf and nan
+        sample = _run_simulate(tmp_path / "sim", n=500)
+        out = tmp_path / "est"
+        assert main(["estimate", str(sample), *flags.split(), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "density inversion overflows float64" in err and "vn=" in err
+        assert not (out / "levy_density.csv").exists()
         assert _manifest(out)["error"]["type"] == "DomainError"
 
     @pytest.mark.parametrize("sidecar", ["{not json", "[1]", '{"delta": "soon"}'],
@@ -514,6 +530,7 @@ def _reject_json_constant(name):
     ("simulate", "--model trunc_norm_cp --alpha inf", "alpha"),
     ("simulate", "--model trunc_norm_cp --lam inf", "lam"),
     ("simulate", "--model trunc_norm_cp --q nan", "q"),
+    ("simulate", "--model cp_exp --mu 1e-320", "a/mu"),
 ])
 def test_non_finite_input_exits_2_naming_it(tmp_path, command, flags, field):
     """A non-finite setting is a DomainError that names it, and no JSON
@@ -531,6 +548,54 @@ def test_non_finite_input_exits_2_naming_it(tmp_path, command, flags, field):
     assert man["error"]["message"].startswith(f"{field} must be")
     for path in out.glob("*.json"):
         json.loads(path.read_text(), parse_constant=_reject_json_constant)
+
+
+@dataclasses.dataclass(frozen=True)
+class Toy:
+    """A model kind that shares ``mu`` with cp_exp and adds ``scale``."""
+
+    kind: ClassVar[str] = "toy"
+    keys: ClassVar[tuple] = ("mu", "scale")
+
+    mu: float = dataclasses.field(metadata={"help": "drift"})
+    scale: float = dataclasses.field(metadata={"help": "draw scale"})
+
+    def stationary(self, n, rng, policy):
+        return self.scale * (1.0 + rng.random(n)) / self.mu, {"law": "toy"}
+
+
+class TestModelTable:
+    """A model is one class and one MODELS entry: the CLI builds its flags."""
+
+    MODEL_FLAGS = ("--mu", "--a", "--b", "--lam", "--q", "--alpha")
+
+    def test_registered_kind_simulates_through_generated_flags(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(gouest.models.MODELS, "toy", Toy)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--model", "toy", "--mu", "2", "--scale", "3", "-n", "5",
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "sample.json").read_text())
+        assert meta["model"] == {"model": "toy", "mu": 2.0, "scale": 3.0}
+
+    @pytest.mark.parametrize("command", ["simulate", "rate-study"])
+    def test_each_model_flag_is_listed_once(self, monkeypatch, capsys, command):
+        monkeypatch.setitem(gouest.models.MODELS, "toy", Toy)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        listed = [line.split()[0] for line in help_text.splitlines() if line.startswith("  --")]
+        for flag in self.MODEL_FLAGS + ("--scale",):
+            assert listed.count(flag) == 1, flag
+        assert "drift (cp_exp, toy)" in help_text
+
+    def test_flag_value_goes_to_the_config_key(self, tmp_path):
+        # --lam sets the key lambda; none of these values is a default
+        out = tmp_path / "tn"
+        assert main(["simulate", "--model", "trunc_norm_cp", "--lam", "1.3", "--q", "0.4",
+                     "--alpha", "0.2", "-n", "20", "--out", str(out)]) == 0
+        meta = json.loads((out / "sample.json").read_text())
+        assert meta["model"] == {"model": "trunc_norm_cp", "lambda": 1.3, "q": 0.4, "alpha": 0.2}
 
 
 class TestParser:
@@ -579,8 +644,8 @@ class TestParser:
 
 
 def test_cp_exp_commands_run_without_scipy_special(tmp_path):
-    # scipy.special loads only for trunc_norm_cp and the theoretical Mellin
-    # transforms, so a fresh interpreter estimates and studies cp_exp without it
+    # scipy.special loads only for trunc_norm_cp and CPExp.mellin, so a fresh
+    # interpreter estimates and studies cp_exp without it
     script = """
 import sys
 from gouest.cli import main

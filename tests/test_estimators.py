@@ -12,6 +12,7 @@ Oracles:
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,19 @@ class TestInversion:
             invert_levy_density(
                 np.zeros(cfg.m_inv + 1, dtype=complex), cfg, np.array([1.0, 0.5])
             )
+
+    @pytest.mark.parametrize("u0, vn, scale, x_max", [(29.0, 30.0, 1.0, 30.0),
+                                                      (1.0, 1e200, 1e200, 3.0)],
+                             ids=["untilt", "bandwidth"])
+    def test_overflow_is_a_domain_error(self, u0, vn, scale, x_max):
+        # e^{u0 x} overflows at u0 x = 870; at vn = 1e200 the transform
+        # estimate is of order mu_hat * v and the sum overflows
+        cfg = EstimationConfig(u0=u0, vn=vn)
+        fhat = np.full(cfg.m_inv + 1, scale, dtype=complex)
+        want = (f"density inversion overflows float64 at u0={u0:g}, vn={vn:g} "
+                f"(largest |x| = {x_max:g})")
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            invert_levy_density(fhat, cfg, default_x_grid(0.0, x_max, 31))
 
     @pytest.mark.parametrize("m_inv", [2, 3, 200, 201])
     def test_mirrored_phases_match_the_full_exponential(self, m_inv):

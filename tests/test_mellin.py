@@ -31,8 +31,6 @@ from gouest import (
     laplace_curve_from_mellin,
     laplace_exponent,
     make_generator,
-    mellin_theoretical_beta,
-    mellin_theoretical_gamma,
     sample_stationary,
     symmetric_grid,
     write_laplace_curve_csv,
@@ -152,25 +150,32 @@ class TestRatioEstimator:
 
     def test_plugin_beta_matches_laplace_exponent(self):
         z = 29.0 + 5.0j
-        num = mellin_theoretical_beta(z, 0.7, 1.8, 1.8)
-        den = mellin_theoretical_beta(z + 1.0, 0.7, 1.8, 1.8)
+        num = BETA_MODEL.mellin(z)
+        den = BETA_MODEL.mellin(z + 1.0)
         want = laplace_exponent(BETA_MODEL, z)
         assert abs(z * num / den - want) <= 1e-8
 
 
 class TestTheoreticalMellin:
     def test_unit_value(self):
-        assert mellin_theoretical_beta(1.0 + 0j, 0.7, 1.8, 1.8) == pytest.approx(1.0)
-        assert mellin_theoretical_gamma(1.0 + 0j, 0.7, 1.8) == pytest.approx(1.0)
+        assert BETA_MODEL.mellin(1.0 + 0j) == pytest.approx(1.0)
+        assert GAMMA_MODEL.mellin(1.0 + 0j) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("model", [BETA_MODEL, GAMMA_MODEL], ids=["beta", "gamma"])
+    def test_scalar_gives_complex_and_arrays_match_it(self, model):
+        z = np.array([1.0, 2.0 - 3.0j, 29.0 + 5.0j, -1.5 + 30.0j])
+        assert type(model.mellin(z[1])) is complex
+        assert model.mellin(z[0]) == 1.0  # the log-gamma differences vanish at z = 1
+        np.testing.assert_array_equal(model.mellin(z), [model.mellin(zj) for zj in z])
 
     def test_first_moments(self):
         # M(2) = E[X] = 1/phi(1) by the recursion at z = 1
         beta_want = 1.0 / laplace_exponent(BETA_MODEL, 1.0 + 0j).real
         gamma_want = 1.0 / laplace_exponent(GAMMA_MODEL, 1.0 + 0j).real
-        assert mellin_theoretical_beta(2.0 + 0j, 0.7, 1.8, 1.8).real == pytest.approx(
+        assert BETA_MODEL.mellin(2.0 + 0j).real == pytest.approx(
             beta_want, rel=1e-13
         )
-        assert mellin_theoretical_gamma(2.0 + 0j, 0.7, 1.8).real == pytest.approx(
+        assert GAMMA_MODEL.mellin(2.0 + 0j).real == pytest.approx(
             gamma_want, rel=1e-13
         )
         assert gamma_want == pytest.approx((1.8 + 1.0) / 0.7, rel=1e-15)
@@ -179,31 +184,26 @@ class TestTheoreticalMellin:
     @given(re=st.floats(-1.5, 30.0), im=st.floats(-30.0, 30.0))
     def test_recursion_identity(self, re, im):
         z = complex(re, im)
-        for fn, model in [
-            (lambda w: mellin_theoretical_beta(w, 0.7, 1.8, 1.8), BETA_MODEL),
-            (lambda w: mellin_theoretical_gamma(w, 0.7, 1.8), GAMMA_MODEL),
-        ]:
+        for fn, model in [(BETA_MODEL.mellin, BETA_MODEL), (GAMMA_MODEL.mellin, GAMMA_MODEL)]:
             got = z * fn(z) / fn(z + 1.0)
             want = laplace_exponent(model, z) if z != 0 else 0j
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_domain_boundary(self):
         with pytest.raises(DomainError):
-            mellin_theoretical_beta(-1.8 + 0j, 0.7, 1.8, 1.8)
+            BETA_MODEL.mellin(-1.8 + 0j)
         with pytest.raises(DomainError):
-            mellin_theoretical_gamma(-2.5 + 0j, 0.7, 1.8)
+            GAMMA_MODEL.mellin(-2.5 + 0j)
 
     def test_conjugate_symmetry(self):
         z = 2.0 - 3.0j
-        assert mellin_theoretical_beta(np.conj(z), 0.7, 1.8, 1.8) == np.conj(
-            mellin_theoretical_beta(z, 0.7, 1.8, 1.8)
-        )
+        assert BETA_MODEL.mellin(np.conj(z)) == np.conj(BETA_MODEL.mellin(z))
 
     def test_gamma_vertical_decay_envelope(self):
         # |Gamma(x+iy)| ~ sqrt(2 pi) |y|^{x-1/2} e^{-pi |y| / 2} for large |y|
         import math
 
-        got = abs(mellin_theoretical_gamma(1.0 + 10.0j, 0.7, 1.8))
+        got = abs(GAMMA_MODEL.mellin(1.0 + 10.0j))
         env = (
             math.sqrt(2 * math.pi)
             * 10.0 ** (1.8 + 0.5)
@@ -241,9 +241,7 @@ class TestLaplaceCurve:
 
     def test_plugin_curve_equals_laplace_exponent(self):
         v = np.linspace(-5.0, 5.0, 21)
-        curve = laplace_curve_from_mellin(
-            lambda z: mellin_theoretical_beta(z, 0.7, 1.8, 1.8), 1.0, v
-        )
+        curve = laplace_curve_from_mellin(BETA_MODEL.mellin, 1.0, v)
         want = np.array([laplace_exponent(BETA_MODEL, complex(1.0, vj)) for vj in v])
         np.testing.assert_allclose(curve.y, want, rtol=1e-10)
         assert not curve.ill.any()
@@ -253,7 +251,7 @@ class TestLaplaceCurve:
 
         def mellin(z):
             calls.append(np.shape(z))
-            return mellin_theoretical_beta(z, 0.7, 1.8, 1.8)
+            return BETA_MODEL.mellin(z)
 
         laplace_curve_from_mellin(mellin, 1.0, np.linspace(-5.0, 5.0, 21))
         assert calls == [(21,), (21,)]

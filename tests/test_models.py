@@ -118,6 +118,15 @@ class TestCPExp:
             CPExp(a=1.8, b=0.7, mu=-0.1)
         CPExp(a=1.8, b=0.7, mu=0.0)  # zero drift is allowed
 
+    @pytest.mark.parametrize("mu", [1e-320, 5e-324])
+    def test_overflowing_beta_shape_is_rejected(self, mu):
+        # a/mu = inf as the Beta shape made every draw tiny/mu, a constant sample
+        with pytest.raises(DomainError, match=rf"^a/mu must be finite, got a=0\.7 / mu={mu!r}"):
+            CPExp(a=0.7, b=0.2, mu=mu)
+        with pytest.raises(DomainError, match="^a/mu must be finite"):
+            CPExp(a=0.7, b=0.2, mu=np.float64(mu))  # no overflow warning from numpy
+        CPExp(a=0.7, b=0.2, mu=1e-308)  # a/mu = 7e307 is finite
+
     def test_jump_mass(self):
         assert CPExp(a=1.8, b=0.7, mu=0.2).jump_mass == pytest.approx(1.8)
 
@@ -322,6 +331,10 @@ class TestModelConfig:
         mu=st.floats(0.0, 5.0),
     )
     def test_cp_exp_round_trip(self, a, b, mu):
+        if mu > 0.0 and a / mu == math.inf:  # a subnormal drift
+            with pytest.raises(DomainError, match="^a/mu must be finite"):
+                CPExp(a=a, b=b, mu=mu)
+            return
         m = CPExp(a=a, b=b, mu=mu)
         assert model_from_config(model_to_config(m)) == m
 

@@ -21,6 +21,7 @@ from gouest import (
     TripletEstimate,
     choose_vn_exponential,
     choose_vn_polynomial,
+    levy_density,
     mise,
     rate_study,
     run_algorithm2,
@@ -128,10 +129,13 @@ class TestRateStudyConfig:
 
 
 class TestMise:
-    def _estimate_with_offset(self, offset):
-        cfg = EstimationConfig()
-        x = np.linspace(0.0, 1.0, 101)
-        tilted = np.exp(-x) + offset
+    """mise scores the estimate's nu_bar_hat against e^{-u0 x} nu(x) of the
+    model, with u0 from the estimate's config, over the estimate's grid."""
+
+    def _estimate_with_offset(self, offset, x_max=1.0, u0=1.0):
+        cfg = EstimationConfig(u0=u0)
+        x = np.linspace(0.0, x_max, 101)
+        tilted = np.exp(-cfg.u0 * x) * levy_density(BETA_MODEL, x) + offset
         return LevyDensityEstimate(
             x=x,
             nu_hat=tilted * np.exp(cfg.u0 * x),
@@ -142,19 +146,22 @@ class TestMise:
 
     def test_exact_estimate_scores_zero(self):
         est = self._estimate_with_offset(0.0)
-        assert mise(est, lambda x: np.exp(-x), x_range=(0.0, 1.0)) == 0.0
+        assert mise(est, BETA_MODEL) == 0.0
 
     def test_unit_offset_scores_one(self):
         est = self._estimate_with_offset(1.0)
-        assert mise(est, lambda x: np.exp(-x), x_range=(0.0, 1.0)) == pytest.approx(
-            1.0, rel=1e-12
-        )
+        assert mise(est, BETA_MODEL) == pytest.approx(1.0, rel=1e-12)
 
     def test_subinterval(self):
-        est = self._estimate_with_offset(1.0)
-        assert mise(est, lambda x: np.exp(-x), x_range=(0.0, 0.5)) == pytest.approx(
-            0.5, rel=1e-12
-        )
+        # the estimate's grid is the range: [0, 0.5] scores half of [0, 1]
+        est = self._estimate_with_offset(1.0, x_max=0.5)
+        assert mise(est, BETA_MODEL) == pytest.approx(0.5, rel=1e-12)
+
+    def test_u0_comes_from_the_estimate_config(self):
+        est = self._estimate_with_offset(0.0, u0=29.0)
+        assert mise(est, BETA_MODEL) == 0.0
+        est.config = EstimationConfig(u0=1.0)
+        assert mise(est, BETA_MODEL) > 0.0
 
 
 class TestRateStudy:
@@ -251,6 +258,13 @@ class TestRateStudy:
             self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0
         )
         assert all(m is None or np.isnan(m) for m in report.median_mise) or report.median_mise == []
+
+    def test_overflowing_inversion_fails_the_replicates(self):
+        # e^{29 x} overflows on [0, 30]: each replicate fails with a
+        # DomainError, not with inf in the MISE
+        with pytest.raises(DomainError, match="all 3 replicates failed at n=200"):
+            rate_study(self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0,
+                       x_grid=np.linspace(0.0, 30.0, 31))
 
 
 class TestReplicateFailures:
