@@ -15,7 +15,7 @@ from .errors import (AccuracyError, DomainError, GouestError, GridMismatch, Pole
 from .models import (MODELS, CPExp, SeriesTruncationPolicy, SubordinatorModel, TruncNormCP,
                      complex_erf, complex_log_gamma, laplace_exponent, levy_density,
                      model_from_config, model_to_config)
-from .kernels import FLAT_TOP_PLATEAU, flat_top, verify_kernel_condition, weight
+from .kernels import FLAT_TOP_PLATEAU, flat_top, verify_kernel_condition
 from .sampling import (Sample, make_generator, read_sample_csv, sample_stationary,
                        write_columns_csv, write_json, write_sample_csv)
 from .mellin import (LaplaceCurve, default_floor, laplace_curve, laplace_curve_from_mellin,
@@ -38,7 +38,7 @@ __all__ = [
     "laplace_exponent", "levy_density", "model_from_config", "model_to_config",
     "complex_erf", "complex_log_gamma",
     # kernels
-    "FLAT_TOP_PLATEAU", "weight", "flat_top", "verify_kernel_condition",
+    "FLAT_TOP_PLATEAU", "flat_top", "verify_kernel_condition",
     # sampling
     "Sample", "make_generator", "sample_stationary",
     "write_columns_csv", "write_json", "write_sample_csv", "read_sample_csv",

@@ -21,7 +21,6 @@ from . import __version__
 from .errors import AccuracyError, DomainError, GouestError, PoleError, TruncationError
 from .estimators import (EstimationConfig, default_x_grid, run_algorithm2,
                          write_levy_density_csv, write_triplet_json)
-from .kernels import WEIGHT_VARIANTS
 from .mellin import laplace_curve, symmetric_grid, write_laplace_curve_csv
 from .models import (MODELS, CPExp, SeriesTruncationPolicy, TruncNormCP, laplace_exponent,
                      levy_density, model_from_config, model_to_config)
@@ -111,8 +110,12 @@ def _model_from_args(args, file_config: dict, default_kind: str | None = None):
 def _estimation_config_from_args(args, file_config: dict,
                                  u0: float = EstimationConfig.u0) -> EstimationConfig:
     """Flags beat the file's estimation section, which beats the command's u0
-    and EstimationConfig's own defaults."""
+    and EstimationConfig's own defaults. The section may repeat the fixed
+    keys of a manifest's estimation entry, at their fixed values only."""
     section, default = _section(file_config, "estimation"), EstimationConfig
+    for key, fixed in default.FIXED.items():
+        if section.get(key, fixed) != fixed:
+            raise DomainError(f"{key!r} is fixed at {fixed!r}, got {section[key]!r}")
     # one CLI knob sets both grids; the split defaults stay otherwise
     grid_m = _merge(args.grid_m, section, "grid_m", None, int)
     return EstimationConfig(
@@ -121,7 +124,6 @@ def _estimation_config_from_args(args, file_config: dict,
         eps=_merge(args.eps, section, "eps", default.eps),
         m_fit=_merge(grid_m, section, "m_fit", default.m_fit, int),
         m_inv=_merge(grid_m, section, "m_inv", default.m_inv, int),
-        weight=_merge(args.weight, section, "weight", default.weight, str),
         floor=_merge(args.floor, section, "floor", default.floor),
     )
 
@@ -133,6 +135,15 @@ def _x_grid_from_args(args, file_config: dict, x_points: int = 301) -> np.ndarra
         x_max=_merge(args.x_max, section, "x_max", 3.0),
         x_points=_merge(args.x_points, section, "x_points", x_points, int),
     )
+
+
+def _rule_beta(model) -> float:
+    """The polynomial Mellin decay exponent beta = jump_mass/drift of a model
+    with drift, which the bandwidth rule takes when no --beta is given."""
+    if model.drift <= 0.0:
+        raise DomainError("polynomial decay class needs --beta (cannot derive "
+                          "jump_mass/mu for a driftless model)")
+    return model.jump_mass / model.drift
 
 
 def _figure_curve(model, n: int, seed: int, u0: float, v_max: float, m: int,
@@ -205,7 +216,7 @@ def _cmd_experiment1(args, file_config: dict, out_dir: Path, outputs: list) -> d
     _figure_curve(model, n_fig, seed, _EXAMPLE1_U0, _EXAMPLE1_V, 600,
                   out_dir / "fig1_laplace.csv", outputs)
 
-    beta = model.jump_mass / model.mu
+    beta = _rule_beta(model)
     study = RateStudyConfig(n_ladder=_LADDER, replicates=replicates, beta=beta)
     template = EstimationConfig(u0=_EXAMPLE1_U0, vn=_EXAMPLE1_V)
     report = rate_study(study, model, template, seed=seed)
@@ -251,10 +262,7 @@ def _cmd_rate_study(args, file_config: dict, out_dir: Path, outputs: list) -> di
     decay = _merge(args.decay, section, "decay_class", RateStudyConfig.decay_class, str)
     beta = _merge(args.beta, section, "beta", RateStudyConfig.beta)
     if beta is None and decay == "polynomial":
-        if model.drift <= 0.0:
-            raise DomainError("polynomial decay class needs --beta (cannot derive "
-                              "jump_mass/mu for a driftless model)")
-        beta = model.jump_mass / model.drift
+        beta = _rule_beta(model)
     study = RateStudyConfig(
         n_ladder=_merge(args.n_ladder, section, "n_ladder", _LADDER, _ladder),
         replicates=_merge(args.reps, section, "replicates", RateStudyConfig.replicates, int),
@@ -305,7 +313,6 @@ def _add_estimation_flags(parser: argparse.ArgumentParser,
     parser.add_argument("--eps", type=float, default=None, help="lower edge of the fitting band")
     parser.add_argument("--grid-m", type=int, default=None, dest="grid_m",
                         help="grid count for both the fitting and inversion grids")
-    parser.add_argument("--weight", choices=WEIGHT_VARIANTS, default=None)
     parser.add_argument("--floor", type=float, default=None,
                         help="ill-conditioning floor (default 10/sqrt(n))")
     parser.add_argument("--x-min", type=float, default=None, dest="x_min")

@@ -5,11 +5,13 @@ Stage one (shared): the ratio estimator Y_n for the Laplace exponent
 drift-plus-compound-Poisson subordinator satisfies
 phi(u0+iv) = mu*(u0+iv) + lambda - F[nu_bar](-v)*(1+o(1)), so for large v
 the imaginary part is asymptotically linear in v with slope mu and the real
-part asymptotically constant at lambda + mu*u0; weighted least squares on a
-high-frequency band [eps*V_n, V_n] recovers both. Stage three, inversion
-pipeline: subtracting the fitted affine part isolates the Fourier transform
-of the exponentially tilted jump density nu_bar(x) = e^{-u0 x} nu(x), which
-a kernel-regularized inverse Fourier sum turns back into a density estimate.
+part asymptotically constant at lambda + mu*u0; on a high-frequency band
+[eps*V_n, V_n], a least-squares fit through the origin recovers mu and the
+band's mean recovers lambda, every band point counted equally. Stage three,
+inversion pipeline: subtracting the fitted affine part isolates the Fourier
+transform of the exponentially tilted jump density
+nu_bar(x) = e^{-u0 x} nu(x), which a kernel-regularized inverse Fourier sum
+turns back into a density estimate.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from __future__ import annotations
 import functools
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import DomainError, GridMismatch
-from .kernels import WEIGHT_VARIANTS, flat_top, weight
+from .kernels import flat_top
 from .mellin import LaplaceCurve, laplace_curve, symmetric_grid
 from .sampling import Sample, write_columns_csv, write_json
 
@@ -49,10 +52,11 @@ class EstimationConfig:
 
     ``m_fit`` points span the one-sided fitting band [eps, 1] (scaled by
     ``vn``); ``m_inv + 1`` points span the symmetric inversion band [-1, 1].
-    ``weight`` names the fit weight on [eps, 1], one of
-    :data:`~gouest.kernels.WEIGHT_VARIANTS`; the inversion's window is always
-    the flat-top kernel. ``floor`` is the ill-conditioning threshold for the
-    empirical Mellin denominator (None: 10/sqrt(n) at run time).
+    The fit counts every band point equally and the inversion's window is
+    the flat-top kernel; no field names either, and ``FIXED`` records both
+    under the keys they have always had in manifests. ``floor`` is the
+    ill-conditioning threshold for the empirical Mellin denominator (None:
+    10/sqrt(n) at run time).
     """
 
     u0: float = 1.0
@@ -60,8 +64,9 @@ class EstimationConfig:
     eps: float = 0.1
     m_fit: int = 50
     m_inv: int = 200
-    weight: str = "flat"
     floor: float | None = None
+
+    FIXED: ClassVar[dict] = {"weight": "flat", "kernel": "flat_top"}
 
     def __post_init__(self) -> None:
         positive = {"u0": self.u0, "vn": self.vn}
@@ -75,12 +80,10 @@ class EstimationConfig:
         if self.m_fit < 2 or self.m_inv < 2:
             raise DomainError(
                 f"grid counts must be >= 2, got m_fit={self.m_fit}, m_inv={self.m_inv}")
-        if self.weight not in WEIGHT_VARIANTS:
-            raise DomainError(f"unknown weight variant {self.weight!r}")
 
     def to_dict(self) -> dict:
-        """The fields, and the inversion's fixed window under ``kernel``."""
-        return {**asdict(self), "kernel": "flat_top"}
+        """The fields, and the fixed fit weight and inversion window."""
+        return {**asdict(self), **self.FIXED}
 
 
 @dataclass
@@ -160,23 +163,23 @@ def _check_fit_grid(curve: LaplaceCurve, config: EstimationConfig) -> np.ndarray
 
 
 def estimate_mu(curve: LaplaceCurve, config: EstimationConfig) -> float:
-    """Drift estimate: weighted slope of Im Y against v over the fitting band.
+    """Drift estimate: least-squares slope through the origin of Im Y against
+    v over the fitting band.
 
-    mu_hat = sum_m w(a_m) a_m Im Y(u0 + i a_m V) / (V sum_m w(a_m) a_m^2).
+    mu_hat = sum_m a_m Im Y(u0 + i a_m V) / (V sum_m a_m^2).
     """
     alphas = _check_fit_grid(curve, config)
-    w = weight(config.weight, alphas, config.eps)
-    return float(np.sum(w * alphas * curve.y.imag) / (config.vn * np.sum(w * alphas**2)))
+    return float(np.sum(alphas * curve.y.imag) / (config.vn * np.sum(alphas**2)))
 
 
 def estimate_lambda(curve: LaplaceCurve, mu_hat: float, config: EstimationConfig) -> float:
-    """Intensity estimate: weighted mean of Re Y minus the drift part.
+    """Intensity estimate: mean of Re Y over the fitting band minus the
+    drift part.
 
-    lambda_hat = sum_m w(a_m) Re Y(u0 + i a_m V) / sum_m w(a_m) - mu_hat*u0.
+    lambda_hat = sum_m Re Y(u0 + i a_m V) / m_fit - mu_hat*u0.
     """
-    alphas = _check_fit_grid(curve, config)
-    w = weight(config.weight, alphas, config.eps)
-    return float(np.sum(w * curve.y.real) / np.sum(w) - mu_hat * config.u0)
+    _check_fit_grid(curve, config)
+    return float(np.sum(curve.y.real) / config.m_fit - mu_hat * config.u0)
 
 
 def _check_symmetric(curve: LaplaceCurve) -> None:
@@ -279,7 +282,7 @@ def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEs
 def run_algorithm1(sample: Sample, config: EstimationConfig,
                    curve: LaplaceCurve | None = None) -> TripletEstimate:
     """Fitting pipeline: ratio-estimator curve on the one-sided band, then
-    the closed-form weighted estimates of drift and intensity. A caller that
+    the closed-form estimates of drift and intensity. A caller that
     already holds the band's ``curve`` passes it instead of a second pass
     over the sample."""
     if curve is None:

@@ -1,10 +1,8 @@
-"""Weight functions for the drift/intensity fit and the regularizing kernel
-for the Fourier inversion.
+"""The regularizing kernel of the Fourier inversion.
 
-The weight lives on the one-sided grid fraction interval [eps, 1]; the
-regularizing kernel is symmetric with support [-1, 1] and a flat plateau
-K = 1 on |x| <= 0.05, which makes the inversion bias vanish to every
-polynomial order.
+The kernel is symmetric with support [-1, 1] and a flat plateau K = 1 on
+|x| <= 0.05, which makes the inversion bias vanish to every polynomial
+order.
 """
 
 from __future__ import annotations
@@ -15,32 +13,6 @@ from .errors import DomainError
 
 #: Half-width of the flat-top plateau.
 FLAT_TOP_PLATEAU = 0.05
-
-#: Fit-weight variants: "flat" (w = 1 on the support) or "epanechnikov"
-#: (parabola vanishing at both ends of [eps, 1], peak value 1 at the midpoint).
-WEIGHT_VARIANTS = ("flat", "epanechnikov")
-
-
-def weight(variant: str, alpha, eps: float) -> np.ndarray | float:
-    """Evaluate the fit weight ``variant`` (one of :data:`WEIGHT_VARIANTS`) on
-    [eps, 1] at grid fraction(s) ``alpha``; eps is the fitting band's
-    (``EstimationConfig.eps``).
-
-    Zero outside [eps, 1]; vectorized over ``alpha``.
-    """
-    if variant not in WEIGHT_VARIANTS:
-        raise DomainError(f"unknown weight variant {variant!r}")
-    a = np.asarray(alpha, dtype=float)
-    inside = (a >= eps) & (a <= 1.0)
-    if variant == "flat":
-        out = np.where(inside, 1.0, 0.0)
-    else:
-        # parabola on [eps, 1], rescaled to peak at 1 in the midpoint
-        t = (2.0 * a - (1.0 + eps)) / (1.0 - eps)
-        out = np.where(inside, np.maximum(1.0 - t**2, 0.0), 0.0)
-    if np.ndim(alpha) == 0:
-        return float(out)
-    return out
 
 
 def flat_top(x) -> np.ndarray | float:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, GouestError
 from .estimators import EstimationConfig, LevyDensityEstimate, run_algorithm1, run_algorithm2
 from .models import SubordinatorModel, levy_density
-from .sampling import sample_stationary, write_json
+from .sampling import make_generator, sample_stationary, write_json
 
 __all__ = [
     "RateStudyConfig",
@@ -152,6 +152,8 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
     grid, only fit (mu, lambda). Replicate failures are recorded in the
     report, not fatal.
     """
+    # a negative seed is an input error, not a failure of every replicate
+    make_generator(seed)
     mu_true = float(model.drift)
     lambda_true = model.jump_mass
     meta = {"seed": seed, "decay_class": study.decay_class, "replicates": study.replicates}

@@ -35,8 +35,12 @@ def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for reproducible, parallel-safe streams.
 
     Distinct ``(seed, stream)`` pairs give statistically independent streams;
-    replicate r of a study should pass ``stream=r``.
+    replicate r of a study should pass ``stream=r``. Both must be
+    nonnegative integers; a negative one is a DomainError naming it.
     """
+    for name, value in (("seed", seed), ("stream", stream)):
+        if int(value) < 0:
+            raise DomainError(f"{name} must be a nonnegative integer, got {value}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(stream)))))
 
 

@@ -488,6 +488,30 @@ class TestConfigErrors:
         assert key in self._run(tmp_path, ["estimate", str(csv)], config)
 
     @pytest.mark.parametrize("config, key", [
+        ({"estimation": {"weight": "epanechnikov"}}, "'weight'"),
+        ({"estimation": {"kernel": "gaussian"}}, "'kernel'"),
+    ], ids=["weight", "kernel"])
+    def test_fixed_estimation_key_other_than_its_value(self, tmp_path, config, key):
+        csv = _run_simulate(tmp_path / "sim", n=50)
+        assert key in self._run(tmp_path, ["estimate", str(csv)], config)
+        assert not (tmp_path / "out" / "triplet.json").exists()
+
+    def test_negative_seed(self, tmp_path):
+        message = self._run(tmp_path, ["simulate", "--model", "cp_exp", "-n", "10"], {"seed": -1})
+        assert message.startswith("seed must be")
+
+    def test_manifest_estimation_entry_reads_back(self, tmp_path):
+        # a manifest's estimation entry, fixed keys included, is a config
+        csv = _run_simulate(tmp_path / "sim", n=50)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["estimate", str(csv), "--eps", "0.3", "--out", str(first)]) == 0
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"estimation": _manifest(first)["config"]["estimation"]}))
+        assert main(["estimate", str(csv), "--config", str(conf), "--out", str(second)]) == 0
+        for name in ("triplet.json", "laplace_curve.csv", "levy_density.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize("config, key", [
         ({"study": {"replicates": "many"}}, "'replicates'"),
         ({"study": {"n_ladder": [200, "x"]}}, "'n_ladder'"),
         ({"study": [1]}, "'study'"),
@@ -531,14 +555,19 @@ def _reject_json_constant(name):
     ("simulate", "--model trunc_norm_cp --lam inf", "lam"),
     ("simulate", "--model trunc_norm_cp --q nan", "q"),
     ("simulate", "--model cp_exp --mu 1e-320", "a/mu"),
+    ("simulate", "--model cp_exp --seed -1", "seed"),
+    ("experiment1", "--seed -3", "seed"),
+    ("rate-study", "--seed -2", "seed"),
 ])
 def test_non_finite_input_exits_2_naming_it(tmp_path, command, flags, field):
-    """A non-finite setting is a DomainError that names it, and no JSON
-    output holds Infinity or NaN."""
+    """A non-finite setting, or a negative seed, is a DomainError that names
+    it, and no JSON output holds Infinity or NaN."""
     if command == "estimate":
         argv = ["estimate", str(_run_simulate(tmp_path / "sim", n=50))]
     elif command == "simulate":
         argv = ["simulate", "-n", "50"]
+    elif command == "experiment1":
+        argv = ["experiment1", "-n", "50", "--reps", "2"]
     else:
         argv = ["rate-study", "--n-ladder", "200,400", "--reps", "2"]
     out = tmp_path / "out"

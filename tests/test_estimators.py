@@ -2,7 +2,7 @@
 
 Oracles:
   * The two fitting estimators are exact on curves affine in z (the model
-    family they are derived from), for any admissible weights.
+    family they are derived from), for any band edge eps.
   * The Fourier-data constructor is exact on curves built from the
     drift-plus-exponential-jumps Laplace exponent: it must return
     a*b / (b + u0 - iv) exactly.
@@ -42,7 +42,6 @@ from gouest import (
     run_algorithm1,
     run_algorithm2,
     sample_stationary,
-    weight,
     write_levy_density_csv,
     write_triplet_json,
 )
@@ -76,25 +75,22 @@ class TestConfig:
         cfg = EstimationConfig()
         assert (cfg.u0, cfg.vn, cfg.eps) == (1.0, 5.0, 0.1)
         assert (cfg.m_fit, cfg.m_inv) == (50, 200)
-        assert cfg.weight == "flat"
+        assert cfg.floor is None
 
     def test_weight_eps_synced(self):
-        # the fit weights take their variant and their support edge from the
-        # config: the slope is the one under weight(variant, a, eps) and not
-        # under the other variant or another edge
-        cfg = EstimationConfig(eps=0.3, weight="epanechnikov")
+        # the fit takes its band edge from the config: the slope is the
+        # closed form through the origin on fit_alphas(cfg), and not the one
+        # on another edge's grid
+        cfg = EstimationConfig(eps=0.3)
         a = fit_alphas(cfg)
-        curve = _curve_on(cfg.vn * a, 1j * a**2, u0=cfg.u0)  # not affine: weights matter
+        curve = _curve_on(cfg.vn * a, 1j * a**2, u0=cfg.u0)  # not affine: the grid matters
 
-        def slope(w):
-            return float(np.sum(w * a * curve.y.imag) / (cfg.vn * np.sum(w * a**2)))
+        def slope(alphas):
+            return float(np.sum(alphas * alphas**2) / (cfg.vn * np.sum(alphas**2)))
 
         mu_hat = estimate_mu(curve, cfg)
-        assert mu_hat == slope(weight("epanechnikov", a, 0.3))
-        assert mu_hat != slope(weight("epanechnikov", a, 0.1))
-        flat = EstimationConfig(eps=0.3, weight="flat")
-        assert estimate_mu(curve, flat) == slope(weight("flat", a, 0.3))
-        assert estimate_mu(curve, flat) != mu_hat
+        assert mu_hat == slope(a)
+        assert mu_hat != slope(fit_alphas(EstimationConfig(eps=0.1)))
 
     def test_validation(self):
         for kw in [
@@ -170,19 +166,30 @@ class TestFitEstimators:
         assert lam_hat == pytest.approx(0.7, abs=1e-12)
 
     def test_affine_exactness_random_weights(self):
-        # the estimator equations are exact for affine curves under any
-        # nonnegative, nondegenerate weights: either variant, any band edge
+        # the estimator equations are exact for affine curves at any band edge
         rng = np.random.default_rng(42)
         for _ in range(20):
             mu = rng.uniform(0.1, 5.0)
             lam = rng.uniform(0.1, 5.0)
-            cfg = EstimationConfig(eps=rng.uniform(0.05, 0.9),
-                                   weight=("flat", "epanechnikov")[rng.integers(2)])
+            cfg = EstimationConfig(eps=rng.uniform(0.05, 0.9))
             curve = _affine_curve(cfg, mu, lam)
             mu_hat = estimate_mu(curve, cfg)
             lam_hat = estimate_lambda(curve, mu_hat, cfg)
             assert mu_hat == pytest.approx(mu, abs=1e-10)
             assert lam_hat == pytest.approx(lam, abs=1e-10)
+
+    def test_every_band_point_counted(self):
+        # at eps = 0.067 the top point of the M = 50 grid rounds to
+        # 1.0000000000000002; the fit still counts all 50 points
+        cfg = EstimationConfig(eps=0.067, m_fit=50)
+        a = fit_alphas(cfg)
+        assert a.size == 50 and a[-1] > 1.0
+        re_y, im_y = np.random.default_rng(3).standard_normal((2, a.size))
+        y = re_y + 1j * im_y
+        curve = _curve_on(cfg.vn * a, y, u0=cfg.u0)
+        mu_hat = estimate_mu(curve, cfg)
+        assert mu_hat == float(np.sum(a * y.imag) / (cfg.vn * np.sum(a**2)))
+        assert estimate_lambda(curve, mu_hat, cfg) == float(np.sum(y.real) / 50 - mu_hat * cfg.u0)
 
     def test_zero_imaginary_part_gives_zero_drift(self):
         cfg = EstimationConfig()

@@ -1,4 +1,4 @@
-"""Tests for the flat-top inversion kernel and the fitting weights."""
+"""Tests for the flat-top inversion kernel and the fitting band's edge."""
 
 import math
 
@@ -13,7 +13,6 @@ from gouest import (
     EstimationConfig,
     flat_top,
     verify_kernel_condition,
-    weight,
 )
 
 
@@ -62,41 +61,12 @@ class TestFlatTop:
 
 
 class TestWeights:
-    def test_flat_indicator(self):
-        alphas = np.array([0.05, 0.1, 0.5, 1.0, 1.0001, -0.2])
-        np.testing.assert_array_equal(weight("flat", alphas, 0.1), [0, 1, 1, 1, 0, 0])
-
-    def test_epanechnikov_shape(self):
-        # parabola on [eps, 1]: 1 at the midpoint, 0 at both endpoints
-        assert weight("epanechnikov", 0.55, 0.1) == pytest.approx(1.0, abs=1e-14)
-        assert weight("epanechnikov", 0.1, 0.1) == pytest.approx(0.0, abs=1e-14)
-        assert weight("epanechnikov", 1.0, 0.1) == pytest.approx(0.0, abs=1e-14)
-        assert weight("epanechnikov", 0.05, 0.1) == 0.0
-        assert weight("epanechnikov", 1.2, 0.1) == 0.0
-
-    @given(
-        eps=st.floats(0.01, 0.9),
-        alpha=st.floats(-2.0, 2.0, allow_nan=False),
-        name=st.sampled_from(["flat", "epanechnikov"]),
-    )
-    def test_nonnegative_and_supported(self, eps, alpha, name):
-        val = float(weight(name, alpha, eps))
-        assert val >= 0.0
-        if not (eps <= alpha <= 1.0):
-            assert val == 0.0
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(DomainError, match="unknown weight variant 'uniformish'"):
-            EstimationConfig(weight="uniformish")
-        with pytest.raises(DomainError, match="unknown weight variant 'uniformish'"):
-            weight("uniformish", 0.5, 0.1)
-
     def test_weight_spec_validation(self):
-        # the weight's support edge is the fitting band's eps, which the
-        # estimation config keeps inside (0, 1)
+        # the fit counts every point of the band [eps, 1], whose edge eps
+        # the estimation config keeps inside (0, 1)
         for eps in (0.0, 1.0):
-            with pytest.raises(DomainError):
-                EstimationConfig(eps=eps, weight="flat")
+            with pytest.raises(DomainError, match="eps must be in"):
+                EstimationConfig(eps=eps)
 
 
 class TestKernelCondition:

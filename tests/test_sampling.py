@@ -89,6 +89,11 @@ class TestGenerators:
         b = make_generator(42, stream=1).standard_normal(5)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed, stream, name", [(-1, 0, "seed"), (0, -1, "stream")])
+    def test_negative_is_a_domain_error_naming_it(self, seed, stream, name):
+        with pytest.raises(DomainError, match=f"^{name} must be a nonnegative integer, got -1"):
+            make_generator(seed, stream)
+
 
 class TestGammaCase:
     def test_moments(self):
