@@ -10,12 +10,10 @@ inversion.
 
 __version__ = "0.1.0"
 
-from .errors import (AccuracyError, DomainError, GouestError, GridMismatch, PoleError,
-                     TruncationError)
+from .errors import DomainError, GouestError, GridMismatch, PoleError, TruncationError
 from .models import (MODELS, CPExp, SeriesTruncationPolicy, SubordinatorModel, TruncNormCP,
-                     complex_erf, complex_log_gamma, laplace_exponent, levy_density,
-                     model_from_config, model_to_config)
-from .kernels import FLAT_TOP_PLATEAU, flat_top, verify_kernel_condition
+                     laplace_exponent, levy_density, model_from_config, model_to_config)
+from .kernels import FLAT_TOP_PLATEAU, flat_top
 from .sampling import (Sample, make_generator, read_sample_csv, sample_stationary,
                        write_columns_csv, write_json, write_sample_csv)
 from .mellin import (LaplaceCurve, default_floor, laplace_curve, laplace_curve_from_mellin,
@@ -31,14 +29,13 @@ from .rates import (MiseReport, RateStudyConfig, choose_vn_exponential,
 __all__ = [
     "__version__",
     # errors
-    "GouestError", "PoleError", "AccuracyError", "TruncationError", "DomainError",
+    "GouestError", "PoleError", "TruncationError", "DomainError",
     "GridMismatch",
     # models
     "SubordinatorModel", "CPExp", "TruncNormCP", "MODELS", "SeriesTruncationPolicy",
     "laplace_exponent", "levy_density", "model_from_config", "model_to_config",
-    "complex_erf", "complex_log_gamma",
     # kernels
-    "FLAT_TOP_PLATEAU", "flat_top", "verify_kernel_condition",
+    "FLAT_TOP_PLATEAU", "flat_top",
     # sampling
     "Sample", "make_generator", "sample_stationary",
     "write_columns_csv", "write_json", "write_sample_csv", "read_sample_csv",

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import AccuracyError, DomainError, GouestError, PoleError, TruncationError
-from .estimators import (EstimationConfig, default_x_grid, run_algorithm2,
+from .errors import DomainError, GouestError, PoleError, TruncationError
+from .estimators import (EstimationConfig, default_x_grid, run_algorithm2, whole_number,
                          write_levy_density_csv, write_triplet_json)
 from .mellin import laplace_curve, symmetric_grid, write_laplace_curve_csv
 from .models import (MODELS, CPExp, SeriesTruncationPolicy, TruncNormCP, laplace_exponent,
@@ -75,23 +75,23 @@ def _section(file_config: dict, name: str) -> dict:
 
 
 def _merge(flag_value, config_section: dict, key: str, default, convert=float):
-    """Flag beats config file beats default; the winner goes through convert,
-    and a value it cannot take is a DomainError naming the key. A key whose
-    default is None may stay None."""
+    """Flag beats config file beats default; the winner goes through convert
+    (int takes whole numbers only), and a value it cannot take is a
+    DomainError naming the key. A key whose default is None may stay None."""
     value = flag_value if flag_value is not None else config_section.get(key, default)
     if value is None and default is None:
         return None
     try:
-        return convert(value)
+        return whole_number(key, value) if convert is int else convert(value)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"bad value for {key!r}: {value!r} ({exc})") from exc
 
 
 def _ladder(raw) -> tuple:
-    """Sample sizes from a comma-separated string or a list."""
+    """Sample sizes from a comma-separated string or a list of whole numbers."""
     if isinstance(raw, str):
         return tuple(int(t) for t in raw.split(",") if t.strip())
-    return tuple(int(t) for t in raw)
+    return tuple(whole_number("n_ladder", t) for t in raw)
 
 
 def _model_from_args(args, file_config: dict, default_kind: str | None = None):
@@ -378,7 +378,7 @@ _COMMANDS = {
 }
 
 # Exit code by error kind; the first kind that matches wins.
-_EXIT_CODES = (((TruncationError, PoleError, AccuracyError), 3),
+_EXIT_CODES = (((TruncationError, PoleError), 3),
                (GouestError, 2), (OSError, 4))
 
 

@@ -9,10 +9,6 @@ class PoleError(GouestError):
     """Evaluation requested at a pole of the function."""
 
 
-class AccuracyError(GouestError):
-    """Requested point lies outside the declared accuracy envelope."""
-
-
 class TruncationError(GouestError):
     """A series sampler hit its term cap before reaching the tail tolerance."""
 

@@ -46,6 +46,15 @@ __all__ = [
 ]
 
 
+def whole_number(name: str, value) -> int:
+    """``value`` as an int; an integral float reads as its int, and a bool or
+    a number with a fractional part is a DomainError naming ``name``."""
+    if isinstance(value, (bool, np.bool_)) or (
+            isinstance(value, (float, np.floating)) and not float(value).is_integer()):
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EstimationConfig:
     """All tuning inputs the estimators leave free.
@@ -69,6 +78,8 @@ class EstimationConfig:
     FIXED: ClassVar[dict] = {"weight": "flat", "kernel": "flat_top"}
 
     def __post_init__(self) -> None:
+        for name in ("m_fit", "m_inv"):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         positive = {"u0": self.u0, "vn": self.vn}
         if self.floor is not None:
             positive["floor"] = self.floor

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
-
 #: Half-width of the flat-top plateau.
 FLAT_TOP_PLATEAU = 0.05
 
@@ -31,19 +29,3 @@ def flat_top(x) -> np.ndarray | float:
     if np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def verify_kernel_condition(s: int, big_a: float, grid_points: int = 10_000) -> bool:
-    """Check |1 - K(x)| <= A*|x|^s for the flat-top kernel numerically on a
-    grid of [-1, 1] \\ {0}.
-
-    The bound holds for every s >= 0 with A = sup |1-K(x)|/|x|^s, finite
-    because K = 1 on the plateau.
-    """
-    if s < 0:
-        raise DomainError(f"kernel condition needs s >= 0, got {s}")
-    x = np.linspace(-1.0, 1.0, grid_points)
-    x = x[x != 0.0]
-    lhs = np.abs(1.0 - flat_top(x))
-    rhs = big_a * np.abs(x) ** s
-    return bool(np.all(lhs <= rhs + 1e-15))

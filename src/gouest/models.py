@@ -23,73 +23,9 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, PoleError, TruncationError
-
-#: Declared accuracy envelope for complex_erf: |Im z| must not exceed this.
-ERF_IM_ENVELOPE = 30.0
+from .errors import DomainError, PoleError, TruncationError
 
 _SQRT2 = np.sqrt(2.0)
-
-
-def complex_erf(z: complex) -> complex:
-    """Error function for complex argument.
-
-    Accurate to ~1e-13 relative error inside the envelope |Im z| <= 30,
-    wherever the result is representable in double precision.
-
-    Parameters
-    ----------
-    z : complex
-        Evaluation point.
-
-    Returns
-    -------
-    complex
-
-    Raises
-    ------
-    AccuracyError
-        If |Im z| > 30, or if the result overflows double precision
-        (|erf| grows like exp(y^2) along the imaginary direction, which
-        exceeds the double range once y^2 - x^2 is large enough; no
-        double-precision implementation can represent those values).
-    """
-    from scipy import special
-
-    z = complex(z)
-    if abs(z.imag) > ERF_IM_ENVELOPE:
-        raise AccuracyError(
-            f"complex_erf: |Im z| = {abs(z.imag):g} exceeds the accuracy envelope "
-            f"{ERF_IM_ENVELOPE:g}"
-        )
-    # Reflect to Re z >= 0 so that erf(-z) = -erf(z) holds exactly.
-    if z.real < 0.0 or (z.real == 0.0 and z.imag < 0.0):
-        return -complex_erf(-z)
-    out = complex(special.erf(z))
-    if not (np.isfinite(out.real) and np.isfinite(out.imag)):
-        raise AccuracyError(
-            f"complex_erf: value at z = {z} overflows double precision; "
-            "the 1e-12 accuracy contract is unattainable there"
-        )
-    return out
-
-
-def complex_log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma for complex argument.
-
-    Satisfies exp(clg(z+1)) = z*exp(clg(z)) to ~1e-13 relative error.
-
-    Raises
-    ------
-    PoleError
-        At the poles z = 0, -1, -2, ... of the Gamma function.
-    """
-    from scipy import special
-
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise PoleError(f"log Gamma has a pole at z = {z.real:g}")
-    return complex(special.loggamma(z))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, GouestError
-from .estimators import EstimationConfig, LevyDensityEstimate, run_algorithm1, run_algorithm2
+from .estimators import (EstimationConfig, LevyDensityEstimate, run_algorithm1, run_algorithm2,
+                         whole_number)
 from .models import SubordinatorModel, levy_density
 from .sampling import make_generator, sample_stationary, write_json
 
@@ -48,7 +49,9 @@ class RateStudyConfig:
     decay_class: str = "polynomial"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_ladder", tuple(int(n) for n in self.n_ladder))
+        object.__setattr__(self, "n_ladder",
+                           tuple(whole_number("n_ladder", n) for n in self.n_ladder))
+        object.__setattr__(self, "replicates", whole_number("replicates", self.replicates))
         object.__setattr__(self, "smoothness", float(self.smoothness))
         if len(self.n_ladder) < 2:
             raise DomainError("n-ladder needs at least two sample sizes")

@@ -500,6 +500,37 @@ class TestConfigErrors:
         message = self._run(tmp_path, ["simulate", "--model", "cp_exp", "-n", "10"], {"seed": -1})
         assert message.startswith("seed must be")
 
+    @pytest.mark.parametrize("command, config, key, value", [
+        ("simulate", {"n": 10.9}, "n", 10.9),
+        ("simulate", {"n": True}, "n", True),
+        ("simulate", {"n": float("inf")}, "n", float("inf")),
+        ("simulate", {"seed": 2.7}, "seed", 2.7),
+        ("rate-study", {"seed": 1.5}, "seed", 1.5),
+        ("rate-study", {"study": {"replicates": 2.5}}, "replicates", 2.5),
+        ("rate-study", {"study": {"n_ladder": [200.9, 400.2]}}, "n_ladder", 200.9),
+        ("rate-study", {"study": {"n_ladder": [200, True]}}, "n_ladder", True),
+        ("rate-study", {"estimation": {"m_fit": 10.5}}, "m_fit", 10.5),
+        ("rate-study", {"estimation": {"m_inv": False}}, "m_inv", False),
+        ("rate-study", {"estimation": {"grid_m": 60.5}}, "grid_m", 60.5),
+        ("rate-study", {"x_grid": {"x_points": 30.5}}, "x_points", 30.5),
+    ], ids=["n", "n-bool", "n-inf", "seed", "study-seed", "replicates", "ladder", "ladder-bool",
+            "m_fit", "m_inv-bool", "grid_m", "x_points"])
+    def test_count_that_is_not_a_whole_number(self, tmp_path, command, config, key, value):
+        # each is rejected before anything is drawn
+        message = self._run(tmp_path, [command, "--model", "cp_exp"], config)
+        assert message == f"{key} must be a whole number, got {value!r}"
+
+    def test_integral_float_count_reads_as_int(self, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"n": 10.0, "seed": 3.0}))
+        by_file, by_flag = tmp_path / "file", tmp_path / "flag"
+        assert main(["simulate", "--model", "cp_exp", "--config", str(conf),
+                     "--out", str(by_file)]) == 0
+        assert main(["simulate", "--model", "cp_exp", "-n", "10", "--seed", "3",
+                     "--out", str(by_flag)]) == 0
+        assert _manifest(by_file)["config"] == _manifest(by_flag)["config"]
+        assert (by_file / "sample.csv").read_bytes() == (by_flag / "sample.csv").read_bytes()
+
     def test_manifest_estimation_entry_reads_back(self, tmp_path):
         # a manifest's estimation entry, fixed keys included, is a config
         csv = _run_simulate(tmp_path / "sim", n=50)

@@ -103,6 +103,18 @@ class TestConfig:
         ]:
             with pytest.raises(DomainError):
                 EstimationConfig(**kw)
+        # a fractional count would fit m_fit + 1 band points but divide by m_fit
+        for name, value in (("m_fit", 10.5), ("m_inv", True)):
+            with pytest.raises(DomainError, match=f"^{name} must be a whole number"):
+                EstimationConfig(**{name: value})
+        assert EstimationConfig(m_fit=10.0).m_fit == 10
+
+    def test_eps_bounds_are_open_unit_interval(self):
+        # the fit counts every point of the band [eps, 1], whose edge eps
+        # the estimation config keeps inside (0, 1)
+        for eps in (0.0, 1.0):
+            with pytest.raises(DomainError, match="eps must be in"):
+                EstimationConfig(eps=eps)
 
     @pytest.mark.parametrize("field", ["u0", "vn", "floor"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -94,6 +94,11 @@ class TestRateStudyConfig:
             RateStudyConfig(
                 n_ladder=(100, 200), replicates=5, decay_class="exponential"
             )  # no alpha
+        # a fractional count is an error, not truncated
+        with pytest.raises(DomainError, match="^n_ladder must be a whole number"):
+            RateStudyConfig(n_ladder=(200.9, 400.2), replicates=5, beta=0.4)
+        with pytest.raises(DomainError, match="^replicates must be a whole number"):
+            RateStudyConfig(n_ladder=(100, 200), replicates=2.5, beta=0.4)
 
     @pytest.mark.parametrize("decay", ["polynomial", "exponential"])
     @pytest.mark.parametrize("field", ["beta", "alpha"])
