@@ -24,7 +24,7 @@ from .estimators import (EstimationConfig, default_x_grid, run_algorithm2, whole
 from .mellin import laplace_curve, symmetric_grid, write_laplace_curve_csv
 from .models import (MODELS, CPExp, SeriesTruncationPolicy, TruncNormCP, laplace_exponent,
                      levy_density, model_from_config, model_to_config)
-from .rates import RateStudyConfig, rate_study, write_mise_report_json
+from .rates import STUDY_X_POINTS, RateStudyConfig, rate_study, write_mise_report_json
 from .sampling import (Sample, read_sample_csv, sample_stationary, write_columns_csv,
                        write_json, write_sample_csv)
 
@@ -275,7 +275,7 @@ def _cmd_rate_study(args, file_config: dict, out_dir: Path, outputs: list) -> di
     template = _estimation_config_from_args(args, file_config, u0=_EXAMPLE1_U0)
     seed = _merge(args.seed, file_config, "seed", 0, int)
     report = rate_study(study, model, template, seed=seed,
-                        x_grid=_x_grid_from_args(args, file_config, x_points=151))
+                        x_grid=_x_grid_from_args(args, file_config, x_points=STUDY_X_POINTS))
     outputs.append(write_mise_report_json(report, out_dir / "mise_report.json"))
     return {"model": model_to_config(model), "seed": seed, "study": asdict(study),
             "slope_mu": report.slope_mu, "failures": len(report.failures)}

@@ -290,19 +290,14 @@ def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEs
     )
 
 
-def run_algorithm1(sample: Sample, config: EstimationConfig,
-                   curve: LaplaceCurve | None = None) -> TripletEstimate:
-    """Fitting pipeline: ratio-estimator curve on the one-sided band, then
-    the closed-form estimates of drift and intensity. A caller that
-    already holds the band's ``curve`` passes it instead of a second pass
-    over the sample."""
-    if curve is None:
-        v_grid = fit_alphas(config) * config.vn
-        curve = laplace_curve(sample, config.u0, v_grid, floor=config.floor)
+def run_algorithm1(curve: LaplaceCurve, config: EstimationConfig) -> TripletEstimate:
+    """The fit of (mu, lambda) on a ratio-estimator ``curve`` over the
+    one-sided fitting band: the closed-form estimates of drift and
+    intensity, with n from the curve."""
     mu_hat = estimate_mu(curve, config)
     lambda_hat = estimate_lambda(curve, mu_hat, config)
     return TripletEstimate(mu_hat=mu_hat, lambda_hat=lambda_hat,
-                           ill_count=int(np.sum(curve.ill)), n=sample.n,
+                           ill_count=int(np.sum(curve.ill)), n=curve.n,
                            config=config, curve=curve)
 
 
@@ -322,8 +317,11 @@ def run_algorithm2(sample: Sample, config: EstimationConfig, x_grid) -> LevyDens
     symmetric-band curve."""
     v_fit = fit_alphas(config) * config.vn
     v_inv = inversion_alphas(config) * config.vn
-    both = laplace_curve(sample, config.u0, np.union1d(v_fit, v_inv), floor=config.floor)
-    triplet = run_algorithm1(sample, config, curve=_band(both, v_fit))
+    # the union grid, sorted without repeats: np.union1d would load numpy.ma
+    v = np.sort(np.concatenate([v_fit, v_inv]))
+    v = v[np.concatenate([[True], v[1:] != v[:-1]])]
+    both = laplace_curve(sample, config.u0, v, floor=config.floor)
+    triplet = run_algorithm1(_band(both, v_fit), config)
     curve = _band(both, v_inv)
     fhat = estimate_fourier_nu_bar(curve, triplet.mu_hat, triplet.lambda_hat)
     estimate = invert_levy_density(fhat, config, x_grid)

@@ -15,10 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, GouestError
-from .estimators import (EstimationConfig, LevyDensityEstimate, run_algorithm1, run_algorithm2,
+from .estimators import (EstimationConfig, LevyDensityEstimate, default_x_grid, run_algorithm2,
                          whole_number)
 from .models import SubordinatorModel, levy_density
-from .sampling import make_generator, sample_stationary, write_json
+from .sampling import MAX_N, make_generator, sample_stationary, write_json
 
 __all__ = [
     "RateStudyConfig",
@@ -29,6 +29,9 @@ __all__ = [
     "rate_study",
     "write_mise_report_json",
 ]
+
+# Points of the x-grid a study scores MISE on when given none, over [0, 3].
+STUDY_X_POINTS = 151
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,8 @@ class RateStudyConfig:
             raise DomainError("n-ladder needs at least two sample sizes")
         if any(b <= a for a, b in zip(self.n_ladder, self.n_ladder[1:])):
             raise DomainError(f"n-ladder must be strictly increasing, got {self.n_ladder}")
+        if self.n_ladder[-1] > MAX_N:
+            raise DomainError(f"n-ladder entry {self.n_ladder[-1]} exceeds MAX_N = {MAX_N}")
         if self.replicates < 2:
             raise DomainError(f"need at least 2 replicates, got {self.replicates}")
         if not (0.0 <= self.smoothness < np.inf):
@@ -149,24 +154,19 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
     """Replicated error study across the n-ladder with the matching bandwidth
     rule applied at every n.
 
-    Per replicate: draw a fresh stationary sample (independent stream), then
-    either run the density pipeline on ``x_grid``, which fits (mu, lambda) on
-    the way, and integrate its squared error over the grid, or, without a
-    grid, only fit (mu, lambda). Replicate failures are recorded in the
-    report, not fatal.
+    Per replicate: draw a fresh stationary sample (independent stream), run
+    the density pipeline on ``x_grid`` (default: ``STUDY_X_POINTS`` points on
+    [0, 3]), which fits (mu, lambda) on the way, and integrate its squared
+    error over the grid. Replicate failures are recorded, not fatal.
     """
     # a negative seed is an input error, not a failure of every replicate
     make_generator(seed)
-    mu_true = float(model.drift)
-    lambda_true = model.jump_mass
-    meta = {"seed": seed, "decay_class": study.decay_class, "replicates": study.replicates}
-    with_mise = x_grid is not None
-    if with_mise:
-        x_grid = np.asarray(x_grid, dtype=float)
-        meta.update(x_range=[float(x_grid[0]), float(x_grid[-1])], x_points=int(x_grid.size))
+    x_grid = (default_x_grid(x_points=STUDY_X_POINTS) if x_grid is None
+              else np.asarray(x_grid, dtype=float))
+    meta = {"seed": seed, "decay_class": study.decay_class, "replicates": study.replicates,
+            "x_range": [float(x_grid[0]), float(x_grid[-1])], "x_points": int(x_grid.size)}
 
-    # per n, one list of per-replicate errors under each report name; the
-    # MISE list stays empty without a grid
+    # per n, one list of per-replicate errors under each report name
     quartiles = {"sq_err_mu": [], "sq_err_lambda": [], "mise": []}
     medians = {name: [] for name in quartiles}
     failures, rows = [], []
@@ -180,26 +180,23 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
                 # the estimators read only the multiset of values: sorted in
                 # place, the draw needs no sorted copy in laplace_curve
                 sample.values.sort()
-                if with_mise:
-                    estimate = run_algorithm2(sample, config, x_grid)
-                    triplet = estimate.triplet
-                    errors["mise"].append(mise(estimate, model))
-                else:
-                    triplet = run_algorithm1(sample, config)
+                estimate = run_algorithm2(sample, config, x_grid)
+                score = mise(estimate, model)
             except GouestError as exc:
                 failures.append({"n": n, "replicate": r,
                                  "error": type(exc).__name__, "message": str(exc)})
                 continue
-            errors["sq_err_mu"].append((triplet.mu_hat - mu_true) ** 2)
-            errors["sq_err_lambda"].append((triplet.lambda_hat - lambda_true) ** 2)
+            triplet = estimate.triplet
+            errors["sq_err_mu"].append((triplet.mu_hat - model.drift) ** 2)
+            errors["sq_err_lambda"].append((triplet.lambda_hat - model.jump_mass) ** 2)
+            errors["mise"].append(score)
             rows.append((n, r, config.vn, triplet.mu_hat, triplet.lambda_hat,
                          triplet.ill_count))
         if not errors["sq_err_mu"]:
             raise DomainError(f"all {study.replicates} replicates failed at n={n}")
         for name, values in errors.items():
-            if values:
-                medians[name].append(float(np.median(values)))
-                quartiles[name].append([float(q) for q in np.percentile(values, [25, 75])])
+            medians[name].append(float(np.median(values)))
+            quartiles[name].append([float(q) for q in np.percentile(values, [25, 75])])
 
     return MiseReport(
         n=list(study.n_ladder),
@@ -207,7 +204,7 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
         median_sq_err_lambda=medians["sq_err_lambda"],
         median_mise=medians["mise"],
         slope_mu=_log_log_slope(study.n_ladder, medians["sq_err_mu"]),
-        slope_mise=_log_log_slope(study.n_ladder, medians["mise"]) if with_mise else float("nan"),
+        slope_mise=_log_log_slope(study.n_ladder, medians["mise"]),
         quartiles=quartiles,
         failures=failures,
         meta=meta,

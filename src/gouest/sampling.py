@@ -30,6 +30,9 @@ __all__ = [
     "read_sample_csv",
 ]
 
+# The largest sample numpy can size as a float64 array.
+MAX_N = int(np.iinfo(np.intp).max) // 8
+
 
 def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for reproducible, parallel-safe streams.
@@ -80,8 +83,9 @@ def sample_stationary(model: SubordinatorModel, n: int, seed: int = 0, delta: fl
     """n draws of the model's stationary law (``model.stationary``) from the
     generator (seed, stream); ``policy`` (default ``SeriesTruncationPolicy()``)
     bounds the series sampler. The meta holds the model's config and law."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    if not 1 <= n <= MAX_N:
+        raise DomainError(f"need n >= 1 and at most {MAX_N}, the largest float64 array "
+                          f"numpy can size; got {n}")
     values, law = model.stationary(n, make_generator(seed, stream),
                                    policy or SeriesTruncationPolicy())
     meta = {"model": model_to_config(model), **law}

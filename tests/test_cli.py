@@ -561,6 +561,25 @@ class TestConfigErrors:
         assert not (tmp_path / "out" / "mise_report.json").exists()
 
 
+@pytest.mark.parametrize("command, config, n", [
+    (["simulate", "--model", "cp_exp", "-n", str(10**29)], {}, 10**29),
+    (["simulate", "--model", "cp_exp"], {"n": 1e29}, int(1e29)),
+    (["rate-study", "--n-ladder", f"200,{10**29}", "--reps", "2"], {}, 10**29),
+    (["simulate", "--model", "cp_exp", "-n", str(2**63 - 1)], {}, 2**63 - 1),
+], ids=["flag", "config", "ladder", "intp-max"])
+def test_oversized_sample_exits_2(tmp_path, command, config, n):
+    """A sample size beyond what numpy can size as a float64 array is a
+    DomainError naming it, with a manifest, not a traceback from the draw."""
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(conf), "--out", str(out)]) == 2
+    man = _manifest(out)
+    assert man["status"] == "error"
+    assert man["error"]["type"] == "DomainError"
+    assert str(n) in man["error"]["message"]
+
+
 def _reject_json_constant(name):
     raise AssertionError(f"JSON output holds the non-finite constant {name}")
 
@@ -716,6 +735,24 @@ assert main(["rate-study", "--model", "cp_exp", "--n-ladder", "200,400", "--reps
 assert "scipy.special" not in sys.modules
 assert main(["simulate", "--model", "trunc_norm_cp", "-n", "500", "--out", "tn"]) == 0
 assert "scipy.special" in sys.modules
+"""
+    src = str(Path(gouest.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_estimate_does_not_load_numpy_ma(tmp_path):
+    # the union grid is built without np.union1d, which loads numpy.ma
+    csv = _run_simulate(tmp_path / "sim", n=500)
+    script = f"""
+import sys
+from gouest.cli import main
+before = "numpy.ma" in sys.modules
+assert main(["estimate", {str(csv)!r}, "--u0", "29", "--vn", "30", "--out", "est"]) == 0
+assert before or "numpy.ma" not in sys.modules
 """
     src = str(Path(gouest.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

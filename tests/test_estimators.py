@@ -37,6 +37,7 @@ from gouest import (
     flat_top,
     inversion_alphas,
     invert_levy_density,
+    laplace_curve,
     laplace_exponent,
     levy_density,
     run_algorithm1,
@@ -411,6 +412,11 @@ class TestInversion:
         )
 
 
+def _fit_alone(s, cfg):
+    """The fit of (mu, lambda) on a curve over the fitting band only."""
+    return run_algorithm1(laplace_curve(s, cfg.u0, fit_alphas(cfg) * cfg.vn), cfg)
+
+
 class TestPipelines:
     def test_constant_sample_recovers_pure_drift(self):
         # A constant functional c corresponds to a deterministic driver with
@@ -420,7 +426,7 @@ class TestPipelines:
         cfg = EstimationConfig()
         c = 2.5
         s = Sample(values=np.full(400, c), delta=1.0, seed=0)
-        tri = run_algorithm1(s, cfg)
+        tri = _fit_alone(s, cfg)
         assert tri.mu_hat == pytest.approx(1.0 / c, abs=1e-12)
         assert tri.lambda_hat == pytest.approx(0.0, abs=1e-12)
 
@@ -429,7 +435,7 @@ class TestPipelines:
         errs_mu, errs_lam = [], []
         for rep in range(5):
             s = sample_stationary(CPExp(mu=1.8, a=0.7, b=1.8), 10**4, seed=rep)
-            tri = run_algorithm1(s, cfg)
+            tri = _fit_alone(s, cfg)
             errs_mu.append(abs(tri.mu_hat - 1.8))
             errs_lam.append(abs(tri.lambda_hat - 0.7))
         assert np.median(errs_mu) <= 0.3
@@ -442,7 +448,7 @@ class TestPipelines:
         assert est.triplet is not None
         # the kept curve is the symmetric inversion band the density came from
         np.testing.assert_array_equal(est.curve.v, cfg.vn * inversion_alphas(cfg))
-        tri = run_algorithm1(s, cfg)
+        tri = _fit_alone(s, cfg)
         assert (est.triplet.mu_hat, est.triplet.lambda_hat) == (tri.mu_hat, tri.lambda_hat)
         assert est.x.shape == est.nu_hat.shape == est.imag_residual.shape
         # exact mirror pairs and a conjugate-symmetric transform estimate
@@ -468,7 +474,7 @@ class TestPipelines:
         cfg = EstimationConfig(u0=u0, vn=vn, eps=eps, m_fit=m_fit, m_inv=m_inv)
         s = sample_stationary(model, n, seed=seed)
         fused = run_algorithm2(s, cfg, default_x_grid(0.0, 3.0, 31)).triplet
-        alone = run_algorithm1(s, cfg)
+        alone = _fit_alone(s, cfg)
         assert (fused.mu_hat, fused.lambda_hat) == (alone.mu_hat, alone.lambda_hat)
         np.testing.assert_array_equal(fused.curve.y, alone.curve.y)
 
@@ -495,7 +501,7 @@ class TestSerialization:
     def test_triplet_json(self, tmp_path):
         cfg = EstimationConfig()
         s = sample_stationary(CPExp(mu=1.8, a=0.7, b=1.8), 500, seed=0)
-        tri = run_algorithm1(s, cfg)
+        tri = _fit_alone(s, cfg)
         path = write_triplet_json(tri, tmp_path / "triplet.json")
         payload = json.loads(path.read_text())
         assert set(payload) == {"mu_hat", "lambda_hat", "ill_count", "n", "config"}

@@ -28,7 +28,7 @@ from gouest import (
     sample_stationary,
     write_mise_report_json,
 )
-from gouest.rates import _log_log_slope
+from gouest.rates import STUDY_X_POINTS, _log_log_slope
 
 BETA_MODEL = CPExp(a=0.7, b=1.8, mu=1.8)
 
@@ -189,12 +189,12 @@ class TestRateStudy:
 
     def test_constant_estimator_has_flat_errors(self, monkeypatch):
         # a sample-independent estimator must show zero slope across n
-        def const(sample, config):
+        def const(curve, config):
             return TripletEstimate(
-                mu_hat=2.0, lambda_hat=1.0, ill_count=0, n=sample.n, config=config
+                mu_hat=2.0, lambda_hat=1.0, ill_count=0, n=curve.n, config=config
             )
 
-        monkeypatch.setattr(gouest.rates, "run_algorithm1", const)
+        monkeypatch.setattr(gouest.estimators, "run_algorithm1", const)
         report = rate_study(
             self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0
         )
@@ -202,8 +202,7 @@ class TestRateStudy:
         for med in report.median_sq_err_mu:
             assert med == pytest.approx((2.0 - 1.8) ** 2, rel=1e-12)
 
-    @pytest.mark.parametrize("with_mise, per_replicate", [(True, 1), (False, 1)])
-    def test_one_fit_per_replicate(self, monkeypatch, with_mise, per_replicate):
+    def test_one_fit_per_replicate(self, monkeypatch):
         # one curve per replicate: the density pipeline computes the fit band
         # and the symmetric band in the same pass over the sample
         calls = []
@@ -214,13 +213,11 @@ class TestRateStudy:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(gouest.estimators, "laplace_curve", counting)
-        report = rate_study(
-            self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0,
-            x_grid=np.linspace(0.0, 3.0, 21) if with_mise else None,
-        )
+        report = rate_study(self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0,
+                            x_grid=np.linspace(0.0, 3.0, 21))
         replicates = len(self.STUDY.n_ladder) * self.STUDY.replicates
         assert report.failures == []
-        assert len(calls) == per_replicate * replicates
+        assert len(calls) == replicates
         assert [row[:2] for row in report.rows] == [
             (n, r) for n in self.STUDY.n_ladder for r in range(self.STUDY.replicates)
         ]
@@ -258,11 +255,14 @@ class TestRateStudy:
         assert payload["meta"]["x_points"] == 21
         assert payload["median_mise"] == report.median_mise
 
-    def test_without_mise_marks_missing(self):
-        report = rate_study(
-            self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0
-        )
-        assert all(m is None or np.isnan(m) for m in report.median_mise) or report.median_mise == []
+    def test_default_grid_scores_mise(self):
+        # without an x-grid the study scores MISE on its default grid
+        report = rate_study(self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0)
+        assert report.meta["x_range"] == [0.0, 3.0]
+        assert report.meta["x_points"] == STUDY_X_POINTS
+        assert len(report.median_mise) == len(self.STUDY.n_ladder)
+        assert all(np.isfinite(m) for m in report.median_mise)
+        assert np.isfinite(report.slope_mise)
 
     def test_overflowing_inversion_fails_the_replicates(self):
         # e^{29 x} overflows on [0, 30]: each replicate fails with a
@@ -304,7 +304,6 @@ class TestReplicateFailures:
             return scores[current["key"]]
 
         monkeypatch.setattr(gouest.rates, "sample_stationary", drawing)
-        monkeypatch.setattr(gouest.rates, "run_algorithm1", failing(gouest.estimators.run_algorithm1))
         monkeypatch.setattr(gouest.rates, "run_algorithm2", failing(run_algorithm2))
         monkeypatch.setattr(gouest.rates, "mise", scoring)
         report = rate_study(self.STUDY, BETA_MODEL, TestRateStudy.TEMPLATE, seed=0,
@@ -315,11 +314,11 @@ class TestReplicateFailures:
     def _summary(values):
         return float(np.median(values)), [float(q) for q in np.percentile(values, [25, 75])]
 
-    @pytest.mark.parametrize("x_grid", [X_GRID, None], ids=["mise", "fit"])
+    @pytest.mark.parametrize("x_grid", [X_GRID, None], ids=["mise", "default-grid"])
     def test_failed_replicates_are_recorded_and_left_out(self, monkeypatch, x_grid):
         clean, _ = self._study(monkeypatch, x_grid=x_grid)
         failed_fit = {(200, 1), (400, 0), (400, 3)}
-        failed_mise = {(200, 2)} if x_grid is not None else set()
+        failed_mise = {(200, 2)}
         report, scores = self._study(monkeypatch, failed_fit, failed_mise, x_grid=x_grid)
 
         assert sorted((f["n"], f["replicate"], f["error"]) for f in report.failures) == sorted(
@@ -333,10 +332,9 @@ class TestReplicateFailures:
                 median, quartiles = self._summary([(row[key] - truth) ** 2 for row in rows])
                 assert getattr(report, f"median_sq_err_{name}")[i] == median
                 assert report.quartiles[f"sq_err_{name}"][i] == quartiles
-            if x_grid is not None:
-                median, quartiles = self._summary([scores[row[:2]] for row in rows])
-                assert report.median_mise[i] == median
-                assert report.quartiles["mise"][i] == quartiles
+            median, quartiles = self._summary([scores[row[:2]] for row in rows])
+            assert report.median_mise[i] == median
+            assert report.quartiles["mise"][i] == quartiles
 
     def test_every_replicate_failing_at_one_n_is_fatal(self, monkeypatch):
         every = {(400, r) for r in range(self.STUDY.replicates)}
@@ -381,12 +379,13 @@ class TestNoLapackOrScipyOnTheRunPath:
         monkeypatch.setattr(np.linalg, "lstsq", fail)
         monkeypatch.setattr(scipy.special, "factorial", fail)
 
-    @pytest.mark.parametrize("x_grid", [np.linspace(0.0, 3.0, 21), None], ids=["mise", "fit"])
+    @pytest.mark.parametrize("x_grid", [np.linspace(0.0, 3.0, 21), None],
+                             ids=["mise", "default-grid"])
     def test_rate_study(self, x_grid):
         report = rate_study(TestRateStudy.STUDY, BETA_MODEL, TestRateStudy.TEMPLATE, seed=0,
                             x_grid=x_grid)
         assert report.failures == [] and np.isfinite(report.slope_mu)
-        assert np.isfinite(report.slope_mise) == (x_grid is not None)
+        assert np.isfinite(report.slope_mise)
 
     def test_run_algorithm2(self):
         sample = sample_stationary(BETA_MODEL, 2000, seed=1)
