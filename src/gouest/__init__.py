@@ -16,13 +16,12 @@ from .models import (MODELS, CPExp, SeriesTruncationPolicy, SubordinatorModel, T
 from .kernels import FLAT_TOP_PLATEAU, flat_top
 from .sampling import (Sample, make_generator, read_sample_csv, sample_stationary,
                        write_columns_csv, write_json, write_sample_csv)
-from .mellin import (LaplaceCurve, default_floor, laplace_curve, laplace_curve_from_mellin,
-                     symmetric_grid, write_laplace_curve_csv)
+from .mellin import (LaplaceCurve, laplace_curve, laplace_curve_from_mellin, symmetric_grid,
+                     write_laplace_curve_csv)
 from .estimators import (EstimationConfig, LevyDensityEstimate, TripletEstimate,
-                         default_x_grid, estimate_fourier_nu_bar, estimate_lambda,
-                         estimate_mu, fit_alphas, invert_levy_density,
-                         inversion_alphas, run_algorithm1, run_algorithm2,
-                         write_levy_density_csv, write_triplet_json)
+                         default_x_grid, estimate_fourier_nu_bar, fit_alphas,
+                         invert_levy_density, inversion_alphas, run_algorithm1,
+                         run_algorithm2, write_levy_density_csv, write_triplet_json)
 from .rates import (MiseReport, RateStudyConfig, choose_vn_exponential,
                     choose_vn_polynomial, mise, rate_study, write_mise_report_json)
 
@@ -40,12 +39,13 @@ __all__ = [
     "Sample", "make_generator", "sample_stationary",
     "write_columns_csv", "write_json", "write_sample_csv", "read_sample_csv",
     # mellin
-    "LaplaceCurve", "default_floor", "laplace_curve", "laplace_curve_from_mellin",
+    "LaplaceCurve", "laplace_curve", "laplace_curve_from_mellin",
     "symmetric_grid", "write_laplace_curve_csv",
     # estimators
     "EstimationConfig", "TripletEstimate", "LevyDensityEstimate", "fit_alphas",
-    "inversion_alphas", "estimate_mu", "estimate_lambda", "estimate_fourier_nu_bar",
-    "invert_levy_density", "run_algorithm1", "run_algorithm2", "default_x_grid", "write_levy_density_csv", "write_triplet_json",
+    "inversion_alphas", "estimate_fourier_nu_bar", "invert_levy_density",
+    "run_algorithm1", "run_algorithm2", "default_x_grid", "write_levy_density_csv",
+    "write_triplet_json",
     # rates
     "RateStudyConfig", "MiseReport", "choose_vn_polynomial", "choose_vn_exponential",
     "mise", "rate_study", "write_mise_report_json",

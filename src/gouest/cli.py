@@ -1,9 +1,10 @@
 """Command-line driver: simulation, estimation, and the two reference
 simulation studies, emitting plain CSV/JSON for downstream plotting.
 
-Exit codes: 0 success, 2 input/config error, 3 numerical degeneracy,
-4 I/O failure. Every run writes a manifest.json listing command, config,
-seed, timestamps, and all output files — on failure as well as success.
+Exit codes: 0 success, 2 input/config error (a sample too large for memory
+included), 3 numerical degeneracy, 4 I/O failure. Every run writes a
+manifest.json listing command, config, seed, timestamps, and all output
+files — on failure as well as success.
 """
 
 from __future__ import annotations
@@ -377,9 +378,10 @@ _COMMANDS = {
     "rate-study": _cmd_rate_study,
 }
 
-# Exit code by error kind; the first kind that matches wins.
+# Exit code by error kind; the first kind that matches wins. A MemoryError
+# is an input error: a sample size numpy can size but the machine cannot hold.
 _EXIT_CODES = (((TruncationError, PoleError), 3),
-               (GouestError, 2), (OSError, 4))
+               ((GouestError, MemoryError), 2), (OSError, 4))
 
 
 def main(argv=None) -> int:
@@ -411,7 +413,7 @@ def main(argv=None) -> int:
         manifest["config"] = _COMMANDS[args.command](args, file_config, out_dir, outputs)
         # the seed the command drew with, from its flag, the config file or the default
         manifest["seed"] = manifest["config"].get("seed")
-    except (GouestError, OSError) as exc:
+    except (GouestError, MemoryError, OSError) as exc:
         code = next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))
         manifest["status"] = "error"
         manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}

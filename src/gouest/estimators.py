@@ -34,8 +34,6 @@ __all__ = [
     "LevyDensityEstimate",
     "fit_alphas",
     "inversion_alphas",
-    "estimate_mu",
-    "estimate_lambda",
     "estimate_fourier_nu_bar",
     "invert_levy_density",
     "run_algorithm1",
@@ -106,7 +104,6 @@ class TripletEstimate:
     ill_count: int
     n: int
     config: EstimationConfig
-    curve: LaplaceCurve | None = None
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.mu_hat) and np.isfinite(self.lambda_hat)):
@@ -159,38 +156,6 @@ def inversion_alphas(config: EstimationConfig) -> np.ndarray:
     """Symmetric inversion grid alpha_m = (2m - M)/M, m = 0..M, with exact
     mirror pairs alpha_{M-m} = -alpha_m."""
     return symmetric_grid(1.0, config.m_inv)
-
-
-def _check_fit_grid(curve: LaplaceCurve, config: EstimationConfig) -> np.ndarray:
-    alphas = fit_alphas(config)
-    expected = alphas * config.vn
-    if curve.v.size != expected.size or not np.allclose(curve.v, expected, rtol=1e-9, atol=1e-12):
-        raise GridMismatch(
-            f"curve grid does not match the fitting grid eps + j(1-eps)/M scaled by "
-            f"vn={config.vn} (m_fit={config.m_fit}, eps={config.eps})")
-    if not np.isclose(curve.u0, config.u0, rtol=1e-12):
-        raise GridMismatch(f"curve u0={curve.u0} differs from config u0={config.u0}")
-    return alphas
-
-
-def estimate_mu(curve: LaplaceCurve, config: EstimationConfig) -> float:
-    """Drift estimate: least-squares slope through the origin of Im Y against
-    v over the fitting band.
-
-    mu_hat = sum_m a_m Im Y(u0 + i a_m V) / (V sum_m a_m^2).
-    """
-    alphas = _check_fit_grid(curve, config)
-    return float(np.sum(alphas * curve.y.imag) / (config.vn * np.sum(alphas**2)))
-
-
-def estimate_lambda(curve: LaplaceCurve, mu_hat: float, config: EstimationConfig) -> float:
-    """Intensity estimate: mean of Re Y over the fitting band minus the
-    drift part.
-
-    lambda_hat = sum_m Re Y(u0 + i a_m V) / m_fit - mu_hat*u0.
-    """
-    _check_fit_grid(curve, config)
-    return float(np.sum(curve.y.real) / config.m_fit - mu_hat * config.u0)
 
 
 def _check_symmetric(curve: LaplaceCurve) -> None:
@@ -292,13 +257,25 @@ def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEs
 
 def run_algorithm1(curve: LaplaceCurve, config: EstimationConfig) -> TripletEstimate:
     """The fit of (mu, lambda) on a ratio-estimator ``curve`` over the
-    one-sided fitting band: the closed-form estimates of drift and
-    intensity, with n from the curve."""
-    mu_hat = estimate_mu(curve, config)
-    lambda_hat = estimate_lambda(curve, mu_hat, config)
+    one-sided fitting band alpha_m V, m = 1..M, with n from the curve:
+
+    mu_hat = sum_m a_m Im Y(u0 + i a_m V) / (V sum_m a_m^2), the
+    least-squares slope through the origin of Im Y against v, and
+    lambda_hat = sum_m Re Y(u0 + i a_m V) / M - mu_hat*u0, the band's mean
+    of Re Y less the drift part. GridMismatch if the curve's grid or u0 is
+    not the config's."""
+    alphas = fit_alphas(config)
+    if curve.v.size != alphas.size or not np.allclose(curve.v, alphas * config.vn,
+                                                      rtol=1e-9, atol=1e-12):
+        raise GridMismatch(
+            f"curve grid does not match the fitting grid eps + j(1-eps)/M scaled by "
+            f"vn={config.vn} (m_fit={config.m_fit}, eps={config.eps})")
+    if not np.isclose(curve.u0, config.u0, rtol=1e-12):
+        raise GridMismatch(f"curve u0={curve.u0} differs from config u0={config.u0}")
+    mu_hat = float(np.sum(alphas * curve.y.imag) / (config.vn * np.sum(alphas**2)))
+    lambda_hat = float(np.sum(curve.y.real) / config.m_fit - mu_hat * config.u0)
     return TripletEstimate(mu_hat=mu_hat, lambda_hat=lambda_hat,
-                           ill_count=int(np.sum(curve.ill)), n=curve.n,
-                           config=config, curve=curve)
+                           ill_count=int(np.sum(curve.ill)), n=curve.n, config=config)
 
 
 def _band(curve: LaplaceCurve, v: np.ndarray) -> LaplaceCurve:

@@ -21,7 +21,6 @@ from .sampling import write_columns_csv
 
 __all__ = [
     "LaplaceCurve",
-    "default_floor",
     "laplace_curve",
     "laplace_curve_from_mellin",
     "symmetric_grid",
@@ -54,12 +53,6 @@ class LaplaceCurve:
             raise DomainError("LaplaceCurve arrays must have equal length")
         if not np.all(self.denom_abs > 0.0):
             raise DomainError("conditioning diagnostics must be positive")
-
-
-def default_floor(n: int) -> float:
-    """Conditioning floor 10/sqrt(n): below the sampling-noise scale of the
-    empirical moment the ratio estimator carries no signal."""
-    return 10.0 / np.sqrt(n)
 
 
 # Binned Taylor kernel of the empirical moments (see laplace_curve):
@@ -191,7 +184,9 @@ def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> Lapl
     if not (u0 > 0.0):
         raise DomainError(f"u0 must be positive, got {u0}")
     if floor is None:
-        floor = default_floor(values.size)
+        # below the sampling-noise scale of the empirical moment the ratio
+        # estimator carries no signal
+        floor = 10.0 / np.sqrt(values.size)
     v = np.asarray(v_grid, dtype=float)
     if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
         raise DomainError("need a nonempty, finite 1-d v-grid")

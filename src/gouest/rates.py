@@ -157,7 +157,8 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
     Per replicate: draw a fresh stationary sample (independent stream), run
     the density pipeline on ``x_grid`` (default: ``STUDY_X_POINTS`` points on
     [0, 3]), which fits (mu, lambda) on the way, and integrate its squared
-    error over the grid. Replicate failures are recorded, not fatal.
+    error over the grid. Replicate failures (a GouestError) are recorded,
+    not fatal; any other error, a MemoryError included, ends the study.
     """
     # a negative seed is an input error, not a failure of every replicate
     make_generator(seed)
@@ -186,6 +187,9 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
                 failures.append({"n": n, "replicate": r,
                                  "error": type(exc).__name__, "message": str(exc)})
                 continue
+            finally:
+                # one draw alive at a time: this one goes before the next is made
+                sample = None
             triplet = estimate.triplet
             errors["sq_err_mu"].append((triplet.mu_hat - model.drift) ** 2)
             errors["sq_err_lambda"].append((triplet.lambda_hat - model.jump_mass) ** 2)

@@ -23,8 +23,6 @@ from gouest import (
     EstimationConfig,
     RateStudyConfig,
     TruncNormCP,
-    estimate_lambda,
-    estimate_mu,
     fit_alphas,
     flat_top,
     inversion_alphas,
@@ -34,6 +32,7 @@ from gouest import (
     laplace_exponent,
     levy_density,
     rate_study,
+    run_algorithm1,
     run_algorithm2,
     sample_stationary,
 )
@@ -92,8 +91,8 @@ def test_02_plugin_chain_affine_exactness():
     config = EstimationConfig()
     v_fit = config.vn * fit_alphas(config)
     curve = laplace_curve_from_mellin(exact_mellin, config.u0, v_fit)
-    mu_hat = estimate_mu(curve, config)
-    lam_hat = estimate_lambda(curve, mu_hat, config)
+    fit = run_algorithm1(curve, config)
+    mu_hat, lam_hat = fit.mu_hat, fit.lambda_hat
     err_mu, err_lam = abs(mu_hat - mu_true), abs(lam_hat - lam_true)
     ok = err_mu <= 1e-6 and err_lam <= 1e-6
     print(f"[check 2] plug-in recovery |mu_hat-1.8| = {err_mu:.2e}, "

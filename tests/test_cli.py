@@ -580,6 +580,25 @@ def test_oversized_sample_exits_2(tmp_path, command, config, n):
     assert str(n) in man["error"]["message"]
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--model", "cp_exp", "-n", "4000000000000"],
+    ["rate-study", "--model", "cp_exp", "--n-ladder", "200,400", "--reps", "2"],
+], ids=["simulate", "rate-study"])
+def test_draw_out_of_memory_exits_2(tmp_path, monkeypatch, command):
+    """A sample size numpy can size but the machine cannot hold is an input
+    error with a manifest; a rate study ends at the first such draw."""
+    def out_of_memory(self, n, rng, policy):
+        raise MemoryError(f"Unable to allocate {8 * n} bytes")
+
+    monkeypatch.setattr(gouest.models.CPExp, "stationary", out_of_memory)
+    out = tmp_path / "out"
+    assert main(command + ["--out", str(out)]) == 2
+    man = _manifest(out)
+    assert man["status"] == "error"
+    assert man["error"]["type"] == "MemoryError"
+    assert man["outputs"] == []
+
+
 def _reject_json_constant(name):
     raise AssertionError(f"JSON output holds the non-finite constant {name}")
 
@@ -722,6 +741,16 @@ class TestParser:
             build_parser().parse_args(["experiment1"])
 
 
+def _run_fresh(script, cwd):
+    """Run a Python script in a fresh interpreter that imports this gouest."""
+    src = str(Path(gouest.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_cp_exp_commands_run_without_scipy_special(tmp_path):
     # scipy.special loads only for trunc_norm_cp and CPExp.mellin, so a fresh
     # interpreter estimates and studies cp_exp without it
@@ -736,12 +765,18 @@ assert "scipy.special" not in sys.modules
 assert main(["simulate", "--model", "trunc_norm_cp", "-n", "500", "--out", "tn"]) == 0
 assert "scipy.special" in sys.modules
 """
-    src = str(Path(gouest.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    _run_fresh(script, tmp_path)
+
+
+def test_rate_study_does_not_load_scipy(tmp_path):
+    script = """
+import sys
+from gouest.cli import main
+assert main(["rate-study", "--model", "cp_exp", "--n-ladder", "200,400", "--reps", "2",
+             "--out", "rs"]) == 0
+assert "scipy" not in sys.modules
+"""
+    _run_fresh(script, tmp_path)
 
 
 def test_estimate_does_not_load_numpy_ma(tmp_path):
@@ -754,9 +789,4 @@ before = "numpy.ma" in sys.modules
 assert main(["estimate", {str(csv)!r}, "--u0", "29", "--vn", "30", "--out", "est"]) == 0
 assert before or "numpy.ma" not in sys.modules
 """
-    src = str(Path(gouest.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    _run_fresh(script, tmp_path)

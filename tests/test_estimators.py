@@ -1,8 +1,8 @@
 """Tests for drift/intensity estimation and spectral inversion of the jump density.
 
 Oracles:
-  * The two fitting estimators are exact on curves affine in z (the model
-    family they are derived from), for any band edge eps.
+  * The fit of (mu, lambda) is exact on curves affine in z (the model
+    family it is derived from), for any band edge eps.
   * The Fourier-data constructor is exact on curves built from the
     drift-plus-exponential-jumps Laplace exponent: it must return
     a*b / (b + u0 - iv) exactly.
@@ -31,8 +31,6 @@ from gouest import (
     TruncNormCP,
     default_x_grid,
     estimate_fourier_nu_bar,
-    estimate_lambda,
-    estimate_mu,
     fit_alphas,
     flat_top,
     inversion_alphas,
@@ -89,7 +87,7 @@ class TestConfig:
         def slope(alphas):
             return float(np.sum(alphas * alphas**2) / (cfg.vn * np.sum(alphas**2)))
 
-        mu_hat = estimate_mu(curve, cfg)
+        mu_hat = run_algorithm1(curve, cfg).mu_hat
         assert mu_hat == slope(a)
         assert mu_hat != slope(fit_alphas(EstimationConfig(eps=0.1)))
 
@@ -172,11 +170,9 @@ class TestGrids:
 class TestFitEstimators:
     def test_affine_exactness_default_weights(self):
         cfg = EstimationConfig()
-        curve = _affine_curve(cfg, 1.8, 0.7)
-        mu_hat = estimate_mu(curve, cfg)
-        lam_hat = estimate_lambda(curve, mu_hat, cfg)
-        assert mu_hat == pytest.approx(1.8, abs=1e-12)
-        assert lam_hat == pytest.approx(0.7, abs=1e-12)
+        fit = run_algorithm1(_affine_curve(cfg, 1.8, 0.7), cfg)
+        assert fit.mu_hat == pytest.approx(1.8, abs=1e-12)
+        assert fit.lambda_hat == pytest.approx(0.7, abs=1e-12)
 
     def test_affine_exactness_random_weights(self):
         # the estimator equations are exact for affine curves at any band edge
@@ -185,11 +181,9 @@ class TestFitEstimators:
             mu = rng.uniform(0.1, 5.0)
             lam = rng.uniform(0.1, 5.0)
             cfg = EstimationConfig(eps=rng.uniform(0.05, 0.9))
-            curve = _affine_curve(cfg, mu, lam)
-            mu_hat = estimate_mu(curve, cfg)
-            lam_hat = estimate_lambda(curve, mu_hat, cfg)
-            assert mu_hat == pytest.approx(mu, abs=1e-10)
-            assert lam_hat == pytest.approx(lam, abs=1e-10)
+            fit = run_algorithm1(_affine_curve(cfg, mu, lam), cfg)
+            assert fit.mu_hat == pytest.approx(mu, abs=1e-10)
+            assert fit.lambda_hat == pytest.approx(lam, abs=1e-10)
 
     def test_every_band_point_counted(self):
         # at eps = 0.067 the top point of the M = 50 grid rounds to
@@ -200,22 +194,26 @@ class TestFitEstimators:
         re_y, im_y = np.random.default_rng(3).standard_normal((2, a.size))
         y = re_y + 1j * im_y
         curve = _curve_on(cfg.vn * a, y, u0=cfg.u0)
-        mu_hat = estimate_mu(curve, cfg)
-        assert mu_hat == float(np.sum(a * y.imag) / (cfg.vn * np.sum(a**2)))
-        assert estimate_lambda(curve, mu_hat, cfg) == float(np.sum(y.real) / 50 - mu_hat * cfg.u0)
+        fit = run_algorithm1(curve, cfg)
+        assert fit.mu_hat == float(np.sum(a * y.imag) / (cfg.vn * np.sum(a**2)))
+        assert fit.lambda_hat == float(np.sum(y.real) / 50 - fit.mu_hat * cfg.u0)
 
     def test_zero_imaginary_part_gives_zero_drift(self):
         cfg = EstimationConfig()
         v = cfg.vn * fit_alphas(cfg)
         curve = _curve_on(v, np.full(v.size, 0.4 + 0j), u0=cfg.u0)
-        assert estimate_mu(curve, cfg) == pytest.approx(0.0, abs=1e-15)
+        assert run_algorithm1(curve, cfg).mu_hat == pytest.approx(0.0, abs=1e-15)
 
     def test_grid_mismatch(self):
         cfg = EstimationConfig()
         v = cfg.vn * fit_alphas(cfg) + 0.01
         curve = _curve_on(v, np.ones(v.size, dtype=complex), u0=cfg.u0)
         with pytest.raises(GridMismatch):
-            estimate_mu(curve, cfg)
+            run_algorithm1(curve, cfg)
+        # the right grid on another line
+        curve = _curve_on(cfg.vn * fit_alphas(cfg), np.ones(v.size, dtype=complex), u0=2 * cfg.u0)
+        with pytest.raises(GridMismatch, match="u0"):
+            run_algorithm1(curve, cfg)
 
 
 class TestFourierData:
@@ -473,10 +471,19 @@ class TestPipelines:
         # grid; each of its rows must round exactly as on the band alone
         cfg = EstimationConfig(u0=u0, vn=vn, eps=eps, m_fit=m_fit, m_inv=m_inv)
         s = sample_stationary(model, n, seed=seed)
-        fused = run_algorithm2(s, cfg, default_x_grid(0.0, 3.0, 31)).triplet
-        alone = _fit_alone(s, cfg)
+        handed = []
+
+        def recording(curve, config):
+            handed.append(curve)
+            return run_algorithm1(curve, config)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gouest.estimators, "run_algorithm1", recording)
+            fused = run_algorithm2(s, cfg, default_x_grid(0.0, 3.0, 31)).triplet
+        curve = laplace_curve(s, cfg.u0, fit_alphas(cfg) * cfg.vn)
+        alone = run_algorithm1(curve, cfg)
         assert (fused.mu_hat, fused.lambda_hat) == (alone.mu_hat, alone.lambda_hat)
-        np.testing.assert_array_equal(fused.curve.y, alone.curve.y)
+        np.testing.assert_array_equal(handed[0].y, curve.y)
 
     def test_one_sample_pass(self, monkeypatch):
         # the density pipeline takes both bands from one curve over their

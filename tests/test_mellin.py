@@ -25,7 +25,6 @@ from gouest import (
     EstimationConfig,
     Sample,
     TruncNormCP,
-    default_floor,
     fit_alphas,
     laplace_curve,
     laplace_curve_from_mellin,
@@ -134,10 +133,6 @@ class TestRatioEstimator:
         assert abs(curve.y[0]) <= 1e-12
         assert curve.denom_abs[0] == pytest.approx(1.0, rel=1e-11)
 
-    def test_default_floor(self):
-        assert default_floor(10_000) == pytest.approx(0.1)
-        assert default_floor(100) == pytest.approx(1.0)
-
     def test_ill_flag_on_tiny_denominator(self):
         # constant 0.01 sample: |M_n(2+i)| = 0.01 < 10/sqrt(100)
         s = _sample_of(np.full(100, 0.01))
@@ -222,7 +217,7 @@ class TestLaplaceCurve:
             want, want_denom = _ratio_reference(s.values, complex(1.0, vj))
             assert abs(curve.y[j] - want) <= 1e-12 * max(1.0, abs(want))
             assert curve.denom_abs[j] == pytest.approx(want_denom, rel=1e-12)
-            assert curve.ill[j] == (want_denom < default_floor(s.n))
+            assert curve.ill[j] == (want_denom < 10 / np.sqrt(s.n))
 
     def test_conjugate_symmetry_bitwise(self):
         s = sample_stationary(GAMMA_MODEL, 300, seed=2)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -340,6 +341,34 @@ class TestReplicateFailures:
         every = {(400, r) for r in range(self.STUDY.replicates)}
         with pytest.raises(DomainError, match="all 4 replicates failed at n=400"):
             self._study(monkeypatch, fail_fit=every - {(400, 1)}, fail_mise={(400, 1)})
+
+
+class TestOneDrawAlive:
+    STUDY = RateStudyConfig(n_ladder=(200, 400), replicates=3, beta=0.7 / 1.8)
+
+    def test_each_draw_is_released_before_the_next(self, monkeypatch):
+        # replicate r's sample is gone when replicate r + 1 is drawn, after a
+        # failed replicate as after a scored one
+        drawn, alive_at_draw = [], []
+
+        def drawing(model, n, seed, stream):
+            alive_at_draw.append([ref() is not None for ref in drawn])
+            sample = sample_stationary(model, n, seed=seed, stream=stream)
+            drawn.append(weakref.ref(sample.values))
+            return sample
+
+        def failing_second(sample, config, x_grid):
+            if len(drawn) % self.STUDY.replicates == 2:
+                raise PoleError("denominator vanished")
+            return run_algorithm2(sample, config, x_grid)
+
+        monkeypatch.setattr(gouest.rates, "sample_stationary", drawing)
+        monkeypatch.setattr(gouest.rates, "run_algorithm2", failing_second)
+        report = rate_study(self.STUDY, BETA_MODEL, TestRateStudy.TEMPLATE, seed=0,
+                            x_grid=np.linspace(0.0, 3.0, 21))
+        assert len(report.failures) == 2
+        assert len(drawn) == 6
+        assert alive_at_draw == [[False] * r for r in range(6)]
 
 
 @st.composite
