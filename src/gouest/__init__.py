@@ -11,8 +11,8 @@ inversion.
 __version__ = "0.1.0"
 
 from .errors import DomainError, GouestError, GridMismatch, PoleError, TruncationError
-from .models import (MODELS, CPExp, SeriesTruncationPolicy, SubordinatorModel, TruncNormCP,
-                     laplace_exponent, levy_density, model_from_config, model_to_config)
+from .models import (MODELS, CPExp, SubordinatorModel, TruncNormCP, laplace_exponent,
+                     levy_density, model_from_config, model_to_config)
 from .kernels import FLAT_TOP_PLATEAU, flat_top
 from .sampling import (Sample, make_generator, read_sample_csv, sample_stationary,
                        write_columns_csv, write_json, write_sample_csv)
@@ -31,7 +31,7 @@ __all__ = [
     "GouestError", "PoleError", "TruncationError", "DomainError",
     "GridMismatch",
     # models
-    "SubordinatorModel", "CPExp", "TruncNormCP", "MODELS", "SeriesTruncationPolicy",
+    "SubordinatorModel", "CPExp", "TruncNormCP", "MODELS",
     "laplace_exponent", "levy_density", "model_from_config", "model_to_config",
     # kernels
     "FLAT_TOP_PLATEAU", "flat_top",

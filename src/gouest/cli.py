@@ -23,8 +23,8 @@ from .errors import DomainError, GouestError, PoleError, TruncationError
 from .estimators import (EstimationConfig, default_x_grid, run_algorithm2, whole_number,
                          write_levy_density_csv, write_triplet_json)
 from .mellin import laplace_curve, symmetric_grid, write_laplace_curve_csv
-from .models import (MODELS, CPExp, SeriesTruncationPolicy, TruncNormCP, laplace_exponent,
-                     levy_density, model_from_config, model_to_config)
+from .models import (MODELS, CPExp, TruncNormCP, laplace_exponent, levy_density,
+                     model_from_config, model_to_config)
 from .rates import STUDY_X_POINTS, RateStudyConfig, rate_study, write_mise_report_json
 from .sampling import (Sample, read_sample_csv, sample_stationary, write_columns_csv,
                        write_json, write_sample_csv)
@@ -175,9 +175,7 @@ def _cmd_simulate(args, file_config: dict, out_dir: Path, outputs: list) -> dict
     model = _model_from_args(args, file_config)
     n = _merge(args.n, file_config, "n", 10**4, int)
     seed = _merge(args.seed, file_config, "seed", 0, int)
-    flags = {"eta": args.eta, "n_max": args.n_max}
-    policy = SeriesTruncationPolicy(**{k: v for k, v in flags.items() if v is not None})
-    sample = sample_stationary(model, n, seed=seed, policy=policy)
+    sample = sample_stationary(model, n, seed=seed)
     csv_path, meta_path = write_sample_csv(sample, out_dir / "sample.csv")
     outputs += [csv_path, meta_path]
     return {"model": model_to_config(model), "n": n, "seed": seed}
@@ -332,11 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="draw stationary observations, write sample CSV")
     _add_model_flags(p)
     p.add_argument("-n", "--n", type=int, default=None, help="sample size (default 10^4)")
-    p.add_argument("--eta", type=float, default=None, help="series tail tolerance")
-    p.add_argument("--n-max", type=int, default=None, help="cap on series terms per draw")
     _add_common(p)
 
-    p = sub.add_parser("estimate", help="run both estimation pipelines on a sample CSV")
+    p = sub.add_parser("estimate", help="estimate the triplet and Levy density from a sample CSV")
     p.add_argument("sample", help="sample CSV file (header 'x')")
     _add_estimation_flags(p)
     _add_common(p, seed=False)

@@ -3,9 +3,9 @@
 The stationary observations satisfy a one-step moment recursion linking the
 Mellin transform M(z) = E[X^{z-1}] to the driving Laplace exponent:
 phi(z) = z * M(z) / M(z+1). Replacing M by the empirical moment
-M_n(z) = (1/n) sum X_k^{z-1} gives the estimator Y_n(z), the shared first
-stage of both estimation pipelines. A model's exact M (``CPExp.mellin``)
-gives the zero-noise curve of :func:`laplace_curve_from_mellin`.
+M_n(z) = (1/n) sum X_k^{z-1} gives the estimator Y_n(z), the first stage of
+the estimation pipeline. A model's exact M (``CPExp.mellin``) gives the
+zero-noise curve of :func:`laplace_curve_from_mellin`.
 """
 
 from __future__ import annotations

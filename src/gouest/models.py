@@ -10,8 +10,8 @@ Two finite-activity subordinators are supported:
 Each model class holds its config ``kind`` and ``keys`` (one per field; a
 field's metadata holds its CLI ``help``), ``drift``, ``jump_mass`` and three
 array methods: ``phi``, the Laplace exponent -log E[exp(-z*xi_1)] on the
-closed upper half-plane; ``nu``, the Levy density; ``stationary(n, rng,
-policy)``, n draws of A = int_0^inf e^{-xi_t} dt and the law's metadata.
+closed upper half-plane; ``nu``, the Levy density; ``stationary(n, rng)``,
+n draws of A = int_0^inf e^{-xi_t} dt and the law's metadata.
 ``CPExp.mellin`` is its stationary law's Mellin transform. ``MODELS`` maps
 each kind to its class, and the module functions wrap the methods.
 """
@@ -26,25 +26,11 @@ import numpy as np
 from .errors import DomainError, PoleError, TruncationError
 
 _SQRT2 = np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class SeriesTruncationPolicy:
-    """Stopping rule for the series sampler.
-
-    The series is cut once the conditional-mean tail bound
-    q^{S_k} / (lam * (1 - q^alpha)) drops below ``eta`` times the partial sum;
-    ``n_max`` caps the number of terms per draw.
-    """
-
-    eta: float = 1e-12
-    n_max: int = 10**6
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eta < 1.0):
-            raise DomainError(f"tail tolerance must be in (0,1), got {self.eta}")
-        if self.n_max < 1:
-            raise DomainError(f"n_max must be >= 1, got {self.n_max}")
+# The series sampler's stopping rule: a draw's series is cut once the
+# conditional-mean tail bound q^{S_k} / (lam * (1 - q^alpha)) drops below
+# _SERIES_ETA times its partial sum; _SERIES_MAX_TERMS caps the terms per draw.
+_SERIES_ETA = 1e-12
+_SERIES_MAX_TERMS = 10**6
 
 
 def _require_finite(model) -> None:
@@ -98,8 +84,7 @@ class CPExp:
         # clamp x at 0 before exp so the discarded branch of where cannot overflow
         return np.where(x > 0.0, self.a * self.b * np.exp(-self.b * np.maximum(x, 0.0)), 0.0)
 
-    def stationary(self, n: int, rng: np.random.Generator,
-                   policy: SeriesTruncationPolicy) -> tuple[np.ndarray, dict]:
+    def stationary(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
         if self.mu == 0.0:
             return rng.gamma(shape=self.b + 1.0, scale=1.0 / self.a, size=n), {"law": "gamma"}
         raw = rng.beta(self.b + 1.0, self.a / self.mu, size=n)
@@ -172,7 +157,7 @@ class TruncNormCP:
         alpha, c = self.alpha, self.log_scale
         erfcx = special.wofz(1j * ((alpha + c * w) / _SQRT2))
         scaled_sf = 0.5 * erfcx * np.exp(-0.5 * alpha**2 - alpha * c * w)
-        return self.lam * (1.0 - scaled_sf / (1.0 - special.ndtr(alpha)))
+        return self.lam * (1.0 - scaled_sf / special.ndtr(-alpha))
 
     def nu(self, x: np.ndarray) -> np.ndarray:
         from scipy import special
@@ -180,12 +165,11 @@ class TruncNormCP:
         # lam * p(x/c) / (c * (1 - F(alpha))) on x > c*alpha, p and F standard normal:
         # the density of the jumps c*Z that stationary draws and phi integrates
         c = self.log_scale
-        tail = 1.0 - special.ndtr(self.alpha)
+        tail = special.ndtr(-self.alpha)  # 1 - F(alpha) without cancellation
         dens = np.exp(-0.5 * (x / c) ** 2) / np.sqrt(2.0 * np.pi)
         return np.where(x > c * self.alpha, self.lam * dens / (c * tail), 0.0)
 
-    def stationary(self, n: int, rng: np.random.Generator,
-                   policy: SeriesTruncationPolicy) -> tuple[np.ndarray, dict]:
+    def stationary(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, dict]:
         """A = sum_{k>=0} q^{S_k} (T_{k+1} - T_k) term by term, where the gaps
         are Exp(lam) and S_k accumulates truncated-normal heights. Each
         draw's k-th term is a deterministic function of the generator's
@@ -193,7 +177,7 @@ class TruncNormCP:
         full-length blocks per term index regardless of which draws are
         still running, so tightening the tail tolerance only appends terms
         and never changes earlier ones. Raises TruncationError if any draw
-        is still above the tail tolerance after n_max terms.
+        is still above the tail tolerance after _SERIES_MAX_TERMS terms.
         """
         from scipy import special
 
@@ -201,10 +185,13 @@ class TruncNormCP:
         log_q = np.log(q)
         tail_const = 1.0 / (lam * (1.0 - q**alpha))
         cdf_alpha = special.ndtr(alpha)
+        if cdf_alpha == 1.0:
+            raise DomainError(f"alpha must be below about 8.29 for the series sampler, got "
+                              f"{alpha}: its normal cdf rounds to 1 and every height to inf")
         sf_alpha = 1.0 - cdf_alpha
         total, log_q_s = np.zeros(n), np.zeros(n)  # log_q_s: log of q^{S_k}; S_0 = 0
         active = np.ones(n, dtype=bool)
-        for _ in range(policy.n_max):
+        for _ in range(_SERIES_MAX_TERMS):
             gaps = rng.exponential(scale=1.0 / lam, size=n)
             u = rng.random(n)
             np.add(total, np.exp(log_q_s) * gaps, out=total, where=active)
@@ -212,15 +199,15 @@ class TruncNormCP:
             heights = np.empty(n)
             heights[active] = special.ndtri(cdf_alpha + u[active] * sf_alpha)
             np.add(log_q_s, log_q * heights, out=log_q_s, where=active)
-            active &= np.exp(log_q_s) * tail_const >= policy.eta * total
+            active &= np.exp(log_q_s) * tail_const >= _SERIES_ETA * total
             if not active.any():
                 break
         else:
             raise TruncationError(
                 f"series sampler: {int(active.sum())} of {n} draws still above the "
-                f"tail tolerance {policy.eta:g} after {policy.n_max} terms"
+                f"tail tolerance {_SERIES_ETA:g} after {_SERIES_MAX_TERMS} terms"
             )
-        return total, {"law": "series", "eta": policy.eta, "n_max": policy.n_max}
+        return total, {"law": "series", "eta": _SERIES_ETA, "n_max": _SERIES_MAX_TERMS}
 
 
 SubordinatorModel = Union[CPExp, TruncNormCP]

@@ -197,7 +197,8 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
             rows.append((n, r, config.vn, triplet.mu_hat, triplet.lambda_hat,
                          triplet.ill_count))
         if not errors["sq_err_mu"]:
-            raise DomainError(f"all {study.replicates} replicates failed at n={n}")
+            raise DomainError(f"all {study.replicates} replicates failed at n={n}, the last "
+                              f"with {failures[-1]['error']}: {failures[-1]['message']}")
         for name, values in errors.items():
             medians[name].append(float(np.median(values)))
             quartiles[name].append([float(q) for q in np.percentile(values, [25, 75])])

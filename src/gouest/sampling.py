@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .models import SeriesTruncationPolicy, SubordinatorModel, model_to_config
+from .models import SubordinatorModel, model_to_config
 
 __all__ = [
     "Sample",
@@ -79,15 +79,13 @@ class Sample:
 
 
 def sample_stationary(model: SubordinatorModel, n: int, seed: int = 0, delta: float = 1.0,
-                      policy: SeriesTruncationPolicy | None = None, stream: int = 0) -> Sample:
+                      stream: int = 0) -> Sample:
     """n draws of the model's stationary law (``model.stationary``) from the
-    generator (seed, stream); ``policy`` (default ``SeriesTruncationPolicy()``)
-    bounds the series sampler. The meta holds the model's config and law."""
+    generator (seed, stream). The meta holds the model's config and law."""
     if not 1 <= n <= MAX_N:
         raise DomainError(f"need n >= 1 and at most {MAX_N}, the largest float64 array "
                           f"numpy can size; got {n}")
-    values, law = model.stationary(n, make_generator(seed, stream),
-                                   policy or SeriesTruncationPolicy())
+    values, law = model.stationary(n, make_generator(seed, stream))
     meta = {"model": model_to_config(model), **law}
     return Sample(values=values, delta=delta, seed=seed, meta=meta)
 

@@ -93,7 +93,8 @@ class TestSimulate:
         assert man["error"]["type"] == "DomainError"
         assert "error" in capsys.readouterr().err
 
-    def test_truncation_failure_exits_3(self, tmp_path):
+    def test_truncation_failure_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gouest.models, "_SERIES_MAX_TERMS", 2)
         out = tmp_path / "trunc"
         rc = main(
             [
@@ -108,16 +109,32 @@ class TestSimulate:
                 "0.1",
                 "-n",
                 "10",
-                "--eta",
-                "1e-12",
-                "--n-max",
-                "2",
                 "--out",
                 str(out),
             ]
         )
         assert rc == 3
         assert _manifest(out)["error"]["type"] == "TruncationError"
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "-n", "200"],
+        ["rate-study", "--beta", "1", "--u0", "1", "--x-max", "10", "--n-ladder", "200,400",
+         "--reps", "2"],
+    ], ids=["simulate", "rate-study"])
+    def test_alpha_past_the_normal_cdf_exits_2(self, tmp_path, command):
+        # at alpha = 9 the normal cdf rounds to 1: the series sampler refuses
+        out = tmp_path / "far"
+        assert main(command + ["--model", "trunc_norm_cp", "--alpha", "9",
+                               "--out", str(out)]) == 2
+        man = _manifest(out)
+        assert man["error"]["type"] == "DomainError"
+        assert "alpha" in man["error"]["message"]
+
+    @pytest.mark.parametrize("flag", ["--eta", "--n-max"])
+    def test_series_stopping_rule_has_no_flag(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--model", "trunc_norm_cp", flag, "1"])
+        assert exc.value.code == 2
 
     def test_series_model_runs(self, tmp_path):
         out = tmp_path / "tn"
@@ -587,7 +604,7 @@ def test_oversized_sample_exits_2(tmp_path, command, config, n):
 def test_draw_out_of_memory_exits_2(tmp_path, monkeypatch, command):
     """A sample size numpy can size but the machine cannot hold is an input
     error with a manifest; a rate study ends at the first such draw."""
-    def out_of_memory(self, n, rng, policy):
+    def out_of_memory(self, n, rng):
         raise MemoryError(f"Unable to allocate {8 * n} bytes")
 
     monkeypatch.setattr(gouest.models.CPExp, "stationary", out_of_memory)
@@ -658,7 +675,7 @@ class Toy:
     mu: float = dataclasses.field(metadata={"help": "drift"})
     scale: float = dataclasses.field(metadata={"help": "draw scale"})
 
-    def stationary(self, n, rng, policy):
+    def stationary(self, n, rng):
         return self.scale * (1.0 + rng.random(n)) / self.mu, {"law": "toy"}
 
 

@@ -30,7 +30,6 @@ from gouest import (
     CPExp,
     DomainError,
     PoleError,
-    SeriesTruncationPolicy,
     TruncNormCP,
     laplace_exponent,
     levy_density,
@@ -151,7 +150,7 @@ class TestCPExp:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
     def test_beta_draws_are_guarded_and_scaled_bitwise(self, seed):
         m = CPExp(a=0.7, b=0.2, mu=1.8)
-        got, law = m.stationary(1000, np.random.default_rng(seed), SeriesTruncationPolicy())
+        got, law = m.stationary(1000, np.random.default_rng(seed))
         raw = np.random.default_rng(seed).beta(m.b + 1.0, m.a / m.mu, size=1000)
         want = np.maximum(raw, np.finfo(float).tiny) / m.mu
         assert law == {"law": "beta"}
@@ -165,7 +164,7 @@ class TestCPExp:
             def beta(self, a, b, size):
                 return drawn
 
-        got, _ = CPExp(a=0.7, b=0.2, mu=2.0).stationary(3, Generator(), SeriesTruncationPolicy())
+        got, _ = CPExp(a=0.7, b=0.2, mu=2.0).stationary(3, Generator())
         assert got is drawn
         assert got.tolist() == [np.finfo(float).tiny / 2.0, 0.125, 0.5]
 
@@ -241,6 +240,23 @@ class TestTruncNormCP:
         assert nu[::1000] == pytest.approx(want, rel=1e-12)
         # the jump measure is normalized to total mass lam
         assert np.trapezoid(nu, x) == pytest.approx(1.0, rel=1e-4)
+
+    @pytest.mark.parametrize("alpha", [5.0, 8.0, 9.0])
+    def test_far_truncation_matches_mpmath(self, alpha):
+        # 1 - F(alpha) must not be formed by subtraction: at alpha = 8 that
+        # loses about 7% of nu, and past 8.29 it is 0
+        m = TruncNormCP(lam=1.3, q=0.5, alpha=alpha)
+        c = mpmath.mpf(m.log_scale)
+        with mpmath.workdps(50):
+            tail = mpmath.erfc(alpha / mpmath.sqrt(2))
+            for z in (0.5, 1.0, 1.0 + 2.0j):
+                want = 1.3 * (1 - mpmath.exp((c * z) ** 2 / 2)
+                              * mpmath.erfc((alpha + c * z) / mpmath.sqrt(2)) / tail)
+                got = laplace_exponent(m, complex(z))
+                assert abs(got - complex(want)) <= 1e-12 * abs(complex(want))
+            for x in np.array([1.01, 1.1, 1.5]) * m.log_scale * alpha:
+                want = 1.3 * mpmath.npdf(x / c) / (c * tail / 2)
+                assert levy_density(m, x) == pytest.approx(float(want), rel=1e-12)
 
 
 @pytest.mark.parametrize("model", [

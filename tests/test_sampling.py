@@ -21,13 +21,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from gouest import (
     CPExp,
     MODELS,
     DomainError,
     Sample,
-    SeriesTruncationPolicy,
     TruncNormCP,
     TruncationError,
     laplace_exponent,
@@ -37,6 +37,7 @@ from gouest import (
     write_columns_csv,
     write_sample_csv,
 )
+import gouest.models
 import gouest.sampling
 from gouest.sampling import _CSV_CHUNK_BYTES, _loadtxt_rows, _read_decimal_rows
 
@@ -143,36 +144,35 @@ class TestSeriesSampler:
         assert np.all(a.values > 0)
         np.testing.assert_array_equal(a.values, b.values)
 
-    def test_truncation_stability(self):
+    def test_truncation_stability(self, monkeypatch):
         # Random variates are drawn in full-length blocks per term index, so
         # loosening the tail tolerance only drops trailing nonnegative terms:
         # the tighter run dominates exactly, and the dropped tail is small.
         # The stopping rule bounds the tail's conditional expectation by
         # eta * total, so the realized tail gets an order-of-magnitude slack.
-        tight = sample_stationary(EX2, 400, policy=SeriesTruncationPolicy(eta=1e-12), seed=7)
-        loose = sample_stationary(EX2, 400, policy=SeriesTruncationPolicy(eta=1e-6), seed=7)
+        tight = sample_stationary(EX2, 400, seed=7)
+        monkeypatch.setattr(gouest.models, "_SERIES_ETA", 1e-6)
+        loose = sample_stationary(EX2, 400, seed=7)
         diff = tight.values - loose.values
         assert np.all(diff >= 0.0)
         assert np.all(diff <= 50e-6 * tight.values)
 
-    def test_term_cap_is_inactive_when_loop_converges(self):
-        a = sample_stationary(EX2, 200, policy=SeriesTruncationPolicy(eta=1e-8), seed=5)
-        b = sample_stationary(
-            EX2, 200, policy=SeriesTruncationPolicy(eta=1e-8, n_max=500), seed=5
-        )
+    def test_term_cap_is_inactive_when_loop_converges(self, monkeypatch):
+        monkeypatch.setattr(gouest.models, "_SERIES_ETA", 1e-8)
+        a = sample_stationary(EX2, 200, seed=5)
+        monkeypatch.setattr(gouest.models, "_SERIES_MAX_TERMS", 500)
+        b = sample_stationary(EX2, 200, seed=5)
         np.testing.assert_array_equal(a.values, b.values)
 
-    def test_term_cap_raises(self):
+    def test_term_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(gouest.models, "_SERIES_MAX_TERMS", 2)
         with pytest.raises(TruncationError):
-            sample_stationary(
-                EX2, 10, policy=SeriesTruncationPolicy(eta=1e-12, n_max=2), seed=0
-            )
+            sample_stationary(EX2, 10, seed=0)
 
-    def test_policy_validation(self):
-        with pytest.raises(DomainError):
-            SeriesTruncationPolicy(eta=0.0)
-        with pytest.raises(DomainError):
-            SeriesTruncationPolicy(eta=1.5)
+    def test_cdf_at_one_is_a_domain_error_naming_alpha(self):
+        # past alpha ~ 8.29 ndtr(alpha) rounds to 1: every height would be inf
+        with pytest.raises(DomainError, match="alpha must be below"):
+            sample_stationary(TruncNormCP(lam=1.0, q=0.5, alpha=9.0), 10)
 
 
 class TestDispatch:
@@ -194,6 +194,27 @@ class TestDispatch:
         got = sample_stationary(model, 50, seed=2, stream=7).values
         want = draw(model, make_generator(2, 7), 50)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("model", [EX2, TruncNormCP(lam=1.0, q=0.5, alpha=0.1)],
+                             ids=["ex2", "reference"])
+    def test_series_law_pins_rng_calls(self, model):
+        # per term: Exp(lam) gaps, then one uniform per draw, the height by
+        # inverse cdf on (alpha, inf); a draw stops once its tail bound
+        # q^{S_k} / (lam (1 - q^alpha)) is below 1e-12 times its partial sum
+        rng, n = make_generator(2, 7), 50
+        cdf = special.ndtr(model.alpha)
+        sf = 1.0 - cdf
+        tail_const = 1.0 / (model.lam * (1.0 - model.q**model.alpha))
+        total, log_q_s, active = np.zeros(n), np.zeros(n), np.ones(n, dtype=bool)
+        while active.any():
+            gaps = rng.exponential(1.0 / model.lam, n)
+            u = rng.random(n)
+            total = np.where(active, total + np.exp(log_q_s) * gaps, total)
+            heights = special.ndtri(cdf + u * sf)
+            log_q_s = np.where(active, log_q_s + np.log(model.q) * heights, log_q_s)
+            active &= np.exp(log_q_s) * tail_const >= 1e-12 * total
+        got = sample_stationary(model, n, seed=2, stream=7).values
+        assert got.tobytes() == total.tobytes()
 
     @pytest.mark.parametrize("kind", list(MODELS))
     def test_empty_sample_rejected(self, kind):
