@@ -1,5 +1,5 @@
-"""Command-line driver: simulation, estimation, and the two reference
-simulation studies, emitting plain CSV/JSON for downstream plotting.
+"""Command-line driver: simulation, estimation and the replicated
+convergence-rate study, emitting plain CSV/JSON for downstream plotting.
 
 Exit codes: 0 success, 2 input/config error (a sample too large for memory
 included), 3 numerical degeneracy, 4 I/O failure. Every run writes a
@@ -22,12 +22,14 @@ from . import __version__
 from .errors import DomainError, GouestError, PoleError, TruncationError
 from .estimators import (EstimationConfig, default_x_grid, run_algorithm2, whole_number,
                          write_levy_density_csv, write_triplet_json)
-from .mellin import laplace_curve, symmetric_grid, write_laplace_curve_csv
-from .models import (MODELS, CPExp, TruncNormCP, laplace_exponent, levy_density,
-                     model_from_config, model_to_config)
-from .rates import STUDY_X_POINTS, RateStudyConfig, rate_study, write_mise_report_json
-from .sampling import (Sample, read_sample_csv, sample_stationary, write_columns_csv,
-                       write_json, write_sample_csv)
+# laplace_curve is not called here: benchmarks/test_benchmarks.py::
+# test_tracer_wraps_every_import_site_and_restores_them checks this import site
+from .mellin import laplace_curve, write_laplace_curve_csv
+from .models import MODELS, CPExp, TruncNormCP, model_from_config, model_to_config
+from .rates import (STUDY_X_POINTS, RateStudyConfig, mise, rate_study,
+                    write_mise_report_json)
+from .sampling import (read_sample_csv, sample_stationary, write_columns_csv, write_json,
+                       write_sample_csv)
 
 __all__ = ["main"]
 
@@ -35,18 +37,11 @@ _EXAMPLE1_MODEL = CPExp(mu=1.8, a=0.7, b=0.2)
 _EXAMPLE2_MODEL = TruncNormCP(lam=1.0, q=0.5, alpha=0.1)
 # Parameters a model flag or config section leaves out, by model kind.
 _MODEL_DEFAULTS = {c["model"]: c for c in map(model_to_config, (_EXAMPLE1_MODEL, _EXAMPLE2_MODEL))}
-# Display band of the reference studies: [-30, 30] at u0 = 29 for the
-# drift-plus-exponential model, [-5, 5] at u0 = 1 for the truncated-normal one.
-_EXAMPLE1_U0, _EXAMPLE1_V = 29.0, 30.0
-_EXAMPLE2_U0, _EXAMPLE2_V = 1.0, 5.0
-# Calibrated defaults for the experiment2 estimation pipeline: bandwidth 6
-# with fitting band [0.5*V, V] gave the best replicated integrated squared
-# error and the smallest fit biases in a measured sweep (see decisions log).
-_EXAMPLE2_VN = 6.0
-_EXAMPLE2_EPS = 0.5
-_FIG_N = 10**4
-_LADDER = (10**3, 10**4, 10**5)  # experiment1's, and rate-study's default
-_FIG_STREAM = 2**20  # keeps figure samples off the replicate streams
+# rate-study's defaults: the line Re z = 29 and the ladder 1e3/1e4/1e5
+_EXAMPLE1_U0 = 29.0
+_LADDER = (10**3, 10**4, 10**5)
+# the columns of MiseReport.rows, as rate-study writes them
+_REPLICATE_COLUMNS = ("n", "replicate", "vn", "mu_hat", "lambda_hat", "ill_count")
 
 
 def _utc_now() -> str:
@@ -147,24 +142,6 @@ def _rule_beta(model) -> float:
     return model.jump_mass / model.drift
 
 
-def _figure_curve(model, n: int, seed: int, u0: float, v_max: float, m: int,
-                  path: Path, outputs: list) -> Sample:
-    """Write a reference figure's Laplace curve on symmetric_grid(v_max, m),
-    with the theoretical columns alongside, from n draws; return them sorted."""
-    sample = sample_stationary(model, n, seed=seed, stream=_FIG_STREAM)
-    # the estimators read only the multiset of values: sorted in place, the
-    # sample needs no sorted copy in laplace_curve
-    sample.values.sort()
-    curve = laplace_curve(sample, u0, symmetric_grid(v_max, m))
-    phi = laplace_exponent(model, curve.u0 + 1j * curve.v)
-    outputs.append(write_columns_csv(path, {
-        "v": curve.v, "re_Y": curve.y.real, "im_Y": curve.y.imag,
-        "re_phi": phi.real, "im_phi": phi.imag,
-        "denom_abs": curve.denom_abs, "ill_flag": curve.ill,
-    }))
-    return sample
-
-
 # ---------------------------------------------------------------------------
 # Commands. Each receives (args, file_config, out_dir, outputs), where
 # file_config is the loaded --config file ({} without one), and appends every
@@ -186,6 +163,13 @@ def _cmd_estimate(args, file_config: dict, out_dir: Path, outputs: list) -> dict
         sample = read_sample_csv(args.sample)
     except FileNotFoundError as exc:
         raise DomainError(f"sample file not found: {args.sample}") from exc
+    # a sample whose sidecar names its model is scored against that model
+    model = None
+    if "model" in sample.meta:
+        try:
+            model = model_from_config(sample.meta["model"])
+        except DomainError as exc:
+            raise DomainError(f"{Path(args.sample).with_suffix('.json')}: {exc}") from exc
     # the estimators read only the multiset of values: sorted in place, the
     # sample needs no sorted copy in laplace_curve
     sample.values.sort()
@@ -195,60 +179,16 @@ def _cmd_estimate(args, file_config: dict, out_dir: Path, outputs: list) -> dict
     density = run_algorithm2(sample, config, x_grid)
     triplet = density.triplet
     outputs.append(write_triplet_json(triplet, out_dir / "triplet.json"))
-    outputs.append(write_laplace_curve_csv(density.curve, out_dir / "laplace_curve.csv"))
-    outputs.append(write_levy_density_csv(density, out_dir / "levy_density.csv"))
-    return {"sample": str(args.sample), "n": sample.n, "estimation": config.to_dict(),
-            "mu_hat": triplet.mu_hat, "lambda_hat": triplet.lambda_hat,
-            "ill_count": triplet.ill_count}
-
-
-def _cmd_experiment1(args, file_config: dict, out_dir: Path, outputs: list) -> dict:
-    """Reference study for the drift-plus-exponential model: estimated vs
-    theoretical Laplace-exponent curve, plus replicated (mu, lambda)
-    estimates across the sample-size ladder."""
-    # the experiments take no config file: flags beat the reference defaults
-    seed = _merge(args.seed, {}, "seed", 0, int)
-    n_fig = _merge(args.n, {}, "n", _FIG_N, int)
-    replicates = _merge(args.reps, {}, "replicates", RateStudyConfig.replicates, int)
-    model = _EXAMPLE1_MODEL
-
-    _figure_curve(model, n_fig, seed, _EXAMPLE1_U0, _EXAMPLE1_V, 600,
-                  out_dir / "fig1_laplace.csv", outputs)
-
-    beta = _rule_beta(model)
-    study = RateStudyConfig(n_ladder=_LADDER, replicates=replicates, beta=beta)
-    template = EstimationConfig(u0=_EXAMPLE1_U0, vn=_EXAMPLE1_V)
-    report = rate_study(study, model, template, seed=seed)
-    header = ("n", "replicate", "vn", "mu_hat", "lambda_hat", "ill_count")
-    columns = dict(zip(header, zip(*report.rows)))
-    outputs.append(write_columns_csv(out_dir / "fig2_estimates.csv", columns))
-    return {"model": model_to_config(model), "seed": seed, "n_curve": n_fig,
-            "replicates": replicates, "n_ladder": list(_LADDER),
-            "u0": _EXAMPLE1_U0, "beta": beta, "failures": len(report.failures)}
-
-
-def _cmd_experiment2(args, file_config: dict, out_dir: Path, outputs: list) -> dict:
-    """Reference study for the truncated-normal compound-Poisson model:
-    Laplace-exponent curves and the recovered jump density with its
-    imaginary residual, against the closed-form truth."""
-    seed = _merge(args.seed, {}, "seed", 0, int)
-    n = _merge(args.n, {}, "n", _FIG_N, int)
-    vn = _merge(args.vn, {}, "vn", _EXAMPLE2_VN)
-    model = _EXAMPLE2_MODEL
-
-    sample = _figure_curve(model, n, seed, _EXAMPLE2_U0, _EXAMPLE2_V, 500,
-                           out_dir / "fig3_laplace.csv", outputs)
-
-    config = EstimationConfig(u0=_EXAMPLE2_U0, vn=vn, eps=_EXAMPLE2_EPS)
-    x_grid = default_x_grid(0.0, 3.0, 301)
-    density = run_algorithm2(sample, config, x_grid)
-    outputs.append(write_columns_csv(out_dir / "fig4_density.csv", {
-        "x": density.x, "nu_hat": density.nu_hat, "nu_bar_hat": density.nu_bar_hat,
-        "imag_residual": density.imag_residual, "nu_true": levy_density(model, x_grid),
-    }))
-    return {"model": model_to_config(model), "seed": seed, "n": n,
-            "estimation": config.to_dict(),
-            "mu_hat": density.triplet.mu_hat, "lambda_hat": density.triplet.lambda_hat}
+    outputs.append(write_laplace_curve_csv(density.curve, out_dir / "laplace_curve.csv", model))
+    outputs.append(write_levy_density_csv(density, out_dir / "levy_density.csv", model))
+    result = {"sample": str(args.sample), "n": sample.n, "estimation": config.to_dict(),
+              "mu_hat": triplet.mu_hat, "lambda_hat": triplet.lambda_hat,
+              "ill_count": triplet.ill_count}
+    if model is not None:
+        result.update(mu_err=triplet.mu_hat - model.drift,
+                      lambda_err=triplet.lambda_hat - model.jump_mass,
+                      mise=mise(density, model))
+    return result
 
 
 def _cmd_rate_study(args, file_config: dict, out_dir: Path, outputs: list) -> dict:
@@ -276,6 +216,8 @@ def _cmd_rate_study(args, file_config: dict, out_dir: Path, outputs: list) -> di
     report = rate_study(study, model, template, seed=seed,
                         x_grid=_x_grid_from_args(args, file_config, x_points=STUDY_X_POINTS))
     outputs.append(write_mise_report_json(report, out_dir / "mise_report.json"))
+    outputs.append(write_columns_csv(out_dir / "replicates.csv",
+                                     dict(zip(_REPLICATE_COLUMNS, zip(*report.rows)))))
     return {"model": model_to_config(model), "seed": seed, "study": asdict(study),
             "slope_mu": report.slope_mu, "failures": len(report.failures)}
 
@@ -337,16 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimation_flags(p)
     _add_common(p, seed=False)
 
-    p = sub.add_parser("experiment1", help="reference study, drift-plus-exponential model")
-    p.add_argument("-n", "--n", type=int, default=None, help="curve sample size (default 10^4)")
-    p.add_argument("--reps", type=int, default=None, help="replicates per ladder point")
-    _add_common(p, config=False)
-
-    p = sub.add_parser("experiment2", help="reference study, truncated-normal model")
-    p.add_argument("-n", "--n", type=int, default=None, help="sample size (default 10^4)")
-    p.add_argument("--vn", type=float, default=None, help="inversion bandwidth (default 6)")
-    _add_common(p, config=False)
-
     p = sub.add_parser("rate-study", help="replicated convergence-rate study")
     _add_model_flags(p)
     p.add_argument("--n-ladder", default=None, dest="n_ladder",
@@ -369,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "estimate": _cmd_estimate,
-    "experiment1": _cmd_experiment1,
-    "experiment2": _cmd_experiment2,
     "rate-study": _cmd_rate_study,
 }
 

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DomainError, GridMismatch
 from .kernels import flat_top
 from .mellin import LaplaceCurve, laplace_curve, symmetric_grid
+from .models import levy_density
 from .sampling import Sample, write_columns_csv, write_json
 
 __all__ = [
@@ -318,12 +319,17 @@ def default_x_grid(x_min: float = 0.0, x_max: float = 3.0, x_points: int = 301) 
     return np.linspace(x_min, x_max, x_points)
 
 
-def write_levy_density_csv(estimate: LevyDensityEstimate, path: str | Path) -> Path:
-    """Write the density estimate as CSV: x, nu_hat, nu_bar_hat, imag_residual."""
-    return write_columns_csv(path, {
+def write_levy_density_csv(estimate: LevyDensityEstimate, path: str | Path,
+                           model=None) -> Path:
+    """Write the density estimate as CSV: x, nu_hat, nu_bar_hat, imag_residual,
+    and with a model its Levy density as nu_true."""
+    columns = {
         "x": estimate.x, "nu_hat": estimate.nu_hat, "nu_bar_hat": estimate.nu_bar_hat,
         "imag_residual": estimate.imag_residual,
-    })
+    }
+    if model is not None:
+        columns["nu_true"] = levy_density(model, estimate.x)
+    return write_columns_csv(path, columns)
 
 
 def write_triplet_json(triplet: TripletEstimate, path: str | Path) -> Path:

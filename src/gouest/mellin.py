@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, PoleError
+from .models import laplace_exponent
 from .sampling import write_columns_csv
 
 __all__ = [
@@ -223,10 +224,15 @@ def laplace_curve_from_mellin(mellin_fn, u0: float, v_grid, n: int = 0) -> Lapla
                         meta={"plugin": True})
 
 
-def write_laplace_curve_csv(curve: LaplaceCurve, path: str | Path) -> Path:
-    """Write the curve as CSV: v, re_Y, im_Y, abs_Y, denom_abs, ill_flag."""
-    return write_columns_csv(path, {
+def write_laplace_curve_csv(curve: LaplaceCurve, path: str | Path, model=None) -> Path:
+    """Write the curve as CSV: v, re_Y, im_Y, abs_Y, denom_abs, ill_flag, and
+    with a model its Laplace exponent at u0 + iv as re_phi, im_phi."""
+    columns = {
         "v": curve.v, "re_Y": curve.y.real, "im_Y": curve.y.imag,
         "abs_Y": np.hypot(curve.y.real, curve.y.imag),
         "denom_abs": curve.denom_abs, "ill_flag": curve.ill,
-    })
+    }
+    if model is not None:
+        phi = laplace_exponent(model, curve.u0 + 1j * curve.v)
+        columns.update(re_phi=phi.real, im_phi=phi.imag)
+    return write_columns_csv(path, columns)

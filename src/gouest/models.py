@@ -226,8 +226,8 @@ def model_from_config(config: dict) -> SubordinatorModel:
     Raises DomainError for a missing key, an unknown kind, or a parameter
     that is not a number.
     """
-    if "model" not in config:
-        raise DomainError("model config must contain a 'model' key")
+    if not isinstance(config, dict) or "model" not in config:
+        raise DomainError(f"model config must be an object with a 'model' key, got {config!r}")
     kind = config["model"]
     try:
         cls = MODELS[kind]

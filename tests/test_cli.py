@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -169,20 +170,23 @@ class TestEstimate:
         triplet = json.loads((out / "triplet.json").read_text())
         assert set(triplet) == {"mu_hat", "lambda_hat", "ill_count", "n", "config"}
         assert triplet["n"] == 400
+        # the sample's sidecar names its model: the truth columns and scores
         curve_lines = (out / "laplace_curve.csv").read_text().splitlines()
-        assert curve_lines[0] == "v,re_Y,im_Y,abs_Y,denom_abs,ill_flag"
+        assert curve_lines[0] == "v,re_Y,im_Y,abs_Y,denom_abs,ill_flag,re_phi,im_phi"
         density_lines = (out / "levy_density.csv").read_text().splitlines()
-        assert density_lines[0] == "x,nu_hat,nu_bar_hat,imag_residual"
+        assert density_lines[0] == "x,nu_hat,nu_bar_hat,imag_residual,nu_true"
         man = _manifest(out)
         assert man["status"] == "ok"
         assert man["seed"] is None  # estimate draws nothing
         assert len(man["outputs"]) == 3
+        assert {"mu_err", "lambda_err", "mise"} <= man["config"].keys()
 
     def test_row_order_changes_no_output_byte(self, tmp_path):
         csv = _run_simulate(tmp_path / "sim", n=3000)
         header, *rows = csv.read_text().splitlines(keepends=True)
         shuffled = tmp_path / "shuffled.csv"
         shuffled.write_text(header + "".join(np.random.default_rng(1).permutation(rows)))
+        shuffled.with_suffix(".json").write_bytes(csv.with_suffix(".json").read_bytes())
         for path, out in ((csv, "a"), (shuffled, "b")):
             assert main(["estimate", str(path), "--u0", "29", "--vn", "30",
                          "--out", str(tmp_path / out)]) == 0
@@ -268,8 +272,10 @@ class TestEstimate:
         assert not (out / "levy_density.csv").exists()
         assert _manifest(out)["error"]["type"] == "DomainError"
 
-    @pytest.mark.parametrize("sidecar", ["{not json", "[1]", '{"delta": "soon"}'],
-                             ids=["json", "list", "delta"])
+    @pytest.mark.parametrize("sidecar", [
+        "{not json", "[1]", '{"delta": "soon"}', '{"model": {"model": "nope"}}',
+        '{"model": 5}', '{"model": {"model": "cp_exp", "mu": "fast", "a": 1, "b": 1}}',
+    ], ids=["json", "list", "delta", "model-kind", "model-number", "model-parameter"])
     def test_malformed_sidecar_exits_2(self, tmp_path, sidecar):
         csv = _run_simulate(tmp_path / "sim", n=50)
         csv.with_suffix(".json").write_text(sidecar)
@@ -279,6 +285,57 @@ class TestEstimate:
         assert man["status"] == "error"
         assert man["error"]["type"] == "DomainError"
         assert "sample.json" in man["error"]["message"]
+
+    @pytest.mark.parametrize("model", ["--model cp_exp --a 0.7 --b 1.8 --mu 1.8",
+                                       "--model trunc_norm_cp --lam 1 --q 0.5 --alpha 0.1"],
+                             ids=["cp_exp", "trunc_norm_cp"])
+    def test_sidecar_model_scores_the_estimate(self, tmp_path, model):
+        sim = tmp_path / "sim"
+        assert main(["simulate", *model.split(), "-n", "400", "--out", str(sim)]) == 0
+        csv = sim / "sample.csv"
+        truth = gouest.model_from_config(json.loads(csv.with_suffix(".json").read_text())["model"])
+        out = tmp_path / "est"
+        assert main(["estimate", str(csv), "--u0", "2", "--out", str(out)]) == 0
+        curve = np.genfromtxt(out / "laplace_curve.csv", delimiter=",", names=True)
+        phi = gouest.laplace_exponent(truth, 2.0 + 1j * curve["v"])
+        np.testing.assert_array_equal(curve["re_phi"], phi.real)
+        np.testing.assert_array_equal(curve["im_phi"], phi.imag)
+        density = np.genfromtxt(out / "levy_density.csv", delimiter=",", names=True)
+        x = density["x"]
+        np.testing.assert_array_equal(density["nu_true"], gouest.levy_density(truth, x))
+        config = _manifest(out)["config"]
+        assert config["mu_err"] == config["mu_hat"] - truth.drift
+        assert config["lambda_err"] == config["lambda_hat"] - truth.jump_mass
+        # rates.mise: the trapezoid of the tilted density's squared error
+        err = density["nu_bar_hat"] - np.exp(-2.0 * x) * density["nu_true"]
+        assert config["mise"] == float(np.trapezoid(err**2, x))
+
+    def test_without_sidecar_model_nothing_is_scored(self, tmp_path):
+        # the scored run only appends columns and keys: without a model in the
+        # sidecar, or without a sidecar, every output has its unscored bytes
+        csv = _run_simulate(tmp_path / "sim", n=400)
+        bare = tmp_path / "bare.csv"
+        bare.write_bytes(csv.read_bytes())
+        anonymous = tmp_path / "anonymous.csv"
+        anonymous.write_bytes(csv.read_bytes())
+        anonymous.with_suffix(".json").write_text('{"model": null, "delta": 1.0}')
+        for path, out in ((csv, "scored"), (bare, "bare"), (anonymous, "anonymous")):
+            assert main(["estimate", str(path), "--out", str(tmp_path / out)]) == 0
+        scored = {name: (tmp_path / "scored" / name).read_text()
+                  for name in ("triplet.json", "laplace_curve.csv", "levy_density.csv")}
+        truth_columns = {"triplet.json": 0, "laplace_curve.csv": 2, "levy_density.csv": 1}
+        for out in ("bare", "anonymous"):
+            for name, text in scored.items():
+                lines = text.splitlines(keepends=True)
+                if truth_columns[name]:
+                    lines = [",".join(line.rstrip("\n").split(",")[:-truth_columns[name]])
+                             + "\n" for line in lines]
+                assert (tmp_path / out / name).read_text() == "".join(lines), (out, name)
+            assert not {"mu_err", "lambda_err", "mise"} & _manifest(tmp_path / out)["config"].keys()
+        assert (tmp_path / "bare" / "laplace_curve.csv").read_text().startswith(
+            "v,re_Y,im_Y,abs_Y,denom_abs,ill_flag\n")
+        assert (tmp_path / "bare" / "levy_density.csv").read_text().startswith(
+            "x,nu_hat,nu_bar_hat,imag_residual\n")
 
     def test_non_finite_delta_exits_2(self, tmp_path, capsys):
         csv = _run_simulate(tmp_path / "sim", n=50)
@@ -319,69 +376,83 @@ class TestEstimate:
         assert triplet["ill_count"] == 50
 
 
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _study_script(name):
+    """The main() of scripts/run_<name>.py, loaded without running it."""
+    return runpy.run_path(str(SCRIPTS / f"run_{name}.py"))["main"]
+
+
 class TestExperiments:
-    def test_experiment1_outputs(self, tmp_path):
-        out = tmp_path / "e1"
-        rc = main(["experiment1", "-n", "400", "--reps", "2", "--out", str(out)])
-        assert rc == 0
-        fig1 = (out / "fig1_laplace.csv").read_text().splitlines()
-        assert fig1[0] == "v,re_Y,im_Y,re_phi,im_phi,denom_abs,ill_flag"
-        assert len(fig1) == 602  # 601 grid points on [-30, 30]
-        first, last = fig1[1].split(","), fig1[-1].split(",")
-        assert float(first[0]) == -30.0 and float(last[0]) == 30.0
-        v = np.array([float(line.split(",")[0]) for line in fig1[1:]])
+    """The paper's two simulation experiments, which the study scripts build
+    from `simulate` and `estimate` alone."""
+
+    @staticmethod
+    def _mirror_grid(lines, v_max):
+        v = np.array([float(line.split(",")[0]) for line in lines[1:]])
+        assert v[0] == -v_max and v[-1] == v_max
         np.testing.assert_array_equal(v, -v[::-1])  # exact mirror pairs
-        fig2 = (out / "fig2_estimates.csv").read_text().splitlines()
-        assert fig2[0] == "n,replicate,vn,mu_hat,lambda_hat,ill_count"
-        assert len(fig2) == 1 + 3 * 2  # ladder of three sizes, two replicates
+
+    def test_experiment1_outputs(self, tmp_path):
+        assert _study_script("laplace_curve_study")(["-n", "400", "--root", str(tmp_path)]) == 0
+        assert _manifest(tmp_path / "laplace_curve_sample")["seed"] == 1
+        out = tmp_path / "laplace_curve_study"
+        fig1 = (out / "laplace_curve.csv").read_text().splitlines()
+        assert fig1[0] == "v,re_Y,im_Y,abs_Y,denom_abs,ill_flag,re_phi,im_phi"
+        assert len(fig1) == 602  # 601 grid points on [-30, 30]
+        self._mirror_grid(fig1, 30.0)
+        config = _manifest(out)["config"]
+        assert config["estimation"]["u0"] == 29.0
+        assert {"mu_err", "lambda_err", "mise"} <= config.keys()
 
     def test_experiment2_outputs(self, tmp_path):
-        out = tmp_path / "e2"
-        rc = main(["experiment2", "-n", "300", "--out", str(out)])
-        assert rc == 0
-        assert _manifest(out)["seed"] == 0  # the default seed it drew with
-        fig3 = (out / "fig3_laplace.csv").read_text().splitlines()
-        assert fig3[0] == "v,re_Y,im_Y,re_phi,im_phi,denom_abs,ill_flag"
+        assert _study_script("density_recovery_study")(["-n", "300", "--root", str(tmp_path)]) == 0
+        fig3 = (tmp_path / "density_recovery_curve" / "laplace_curve.csv").read_text().splitlines()
+        assert fig3[0] == "v,re_Y,im_Y,abs_Y,denom_abs,ill_flag,re_phi,im_phi"
         assert len(fig3) == 502  # 501 grid points on [-5, 5]
-        first, last = fig3[1].split(","), fig3[-1].split(",")
-        assert float(first[0]) == -5.0 and float(last[0]) == 5.0
-        v = np.array([float(line.split(",")[0]) for line in fig3[1:]])
-        np.testing.assert_array_equal(v, -v[::-1])  # exact mirror pairs
-        fig4 = (out / "fig4_density.csv").read_text().splitlines()
-        assert fig4[0] == "x,nu_hat,nu_bar_hat,imag_residual,nu_true"
-        # jump density of the truncated-normal model vanishes below alpha
-        row = fig4[1].split(",")
-        assert float(row[0]) == 0.0
-        assert float(row[4]) == 0.0
+        self._mirror_grid(fig3, 5.0)
+        out = tmp_path / "density_recovery_study"
+        assert _manifest(out)["config"]["estimation"]["vn"] == 6.0
+        assert _manifest(out)["config"]["estimation"]["eps"] == 0.5
+        fig4 = np.genfromtxt(out / "levy_density.csv", delimiter=",", names=True)
+        assert fig4.dtype.names == ("x", "nu_hat", "nu_bar_hat", "imag_residual", "nu_true")
+        # the truncated-normal jumps c*Z have no mass at or below c*alpha
+        edge = -np.log(0.5) * 0.1
+        assert np.all(fig4["nu_true"][fig4["x"] <= edge] == 0.0)
+        assert np.all(fig4["nu_true"][fig4["x"] > edge] > 0.0)
 
-    @pytest.mark.parametrize("command", [["experiment1", "-n", "300", "--reps", "2"],
-                                         ["experiment2", "-n", "300"]])
+    @pytest.mark.parametrize("command", [["laplace_curve_study", "-n", "300"],
+                                         ["density_recovery_study", "-n", "300"]])
     def test_figure_sample_is_sorted_in_place(self, tmp_path, monkeypatch, command):
-        # sorted once after the draw, so laplace_curve sorts no copy of it
+        # estimate sorts the sample it reads once, so laplace_curve sorts no copy of it
         seen = []
 
-        def spy(name, func):
+        def spy(module, name):
+            func = getattr(module, name)
+
             def wrapper(sample, *args, **kwargs):
                 seen.append((name, sample.values))
                 return func(sample, *args, **kwargs)
-            monkeypatch.setattr(gouest.cli, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        spy("laplace_curve", gouest.cli.laplace_curve)
-        spy("run_algorithm2", gouest.cli.run_algorithm2)
-        assert main([*command, "--out", str(tmp_path / "e")]) == 0
-        names = ["laplace_curve"] + ["run_algorithm2"] * (command[0] == "experiment2")
-        assert [name for name, _ in seen] == names
-        for _, values in seen:
-            assert values is seen[0][1]  # the draw's own array
+        spy(gouest.cli, "run_algorithm2")
+        spy(gouest.estimators, "laplace_curve")
+        assert _study_script(command[0])([*command[1:], "--root", str(tmp_path)]) == 0
+        estimates = 1 if command[0] == "laplace_curve_study" else 2
+        assert [name for name, _ in seen] == ["run_algorithm2", "laplace_curve"] * estimates
+        for (_, values), (_, passed_on) in zip(seen[::2], seen[1::2]):
+            assert passed_on is values  # the reader's own array
             assert values.size == 300 and np.all(values[:-1] <= values[1:])
 
     def test_experiment2_deterministic(self, tmp_path):
-        rc1 = main(["experiment2", "-n", "200", "--out", str(tmp_path / "a")])
-        rc2 = main(["experiment2", "-n", "200", "--out", str(tmp_path / "b")])
-        assert rc1 == rc2 == 0
-        a = (tmp_path / "a" / "fig4_density.csv").read_bytes()
-        b = (tmp_path / "b" / "fig4_density.csv").read_bytes()
-        assert a == b
+        run = _study_script("density_recovery_study")
+        assert run(["-n", "200", "--root", str(tmp_path / "a")]) == 0
+        assert run(["-n", "200", "--root", str(tmp_path / "b")]) == 0
+        for name in ("density_recovery_sample/sample.csv",
+                     "density_recovery_curve/laplace_curve.csv",
+                     "density_recovery_study/levy_density.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestRateStudyCommand:
@@ -642,7 +713,6 @@ def _reject_json_constant(name):
     ("simulate", "--model trunc_norm_cp --q nan", "q"),
     ("simulate", "--model cp_exp --mu 1e-320", "a/mu"),
     ("simulate", "--model cp_exp --seed -1", "seed"),
-    ("experiment1", "--seed -3", "seed"),
     ("rate-study", "--seed -2", "seed"),
 ])
 def test_non_finite_input_exits_2_naming_it(tmp_path, command, flags, field):
@@ -652,8 +722,6 @@ def test_non_finite_input_exits_2_naming_it(tmp_path, command, flags, field):
         argv = ["estimate", str(_run_simulate(tmp_path / "sim", n=50))]
     elif command == "simulate":
         argv = ["simulate", "-n", "50"]
-    elif command == "experiment1":
-        argv = ["experiment1", "-n", "50", "--reps", "2"]
     else:
         argv = ["rate-study", "--n-ladder", "200,400", "--reps", "2"]
     out = tmp_path / "out"
@@ -725,13 +793,19 @@ class TestParser:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["experiment1", "experiment2"])
+    def test_figure_commands_are_gone(self, tmp_path, command):
+        # the figures come from simulate and estimate, through scripts/
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["estimate", "sample.csv", "--seed", "1"],
-        ["experiment1", "--config", "conf.json"],
-        ["experiment2", "--config", "conf.json"],
-    ], ids=["estimate-seed", "experiment1-config", "experiment2-config"])
+    ], ids=["estimate-seed"])
     def test_flag_a_command_ignores_is_rejected(self, tmp_path, argv):
-        # estimate draws nothing, and the experiments read no config file
+        # estimate draws nothing
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "out")])
         assert exc.value.code == 2
@@ -755,7 +829,7 @@ class TestParser:
 
     def test_out_is_required(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment1"])
+            build_parser().parse_args(["rate-study"])
 
 
 def _run_fresh(script, cwd):

@@ -360,7 +360,7 @@ class TestPhaseRecurrence:
         self._assert_matches_direct(x, 29.0, symmetric_grid(config.vn, config.m_inv))
 
     def test_example2_grid_longer_than_a_reseed_interval(self):
-        # 251 distinct |v| on the experiment2 grid
+        # 251 distinct |v| on fig3's grid (scripts/run_density_recovery_study.py)
         x = sample_stationary(TruncNormCP(lam=1.0, q=0.5, alpha=0.1), 10**4, seed=6).values
         self._assert_matches_direct(x, 1.0, symmetric_grid(5.0, 500))
 

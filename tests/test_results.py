@@ -1,11 +1,12 @@
 """The committed study outputs under results/ replay from their manifests.
 
-Each results/*/manifest.json records the argv that wrote its directory.
-Re-running that argv into a scratch directory must succeed and reproduce
-the same files: same headers and keys, equal integers and text, and floats
-within rtol 1e-9 plus an absolute slack of 1e-9 times the largest |value|
-of the same column (CSV) or key (JSON). Bytes are not compared, because
-other numpy and scipy releases may round the last digits differently.
+Each results/*/manifest.json records the argv that wrote its directory,
+run from the repository root. Re-running that argv there into a scratch
+directory must succeed and reproduce the same files: same headers and
+keys, equal integers and text, and floats within rtol 1e-9 plus an
+absolute slack of 1e-9 times the largest |value| of the same column (CSV)
+or key (JSON). Bytes are not compared, because other numpy and scipy
+releases may round the last digits differently.
 """
 
 import csv
@@ -86,14 +87,27 @@ def _compare_csv(name, got_path, want_path):
 
 def test_results_are_committed():
     assert {p.parent.name for p in MANIFESTS} == {
-        "density_recovery_study", "laplace_curve_study", "rate_study"}
+        "laplace_curve_sample", "laplace_curve_study", "density_recovery_sample",
+        "density_recovery_curve", "density_recovery_study", "rate_study"}
+
+
+def test_rate_study_rows_give_its_medians():
+    # the per-n median of (mu_hat - 1.8)^2 over replicates.csv is the report's, bitwise
+    report = json.loads((RESULTS / "rate_study" / "mise_report.json").read_text())
+    with open(RESULTS / "rate_study" / "replicates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    medians = [float(np.median([(float(r["mu_hat"]) - 1.8) ** 2
+                                for r in rows if int(r["n"]) == n])) for n in report["n"]]
+    assert medians == report["median_sq_err_mu"]
 
 
 @pytest.mark.parametrize("manifest_path", MANIFESTS, ids=lambda p: p.parent.name)
-def test_committed_results_replay(tmp_path, manifest_path):
+def test_committed_results_replay(tmp_path, monkeypatch, manifest_path):
     committed = manifest_path.parent
     manifest = json.loads(manifest_path.read_text())
     out = tmp_path / committed.name
+    # an estimate's argv names its sample relative to the repository root
+    monkeypatch.chdir(RESULTS.parent)
     assert main(_replay_argv(manifest, out)) == 0
 
     assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in committed.iterdir())
