@@ -49,6 +49,9 @@ def _utc_now() -> str:
 
 
 def _load_config_file(path: str | None) -> dict:
+    """The --config file, checked once: each section is an object and every
+    key one that some command reads (MODELS' keys as of this call), else a
+    DomainError naming it."""
     if path is None:
         return {}
     try:
@@ -60,14 +63,21 @@ def _load_config_file(path: str | None) -> dict:
         raise DomainError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise DomainError(f"config file {path} must hold a JSON object")
+    sections = {
+        "model": {"model", *(key for cls in MODELS.values() for key in cls.keys)},
+        "estimation": {"grid_m", *(f.name for f in fields(EstimationConfig))},
+        "x_grid": {"x_min", "x_max", "x_points"},
+        "study": {f.name for f in fields(RateStudyConfig)},
+    }
+    for name, keys in [("", {"seed", "n", *sections}), *sections.items()]:
+        section = loaded.get(name, {}) if name else loaded
+        if not isinstance(section, dict):
+            raise DomainError(f"config section {name!r} must be a JSON object, got {section!r}")
+        for key in section:
+            if key not in keys:
+                where = f"section {name!r}" if name else "the top level"
+                raise DomainError(f"unknown config key {key!r} in {where} of {path}")
     return loaded
-
-
-def _section(file_config: dict, name: str) -> dict:
-    section = file_config.get(name, {})
-    if not isinstance(section, dict):
-        raise DomainError(f"config section {name!r} must be a JSON object, got {section!r}")
-    return section
 
 
 def _merge(flag_value, config_section: dict, key: str, default, convert=float):
@@ -95,7 +105,7 @@ def _model_from_args(args, file_config: dict, default_kind: str | None = None):
     reference model of the same kind; model_from_config builds the result."""
     keys = ["model", *(key for cls in MODELS.values() for key in cls.keys)]
     flags = {key: getattr(args, key) for key in keys}
-    config = {**_section(file_config, "model"),
+    config = {**file_config.get("model", {}),
               **{k: v for k, v in flags.items() if v is not None}}
     kind = config.setdefault("model", default_kind)
     if kind is None:
@@ -106,12 +116,8 @@ def _model_from_args(args, file_config: dict, default_kind: str | None = None):
 def _estimation_config_from_args(args, file_config: dict,
                                  u0: float = EstimationConfig.u0) -> EstimationConfig:
     """Flags beat the file's estimation section, which beats the command's u0
-    and EstimationConfig's own defaults. The section may repeat the fixed
-    keys of a manifest's estimation entry, at their fixed values only."""
-    section, default = _section(file_config, "estimation"), EstimationConfig
-    for key, fixed in default.FIXED.items():
-        if section.get(key, fixed) != fixed:
-            raise DomainError(f"{key!r} is fixed at {fixed!r}, got {section[key]!r}")
+    and EstimationConfig's own defaults."""
+    section, default = file_config.get("estimation", {}), EstimationConfig
     # one CLI knob sets both grids; the split defaults stay otherwise
     grid_m = _merge(args.grid_m, section, "grid_m", None, int)
     return EstimationConfig(
@@ -125,7 +131,7 @@ def _estimation_config_from_args(args, file_config: dict,
 
 
 def _x_grid_from_args(args, file_config: dict, x_points: int = 301) -> np.ndarray:
-    section = _section(file_config, "x_grid")
+    section = file_config.get("x_grid", {})
     return default_x_grid(
         x_min=_merge(args.x_min, section, "x_min", 0.0),
         x_max=_merge(args.x_max, section, "x_max", 3.0),
@@ -181,7 +187,7 @@ def _cmd_estimate(args, file_config: dict, out_dir: Path, outputs: list) -> dict
     outputs.append(write_triplet_json(triplet, out_dir / "triplet.json"))
     outputs.append(write_laplace_curve_csv(density.curve, out_dir / "laplace_curve.csv", model))
     outputs.append(write_levy_density_csv(density, out_dir / "levy_density.csv", model))
-    result = {"sample": str(args.sample), "n": sample.n, "estimation": config.to_dict(),
+    result = {"sample": str(args.sample), "n": sample.n, "estimation": asdict(config),
               "mu_hat": triplet.mu_hat, "lambda_hat": triplet.lambda_hat,
               "ill_count": triplet.ill_count}
     if model is not None:
@@ -192,8 +198,8 @@ def _cmd_estimate(args, file_config: dict, out_dir: Path, outputs: list) -> dict
 
 
 def _cmd_rate_study(args, file_config: dict, out_dir: Path, outputs: list) -> dict:
-    section, estimation = _section(file_config, "study"), _section(file_config, "estimation")
-    if args.vn is not None or "vn" in estimation:
+    section = file_config.get("study", {})
+    if args.vn is not None or "vn" in file_config.get("estimation", {}):
         raise DomainError("rate-study takes V_n at each n from its bandwidth rule (--decay, "
                           "--beta or --alpha-decay, --s); drop --vn and estimation.vn")
     model = _model_from_args(args, file_config, default_kind="cp_exp")

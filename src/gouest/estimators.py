@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import ClassVar
 
 import numpy as np
 
@@ -61,8 +60,7 @@ class EstimationConfig:
     ``m_fit`` points span the one-sided fitting band [eps, 1] (scaled by
     ``vn``); ``m_inv + 1`` points span the symmetric inversion band [-1, 1].
     The fit counts every band point equally and the inversion's window is
-    the flat-top kernel; no field names either, and ``FIXED`` records both
-    under the keys they have always had in manifests. ``floor`` is the
+    the flat-top kernel; neither is a setting. ``floor`` is the
     ill-conditioning threshold for the empirical Mellin denominator (None:
     10/sqrt(n) at run time).
     """
@@ -73,8 +71,6 @@ class EstimationConfig:
     m_fit: int = 50
     m_inv: int = 200
     floor: float | None = None
-
-    FIXED: ClassVar[dict] = {"weight": "flat", "kernel": "flat_top"}
 
     def __post_init__(self) -> None:
         for name in ("m_fit", "m_inv"):
@@ -90,10 +86,6 @@ class EstimationConfig:
         if self.m_fit < 2 or self.m_inv < 2:
             raise DomainError(
                 f"grid counts must be >= 2, got m_fit={self.m_fit}, m_inv={self.m_inv}")
-
-    def to_dict(self) -> dict:
-        """The fields, and the fixed fit weight and inversion window."""
-        return {**asdict(self), **self.FIXED}
 
 
 @dataclass
@@ -338,6 +330,6 @@ def write_triplet_json(triplet: TripletEstimate, path: str | Path) -> Path:
         "lambda_hat": triplet.lambda_hat,
         "ill_count": triplet.ill_count,
         "n": triplet.n,
-        "config": triplet.config.to_dict(),
+        "config": asdict(triplet.config),
     }
     return write_json(path, payload)

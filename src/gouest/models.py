@@ -223,8 +223,8 @@ def model_from_config(config: dict) -> SubordinatorModel:
         {"model": "cp_exp", "mu": 1.8, "a": 0.7, "b": 0.2}
         {"model": "trunc_norm_cp", "lambda": 1.0, "q": 0.5, "alpha": 0.1}
 
-    Raises DomainError for a missing key, an unknown kind, or a parameter
-    that is not a number.
+    Raises DomainError for a missing key, an unknown kind, a key that is
+    not the kind's, or a parameter that is not a number.
     """
     if not isinstance(config, dict) or "model" not in config:
         raise DomainError(f"model config must be an object with a 'model' key, got {config!r}")
@@ -233,6 +233,9 @@ def model_from_config(config: dict) -> SubordinatorModel:
         cls = MODELS[kind]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"unknown model kind {kind!r}") from exc
+    for key in config:
+        if key != "model" and key not in cls.keys:
+            raise DomainError(f"{kind} has no key {key!r}; its keys are {', '.join(cls.keys)}")
     params = []
     for key in cls.keys:
         if key not in config:

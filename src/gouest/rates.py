@@ -39,9 +39,9 @@ class RateStudyConfig:
     """Inputs of a replicated convergence study across a ladder of sample sizes.
 
     ``decay_class`` selects the bandwidth rule; ``beta`` (polynomial Mellin
-    decay) or ``alpha`` (exponential decay) feeds it; ``smoothness`` is the
-    kernel-order parameter s, a float (a tilted density with a jump has
-    s near 1/2).
+    decay) or ``alpha`` (exponential decay) feeds it, and the one it does not
+    read must be None; ``smoothness`` is the kernel-order parameter s, a
+    float (a tilted density with a jump has s near 1/2).
     """
 
     n_ladder: tuple
@@ -71,10 +71,14 @@ class RateStudyConfig:
                 raise DomainError(f"{name} must be finite, got {value}")
         if self.decay_class not in ("polynomial", "exponential"):
             raise DomainError(f"unknown decay class {self.decay_class!r}")
-        if self.decay_class == "polynomial" and self.beta is None:
-            raise DomainError("polynomial decay class requires beta")
-        if self.decay_class == "exponential" and self.alpha is None:
-            raise DomainError("exponential decay class requires alpha")
+        # each rule reads one decay parameter, and the other must not be given
+        reads, unread = (("beta", "alpha") if self.decay_class == "polynomial"
+                         else ("alpha", "beta"))
+        if getattr(self, reads) is None:
+            raise DomainError(f"{self.decay_class} decay class requires {reads}")
+        if getattr(self, unread) is not None:
+            raise DomainError(f"{self.decay_class} decay class reads no {unread}, "
+                              f"got {unread}={getattr(self, unread)}")
 
     def bandwidth(self, n: int) -> float:
         if self.decay_class == "polynomial":

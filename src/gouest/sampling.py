@@ -144,8 +144,9 @@ def read_sample_csv(csv_path: str | Path) -> Sample:
     give every value bitwise equal to ``float(row)``.
 
     The JSON sibling is optional; without it the sample gets delta=1 and no
-    seed. Raises DomainError on a malformed header or sidecar and on
-    non-finite or nonpositive values.
+    seed. Raises DomainError on a malformed header or sidecar, on a sidecar
+    delta that is not positive and finite, and on non-finite or nonpositive
+    values.
     """
     csv_path = Path(csv_path)
     values = _read_decimal_rows(csv_path)
@@ -162,6 +163,8 @@ def read_sample_csv(csv_path: str | Path) -> Sample:
             delta = float(info.get("delta", 1.0))
         except (ValueError, TypeError, AttributeError) as exc:
             raise DomainError(f"{meta_path}: malformed sample sidecar ({exc})") from exc
+        if not (math.isfinite(delta) and delta > 0.0):
+            raise DomainError(f"{meta_path}: delta must be positive and finite, got {delta}")
         seed = info.get("seed")
         if info.get("model") is not None:
             meta["model"] = info["model"]

@@ -347,6 +347,14 @@ class TestEstimate:
         assert man["status"] == "error"
         assert man["error"]["type"] == "DomainError"
 
+    def test_out_of_range_delta_names_the_sidecar(self, tmp_path):
+        csv = _run_simulate(tmp_path / "sim", n=50)
+        csv.with_suffix(".json").write_text('{"delta": -1}')
+        out = tmp_path / "est"
+        assert main(["estimate", str(csv), "--out", str(out)]) == 2
+        assert _manifest(out)["error"]["message"] == (
+            f"{csv.with_suffix('.json')}: delta must be positive and finite, got -1.0")
+
     def test_sample_directory_exits_4(self, tmp_path, capsys):
         out = tmp_path / "est"
         assert main(["estimate", str(tmp_path), "--out", str(out)]) == 4
@@ -359,7 +367,7 @@ class TestEstimate:
         csv = _run_simulate(tmp_path / "sim", n=50)
         out = tmp_path / "est"
         assert main(["estimate", str(csv), "--out", str(out)]) == 0
-        assert _manifest(out)["config"]["estimation"] == EstimationConfig().to_dict()
+        assert _manifest(out)["config"]["estimation"] == dataclasses.asdict(EstimationConfig())
 
     def test_constant_sample_flagged_not_fatal(self, tmp_path):
         # constant observations c are the pure-drift degenerate case: the
@@ -515,6 +523,19 @@ class TestRateStudyCommand:
         assert _manifest(out)["config"]["seed"] == 5
         assert _manifest(out)["seed"] == 5
 
+    @pytest.mark.parametrize("argv, name", [
+        (["--alpha-decay", "1.5708"], "alpha"),
+        (["--decay", "exponential", "--alpha-decay", "1.5708", "--beta", "0.4"], "beta"),
+    ], ids=["alpha-polynomial", "beta-exponential"])
+    def test_decay_parameter_the_rule_does_not_read_exits_2(self, tmp_path, argv, name):
+        out = tmp_path / "rs"
+        assert main(["rate-study", "--n-ladder", "200,400", "--reps", "2", *argv,
+                     "--out", str(out)]) == 2
+        man = _manifest(out)
+        assert man["error"]["type"] == "DomainError"
+        assert f"reads no {name}" in man["error"]["message"]
+        assert man["outputs"] == []
+
     def test_study_defaults_are_the_library_defaults(self, tmp_path):
         out = tmp_path / "rs"
         assert main(["rate-study", "--n-ladder", "200,400", "--out", str(out)]) == 0
@@ -575,14 +596,25 @@ class TestConfigErrors:
         csv = _run_simulate(tmp_path / "sim", n=50)
         assert key in self._run(tmp_path, ["estimate", str(csv)], config)
 
-    @pytest.mark.parametrize("config, key", [
-        ({"estimation": {"weight": "epanechnikov"}}, "'weight'"),
-        ({"estimation": {"kernel": "gaussian"}}, "'kernel'"),
-    ], ids=["weight", "kernel"])
-    def test_fixed_estimation_key_other_than_its_value(self, tmp_path, config, key):
-        csv = _run_simulate(tmp_path / "sim", n=50)
-        assert key in self._run(tmp_path, ["estimate", str(csv)], config)
-        assert not (tmp_path / "out" / "triplet.json").exists()
+    @pytest.mark.parametrize("command, config, where", [
+        ("simulate", {"sead": 5, "x_grid": {"x_point": 31}}, "'sead' in the top level"),
+        ("simulate", {"model": {"model": "cp_exp", "mu": 1.8, "a": 0.7, "bb": 0.2}},
+         "'bb' in section 'model'"),
+        ("estimate", {"estimation": {"uo": 29}}, "'uo' in section 'estimation'"),
+        ("estimate", {"x_grid": {"x_point": 31}}, "'x_point' in section 'x_grid'"),
+        ("rate-study", {"study": {"replicate": 3}}, "'replicate' in section 'study'"),
+        # the fit weight and the inversion window are not settings
+        ("estimate", {"estimation": {"weight": "epanechnikov"}}, "'weight' in section"),
+        ("estimate", {"estimation": {"kernel": "gaussian"}}, "'kernel' in section"),
+    ], ids=["top", "model", "estimation", "x_grid", "study", "weight", "kernel"])
+    def test_unknown_key_exits_2(self, tmp_path, command, config, where):
+        # a key no command reads is named before anything is read or drawn,
+        # so estimate's sample need not exist
+        argv = {"simulate": ["simulate", "--model", "cp_exp", "-n", "10"],
+                "estimate": ["estimate", str(tmp_path / "missing.csv")],
+                "rate-study": ["rate-study", "--n-ladder", "200,400", "--reps", "2"]}[command]
+        assert f"unknown config key {where}" in self._run(tmp_path, argv, config)
+        assert _manifest(tmp_path / "out")["outputs"] == []
 
     def test_negative_seed(self, tmp_path):
         message = self._run(tmp_path, ["simulate", "--model", "cp_exp", "-n", "10"], {"seed": -1})
@@ -620,7 +652,7 @@ class TestConfigErrors:
         assert (by_file / "sample.csv").read_bytes() == (by_flag / "sample.csv").read_bytes()
 
     def test_manifest_estimation_entry_reads_back(self, tmp_path):
-        # a manifest's estimation entry, fixed keys included, is a config
+        # a manifest's estimation entry is a config
         csv = _run_simulate(tmp_path / "sim", n=50)
         first, second = tmp_path / "first", tmp_path / "second"
         assert main(["estimate", str(csv), "--eps", "0.3", "--out", str(first)]) == 0
@@ -779,6 +811,22 @@ class TestModelTable:
                      "--alpha", "0.2", "-n", "20", "--out", str(out)]) == 0
         meta = json.loads((out / "sample.json").read_text())
         assert meta["model"] == {"model": "trunc_norm_cp", "lambda": 1.3, "q": 0.4, "alpha": 0.2}
+
+    @pytest.mark.parametrize("argv, config, key", [
+        (["simulate", "--model", "cp_exp", "--lam", "5", "--q", "0.3"], {}, "'lambda'"),
+        (["simulate", "--model", "cp_exp"], {"model": {"q": 0.3}}, "'q'"),
+        (["rate-study", "--model", "trunc_norm_cp", "--mu", "1", "--beta", "0.4",
+          "--n-ladder", "200,400", "--reps", "2"], {}, "'mu'"),
+    ], ids=["simulate-flag", "simulate-config", "rate-study-flag"])
+    def test_key_of_another_kind_exits_2(self, tmp_path, argv, config, key):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(conf), "--out", str(out)]) == 2
+        man = _manifest(out)
+        assert man["error"]["type"] == "DomainError"
+        assert f"has no key {key}" in man["error"]["message"]
+        assert man["outputs"] == []
 
 
 class TestParser:

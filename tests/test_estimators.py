@@ -121,14 +121,6 @@ class TestConfig:
         with pytest.raises(DomainError, match=f"^{field} must be positive and finite"):
             EstimationConfig(**{field: value})
 
-    def test_to_dict(self):
-        d = EstimationConfig().to_dict()
-        assert d["weight"] == "flat"
-        assert d["kernel"] == "flat_top"
-        assert d["u0"] == 1.0
-        # the keys every manifest and triplet.json has carried
-        assert sorted(d) == ["eps", "floor", "kernel", "m_fit", "m_inv", "u0", "vn", "weight"]
-
 
 class TestGrids:
     def test_fit_alphas(self):

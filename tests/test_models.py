@@ -365,6 +365,12 @@ class TestModelConfig:
         with pytest.raises(DomainError):
             model_from_config({"model": "mystery"})
 
+    @pytest.mark.parametrize("kind, key", [("cp_exp", "lambda"), ("trunc_norm_cp", "mu")])
+    def test_key_of_another_kind_is_rejected_by_name(self, kind, key):
+        cfg = {**model_to_config(EXAMPLE_MODELS[kind]), key: 1.0}
+        with pytest.raises(DomainError, match=f"^{kind} has no key '{key}'"):
+            model_from_config(cfg)
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("kind", list(MODELS))
     def test_non_finite_parameter_is_rejected_by_name(self, kind, value):

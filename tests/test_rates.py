@@ -110,6 +110,12 @@ class TestRateStudyConfig:
         with pytest.raises(DomainError, match=f"^{field} must be finite"):
             RateStudyConfig(n_ladder=(100, 200), replicates=5, decay_class=decay, **decay_params)
 
+    @pytest.mark.parametrize("decay, unread", [("polynomial", "alpha"), ("exponential", "beta")])
+    def test_decay_parameter_the_rule_does_not_read_is_rejected(self, decay, unread):
+        with pytest.raises(DomainError, match=f"^{decay} decay class reads no {unread}, "):
+            RateStudyConfig(n_ladder=(100, 200), replicates=5, decay_class=decay,
+                            beta=0.4, alpha=1.0)
+
     def test_bandwidth_dispatch(self):
         poly = RateStudyConfig(n_ladder=(100, 200), replicates=5, beta=0.4)
         assert poly.bandwidth(10**5) == choose_vn_polynomial(10**5, 0.4, 0)
