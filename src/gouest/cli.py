@@ -1,7 +1,7 @@
 """Command-line driver: simulation, estimation and the replicated
 convergence-rate study, emitting plain CSV/JSON for downstream plotting.
 
-Exit codes: 0 success, 2 input/config error (a sample too large for memory
+Exit codes: 0 success, 2 input error (a sample too large for memory
 included), 3 numerical degeneracy, 4 I/O failure. Every run writes a
 manifest.json listing command, config, seed, timestamps, and all output
 files — on failure as well as success.
@@ -10,17 +10,14 @@ files — on failure as well as success.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import DomainError, GouestError, PoleError, TruncationError
-from .estimators import (EstimationConfig, default_x_grid, run_algorithm2, whole_number,
+from .estimators import (EstimationConfig, default_x_grid, run_algorithm2,
                          write_levy_density_csv, write_triplet_json)
 # laplace_curve is not called here: benchmarks/test_benchmarks.py::
 # test_tracer_wraps_every_import_site_and_restores_them checks this import site
@@ -35,108 +32,41 @@ __all__ = ["main"]
 
 _EXAMPLE1_MODEL = CPExp(mu=1.8, a=0.7, b=0.2)
 _EXAMPLE2_MODEL = TruncNormCP(lam=1.0, q=0.5, alpha=0.1)
-# Parameters a model flag or config section leaves out, by model kind.
+# Parameters a model flag leaves out, by model kind.
 _MODEL_DEFAULTS = {c["model"]: c for c in map(model_to_config, (_EXAMPLE1_MODEL, _EXAMPLE2_MODEL))}
-# rate-study's defaults: the line Re z = 29 and the ladder 1e3/1e4/1e5
-_EXAMPLE1_U0 = 29.0
-_LADDER = (10**3, 10**4, 10**5)
 # the columns of MiseReport.rows, as rate-study writes them
-_REPLICATE_COLUMNS = ("n", "replicate", "vn", "mu_hat", "lambda_hat", "ill_count")
+_REPLICATE_COLUMNS = ("n", "replicate", "vn", "mu_hat", "lambda_hat", "ill_count", "mise")
 
 
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _load_config_file(path: str | None) -> dict:
-    """The --config file, checked once: each section is an object and every
-    key one that some command reads (MODELS' keys as of this call), else a
-    DomainError naming it."""
-    if path is None:
-        return {}
+def _ladder(raw: str) -> tuple:
+    """Sample sizes from a comma-separated string of integers."""
     try:
-        with open(path) as fh:
-            loaded = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DomainError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise DomainError(f"config file {path} must hold a JSON object")
-    sections = {
-        "model": {"model", *(key for cls in MODELS.values() for key in cls.keys)},
-        "estimation": {"grid_m", *(f.name for f in fields(EstimationConfig))},
-        "x_grid": {"x_min", "x_max", "x_points"},
-        "study": {f.name for f in fields(RateStudyConfig)},
-    }
-    for name, keys in [("", {"seed", "n", *sections}), *sections.items()]:
-        section = loaded.get(name, {}) if name else loaded
-        if not isinstance(section, dict):
-            raise DomainError(f"config section {name!r} must be a JSON object, got {section!r}")
-        for key in section:
-            if key not in keys:
-                where = f"section {name!r}" if name else "the top level"
-                raise DomainError(f"unknown config key {key!r} in {where} of {path}")
-    return loaded
-
-
-def _merge(flag_value, config_section: dict, key: str, default, convert=float):
-    """Flag beats config file beats default; the winner goes through convert
-    (int takes whole numbers only), and a value it cannot take is a
-    DomainError naming the key. A key whose default is None may stay None."""
-    value = flag_value if flag_value is not None else config_section.get(key, default)
-    if value is None and default is None:
-        return None
-    try:
-        return whole_number(key, value) if convert is int else convert(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"bad value for {key!r}: {value!r} ({exc})") from exc
-
-
-def _ladder(raw) -> tuple:
-    """Sample sizes from a comma-separated string or a list of whole numbers."""
-    if isinstance(raw, str):
         return tuple(int(t) for t in raw.split(",") if t.strip())
-    return tuple(whole_number("n_ladder", t) for t in raw)
+    except ValueError as exc:
+        raise DomainError(f"bad value for 'n_ladder': {raw!r} ({exc})") from exc
 
 
-def _model_from_args(args, file_config: dict, default_kind: str | None = None):
-    """Flags beat the file's model section, which beats the parameters of the
-    reference model of the same kind; model_from_config builds the result."""
-    keys = ["model", *(key for cls in MODELS.values() for key in cls.keys)]
-    flags = {key: getattr(args, key) for key in keys}
-    config = {**file_config.get("model", {}),
-              **{k: v for k, v in flags.items() if v is not None}}
-    kind = config.setdefault("model", default_kind)
-    if kind is None:
-        raise DomainError("no model given: pass --model or a config file with a 'model' section")
-    return model_from_config({**_MODEL_DEFAULTS.get(str(kind), {}), **config})
+def _model_from_args(args):
+    """The reference model of --model's kind with each model flag given in
+    place of its parameter; model_from_config builds the result."""
+    if args.model is None:
+        raise DomainError("no model given: pass --model")
+    given = {key: getattr(args, key) for cls in MODELS.values() for key in cls.keys
+             if getattr(args, key) is not None}
+    return model_from_config({**_MODEL_DEFAULTS.get(args.model, {}), "model": args.model, **given})
 
 
-def _estimation_config_from_args(args, file_config: dict,
-                                 u0: float = EstimationConfig.u0) -> EstimationConfig:
-    """Flags beat the file's estimation section, which beats the command's u0
-    and EstimationConfig's own defaults."""
-    section, default = file_config.get("estimation", {}), EstimationConfig
-    # one CLI knob sets both grids; the split defaults stay otherwise
-    grid_m = _merge(args.grid_m, section, "grid_m", None, int)
-    return EstimationConfig(
-        u0=_merge(args.u0, section, "u0", u0),
-        vn=_merge(args.vn, section, "vn", default.vn),
-        eps=_merge(args.eps, section, "eps", default.eps),
-        m_fit=_merge(grid_m, section, "m_fit", default.m_fit, int),
-        m_inv=_merge(grid_m, section, "m_inv", default.m_inv, int),
-        floor=_merge(args.floor, section, "floor", default.floor),
-    )
-
-
-def _x_grid_from_args(args, file_config: dict, x_points: int = 301) -> np.ndarray:
-    section = file_config.get("x_grid", {})
-    return default_x_grid(
-        x_min=_merge(args.x_min, section, "x_min", 0.0),
-        x_max=_merge(args.x_max, section, "x_max", 3.0),
-        x_points=_merge(args.x_points, section, "x_points", x_points, int),
-    )
+def _estimation_config_from_args(args) -> EstimationConfig:
+    """--grid-m sets both grid counts; without it, and for the --vn that
+    rate-study does not take, EstimationConfig's defaults stay."""
+    settings = {k: getattr(args, k) for k in ("u0", "vn", "eps", "floor") if hasattr(args, k)}
+    if args.grid_m is not None:
+        settings.update(m_fit=args.grid_m, m_inv=args.grid_m)
+    return EstimationConfig(**settings)
 
 
 def _rule_beta(model) -> float:
@@ -149,22 +79,19 @@ def _rule_beta(model) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Commands. Each receives (args, file_config, out_dir, outputs), where
-# file_config is the loaded --config file ({} without one), and appends every
-# file it wrote to outputs; the wrapper owns the manifest and exit codes.
+# Commands. Each receives (args, out_dir, outputs) and appends every file it
+# wrote to outputs; the wrapper owns the manifest and exit codes.
 
 
-def _cmd_simulate(args, file_config: dict, out_dir: Path, outputs: list) -> dict:
-    model = _model_from_args(args, file_config)
-    n = _merge(args.n, file_config, "n", 10**4, int)
-    seed = _merge(args.seed, file_config, "seed", 0, int)
-    sample = sample_stationary(model, n, seed=seed)
+def _cmd_simulate(args, out_dir: Path, outputs: list) -> dict:
+    model = _model_from_args(args)
+    sample = sample_stationary(model, args.n, seed=args.seed)
     csv_path, meta_path = write_sample_csv(sample, out_dir / "sample.csv")
     outputs += [csv_path, meta_path]
-    return {"model": model_to_config(model), "n": n, "seed": seed}
+    return {"model": model_to_config(model), "n": args.n, "seed": args.seed}
 
 
-def _cmd_estimate(args, file_config: dict, out_dir: Path, outputs: list) -> dict:
+def _cmd_estimate(args, out_dir: Path, outputs: list) -> dict:
     try:
         sample = read_sample_csv(args.sample)
     except FileNotFoundError as exc:
@@ -179,8 +106,8 @@ def _cmd_estimate(args, file_config: dict, out_dir: Path, outputs: list) -> dict
     # the estimators read only the multiset of values: sorted in place, the
     # sample needs no sorted copy in laplace_curve
     sample.values.sort()
-    config = _estimation_config_from_args(args, file_config)
-    x_grid = _x_grid_from_args(args, file_config)
+    config = _estimation_config_from_args(args)
+    x_grid = default_x_grid(args.x_min, args.x_max, args.x_points)
 
     density = run_algorithm2(sample, config, x_grid)
     triplet = density.triplet
@@ -197,53 +124,39 @@ def _cmd_estimate(args, file_config: dict, out_dir: Path, outputs: list) -> dict
     return result
 
 
-def _cmd_rate_study(args, file_config: dict, out_dir: Path, outputs: list) -> dict:
-    section = file_config.get("study", {})
-    if args.vn is not None or "vn" in file_config.get("estimation", {}):
-        raise DomainError("rate-study takes V_n at each n from its bandwidth rule (--decay, "
-                          "--beta or --alpha-decay, --s); drop --vn and estimation.vn")
-    model = _model_from_args(args, file_config, default_kind="cp_exp")
-
-    decay = _merge(args.decay, section, "decay_class", RateStudyConfig.decay_class, str)
-    beta = _merge(args.beta, section, "beta", RateStudyConfig.beta)
-    if beta is None and decay == "polynomial":
+def _cmd_rate_study(args, out_dir: Path, outputs: list) -> dict:
+    model = _model_from_args(args)
+    beta = args.beta
+    if beta is None and args.decay == "polynomial":
         beta = _rule_beta(model)
-    study = RateStudyConfig(
-        n_ladder=_merge(args.n_ladder, section, "n_ladder", _LADDER, _ladder),
-        replicates=_merge(args.reps, section, "replicates", RateStudyConfig.replicates, int),
-        smoothness=_merge(args.s, section, "smoothness", RateStudyConfig.smoothness),
-        beta=beta,
-        alpha=_merge(args.alpha_decay, section, "alpha", RateStudyConfig.alpha),
-        decay_class=decay,
-    )
+    study = RateStudyConfig(n_ladder=_ladder(args.n_ladder), replicates=args.reps,
+                            smoothness=args.s, beta=beta, alpha=args.alpha_decay,
+                            decay_class=args.decay)
     # the study substitutes the rule's V_n at each n for the template's vn
-    template = _estimation_config_from_args(args, file_config, u0=_EXAMPLE1_U0)
-    seed = _merge(args.seed, file_config, "seed", 0, int)
-    report = rate_study(study, model, template, seed=seed,
-                        x_grid=_x_grid_from_args(args, file_config, x_points=STUDY_X_POINTS))
+    template = _estimation_config_from_args(args)
+    report = rate_study(study, model, template, seed=args.seed,
+                        x_grid=default_x_grid(args.x_min, args.x_max, args.x_points))
     outputs.append(write_mise_report_json(report, out_dir / "mise_report.json"))
     outputs.append(write_columns_csv(out_dir / "replicates.csv",
                                      dict(zip(_REPLICATE_COLUMNS, zip(*report.rows)))))
-    return {"model": model_to_config(model), "seed": seed, "study": asdict(study),
+    return {"model": model_to_config(model), "seed": args.seed, "study": asdict(study),
             "slope_mu": report.slope_mu, "failures": len(report.failures)}
 
 
 # ---------------------------------------------------------------------------
-# Parser and entry point.
+# Parser and entry point. Each flag's default is the value the command runs
+# with when the flag is not given.
 
 
-def _add_common(parser: argparse.ArgumentParser, seed: bool = True, config: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
     if seed:
-        parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+        parser.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
     parser.add_argument("--out", required=True, help="output directory")
-    if config:
-        parser.add_argument("--config", default=None,
-                            help="JSON config file; flags win on conflict")
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+def _add_model_flags(parser: argparse.ArgumentParser, model: str | None = None) -> None:
     """--model, and one --<field> per field name of the MODELS classes."""
-    parser.add_argument("--model", choices=list(MODELS), default=None)
+    parser.add_argument("--model", choices=list(MODELS), default=model)
     flags: dict = {}  # field name -> its config key (the dest), help text and kinds
     for cls in MODELS.values():
         for f, key in zip(fields(cls), cls.keys):
@@ -253,18 +166,23 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                             help=f"{text} ({', '.join(kinds)})")
 
 
-def _add_estimation_flags(parser: argparse.ArgumentParser,
-                          vn_help: str = "spectral bandwidth") -> None:
-    parser.add_argument("--u0", type=float, default=None, help="real part of the Mellin line")
-    parser.add_argument("--vn", type=float, default=None, help=vn_help)
-    parser.add_argument("--eps", type=float, default=None, help="lower edge of the fitting band")
+def _add_estimation_flags(parser: argparse.ArgumentParser, u0: float, x_points: int,
+                          vn: bool = True) -> None:
+    parser.add_argument("--u0", type=float, default=u0,
+                        help="real part of the Mellin line (default %(default)s)")
+    if vn:
+        parser.add_argument("--vn", type=float, default=EstimationConfig.vn,
+                            help="spectral bandwidth (default %(default)s)")
+    parser.add_argument("--eps", type=float, default=EstimationConfig.eps,
+                        help="lower edge of the fitting band (default %(default)s)")
     parser.add_argument("--grid-m", type=int, default=None, dest="grid_m",
-                        help="grid count for both the fitting and inversion grids")
+                        help="grid count for both the fitting and inversion grids "
+                             f"(default {EstimationConfig.m_fit} and {EstimationConfig.m_inv})")
     parser.add_argument("--floor", type=float, default=None,
                         help="ill-conditioning floor (default 10/sqrt(n))")
-    parser.add_argument("--x-min", type=float, default=None, dest="x_min")
-    parser.add_argument("--x-max", type=float, default=None, dest="x_max")
-    parser.add_argument("--x-points", type=int, default=None, dest="x_points")
+    parser.add_argument("--x-min", type=float, default=0.0, dest="x_min")
+    parser.add_argument("--x-max", type=float, default=3.0, dest="x_max")
+    parser.add_argument("--x-points", type=int, default=x_points, dest="x_points")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,29 +195,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="draw stationary observations, write sample CSV")
     _add_model_flags(p)
-    p.add_argument("-n", "--n", type=int, default=None, help="sample size (default 10^4)")
+    p.add_argument("-n", "--n", type=int, default=10**4, help="sample size (default 10^4)")
     _add_common(p)
 
     p = sub.add_parser("estimate", help="estimate the triplet and Levy density from a sample CSV")
     p.add_argument("sample", help="sample CSV file (header 'x')")
-    _add_estimation_flags(p)
+    _add_estimation_flags(p, u0=EstimationConfig.u0, x_points=301)
     _add_common(p, seed=False)
 
     p = sub.add_parser("rate-study", help="replicated convergence-rate study")
-    _add_model_flags(p)
-    p.add_argument("--n-ladder", default=None, dest="n_ladder",
-                   help="comma-separated sample sizes (default 1000,10000,100000)")
-    p.add_argument("--reps", type=int, default=None,
-                   help=f"replicates (default {RateStudyConfig.replicates})")
-    p.add_argument("--s", type=float, default=None,
+    _add_model_flags(p, model="cp_exp")
+    p.add_argument("--n-ladder", default="1000,10000,100000", dest="n_ladder",
+                   help="comma-separated sample sizes (default %(default)s)")
+    p.add_argument("--reps", type=int, default=RateStudyConfig.replicates,
+                   help="replicates (default %(default)s)")
+    p.add_argument("--s", type=float, default=RateStudyConfig.smoothness,
                    help="smoothness s of the bandwidth rule, may be fractional "
-                        f"(default {RateStudyConfig.smoothness:g})")
-    p.add_argument("--beta", type=float, default=None, help="polynomial Mellin decay exponent")
+                        "(default %(default)g)")
+    p.add_argument("--beta", type=float, default=None,
+                   help="polynomial Mellin decay exponent (default jump_mass/mu)")
     p.add_argument("--alpha-decay", type=float, default=None, dest="alpha_decay",
                    help="exponential Mellin decay rate")
-    p.add_argument("--decay", choices=["polynomial", "exponential"], default=None)
-    # --vn stays parsed, unlisted, so that it is rejected with the bandwidth rule's message
-    _add_estimation_flags(p, vn_help=argparse.SUPPRESS)
+    p.add_argument("--decay", choices=["polynomial", "exponential"],
+                   default=RateStudyConfig.decay_class)
+    # V_n at each n comes from the bandwidth rule, so rate-study takes no --vn
+    _add_estimation_flags(p, u0=29.0, x_points=STUDY_X_POINTS, vn=False)
     _add_common(p)
     return parser
 
@@ -341,10 +261,7 @@ def main(argv=None) -> int:
     }
     code = 0
     try:
-        file_config = _load_config_file(getattr(args, "config", None))
-        manifest["config"] = _COMMANDS[args.command](args, file_config, out_dir, outputs)
-        # the seed the command drew with, from its flag, the config file or the default
-        manifest["seed"] = manifest["config"].get("seed")
+        manifest["config"] = _COMMANDS[args.command](args, out_dir, outputs)
     except (GouestError, MemoryError, OSError) as exc:
         code = next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))
         manifest["status"] = "error"

@@ -90,8 +90,8 @@ class RateStudyConfig:
 class MiseReport:
     """Per-n medians/quartiles of squared errors plus fitted log-log slopes.
 
-    ``rows`` holds one (n, replicate, vn, mu_hat, lambda_hat, ill_count)
-    tuple per successful replicate, in ladder order.
+    ``rows`` holds one (n, replicate, vn, mu_hat, lambda_hat, ill_count,
+    mise) tuple per successful replicate, in ladder order.
     """
 
     n: list
@@ -199,7 +199,7 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
             errors["sq_err_lambda"].append((triplet.lambda_hat - model.jump_mass) ** 2)
             errors["mise"].append(score)
             rows.append((n, r, config.vn, triplet.mu_hat, triplet.lambda_hat,
-                         triplet.ill_count))
+                         triplet.ill_count, score))
         if not errors["sq_err_mu"]:
             raise DomainError(f"all {study.replicates} replicates failed at n={n}, the last "
                               f"with {failures[-1]['error']}: {failures[-1]['message']}")

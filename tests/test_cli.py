@@ -193,28 +193,6 @@ class TestEstimate:
         for name in ("triplet.json", "laplace_curve.csv", "levy_density.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_flags_override_config_file(self, tmp_path):
-        csv = _run_simulate(tmp_path / "sim", n=50)
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"estimation": {"u0": 3.0, "vn": 4.0}}))
-        out = tmp_path / "est"
-        rc = main(
-            [
-                "estimate",
-                str(csv),
-                "--out",
-                str(out),
-                "--config",
-                str(conf),
-                "--u0",
-                "2.5",
-            ]
-        )
-        assert rc == 0
-        section = _manifest(out)["config"]["estimation"]
-        assert section["u0"] == 2.5  # flag wins
-        assert section["vn"] == 4.0  # file beats default
-
     def test_grid_m_sets_both_grids(self, tmp_path):
         csv = _run_simulate(tmp_path / "sim", n=50)
         out = tmp_path / "est"
@@ -369,6 +347,14 @@ class TestEstimate:
         assert main(["estimate", str(csv), "--out", str(out)]) == 0
         assert _manifest(out)["config"]["estimation"] == dataclasses.asdict(EstimationConfig())
 
+    def test_manifest_estimation_entry_reads_back(self, tmp_path):
+        # a manifest's estimation entry is an EstimationConfig's fields
+        csv = _run_simulate(tmp_path / "sim", n=50)
+        out = tmp_path / "est"
+        assert main(["estimate", str(csv), "--eps", "0.3", "--grid-m", "24", "--out", str(out)]) == 0
+        entry = _manifest(out)["config"]["estimation"]
+        assert EstimationConfig(**entry) == EstimationConfig(eps=0.3, m_fit=24, m_inv=24)
+
     def test_constant_sample_flagged_not_fatal(self, tmp_path):
         # constant observations c are the pure-drift degenerate case: the
         # estimate is exactly 1/c, and a small c puts the Mellin denominator
@@ -510,12 +496,10 @@ class TestRateStudyCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["study"]["smoothness"] == 0.5
 
-    def test_config_file_sets_x_grid_and_seed(self, tmp_path):
-        conf = tmp_path / "rs.json"
-        conf.write_text(json.dumps({"x_grid": {"x_points": 31}, "seed": 5}))
+    def test_x_points_and_seed_flags_reach_the_study(self, tmp_path):
         out = tmp_path / "rs"
         rc = main(["rate-study", "--n-ladder", "200,400", "--reps", "2",
-                   "--config", str(conf), "--out", str(out)])
+                   "--x-points", "31", "--seed", "5", "--out", str(out)])
         assert rc == 0
         meta = json.loads((out / "mise_report.json").read_text())["meta"]
         assert meta["x_points"] == 31
@@ -544,6 +528,15 @@ class TestRateStudyCommand:
         assert study["smoothness"] == RateStudyConfig.smoothness
         assert study["decay_class"] == RateStudyConfig.decay_class
 
+    def test_ladder_entry_that_is_not_an_integer_exits_2(self, tmp_path):
+        out = tmp_path / "rs"
+        assert main(["rate-study", "--n-ladder", "1e3,1e4", "--out", str(out)]) == 2
+        man = _manifest(out)
+        assert man["error"]["type"] == "DomainError"
+        assert "'n_ladder'" in man["error"]["message"]
+        assert man["outputs"] == []
+        assert man["seed"] == 0  # the seed the study would have drawn with
+
     def test_bad_ladder_exits_2(self, tmp_path):
         rc = main(
             [
@@ -565,135 +558,16 @@ class TestRateStudyCommand:
         assert rc == 2
 
 
-class TestConfigErrors:
-    """A config value or section of the wrong type exits 2 with a manifest."""
-
-    def _run(self, tmp_path, argv, config):
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps(config))
-        out = tmp_path / "out"
-        rc = main(argv + ["--config", str(conf), "--out", str(out)])
-        man = _manifest(out)
-        assert rc == 2
-        assert man["status"] == "error"
-        assert man["error"]["type"] == "DomainError"
-        return man["error"]["message"]
-
-    @pytest.mark.parametrize("config, key", [
-        ({"model": {"model": "cp_exp", "mu": "fast"}}, "'mu'"),
-        ({"model": {"model": "trunc_norm_cp", "q": None}}, "'q'"),
-        ({"model": 3}, "'model'"),
-    ], ids=["text", "null", "section"])
-    def test_bad_model_section(self, tmp_path, config, key):
-        assert key in self._run(tmp_path, ["simulate", "-n", "10"], config)
-
-    @pytest.mark.parametrize("config, key", [
-        ({"estimation": {"u0": None}}, "'u0'"),
-        ({"estimation": {"m_fit": "many"}}, "'m_fit'"),
-        ({"estimation": 3}, "'estimation'"),
-    ], ids=["null", "text", "section"])
-    def test_bad_estimation_section(self, tmp_path, config, key):
-        csv = _run_simulate(tmp_path / "sim", n=50)
-        assert key in self._run(tmp_path, ["estimate", str(csv)], config)
-
-    @pytest.mark.parametrize("command, config, where", [
-        ("simulate", {"sead": 5, "x_grid": {"x_point": 31}}, "'sead' in the top level"),
-        ("simulate", {"model": {"model": "cp_exp", "mu": 1.8, "a": 0.7, "bb": 0.2}},
-         "'bb' in section 'model'"),
-        ("estimate", {"estimation": {"uo": 29}}, "'uo' in section 'estimation'"),
-        ("estimate", {"x_grid": {"x_point": 31}}, "'x_point' in section 'x_grid'"),
-        ("rate-study", {"study": {"replicate": 3}}, "'replicate' in section 'study'"),
-        # the fit weight and the inversion window are not settings
-        ("estimate", {"estimation": {"weight": "epanechnikov"}}, "'weight' in section"),
-        ("estimate", {"estimation": {"kernel": "gaussian"}}, "'kernel' in section"),
-    ], ids=["top", "model", "estimation", "x_grid", "study", "weight", "kernel"])
-    def test_unknown_key_exits_2(self, tmp_path, command, config, where):
-        # a key no command reads is named before anything is read or drawn,
-        # so estimate's sample need not exist
-        argv = {"simulate": ["simulate", "--model", "cp_exp", "-n", "10"],
-                "estimate": ["estimate", str(tmp_path / "missing.csv")],
-                "rate-study": ["rate-study", "--n-ladder", "200,400", "--reps", "2"]}[command]
-        assert f"unknown config key {where}" in self._run(tmp_path, argv, config)
-        assert _manifest(tmp_path / "out")["outputs"] == []
-
-    def test_negative_seed(self, tmp_path):
-        message = self._run(tmp_path, ["simulate", "--model", "cp_exp", "-n", "10"], {"seed": -1})
-        assert message.startswith("seed must be")
-
-    @pytest.mark.parametrize("command, config, key, value", [
-        ("simulate", {"n": 10.9}, "n", 10.9),
-        ("simulate", {"n": True}, "n", True),
-        ("simulate", {"n": float("inf")}, "n", float("inf")),
-        ("simulate", {"seed": 2.7}, "seed", 2.7),
-        ("rate-study", {"seed": 1.5}, "seed", 1.5),
-        ("rate-study", {"study": {"replicates": 2.5}}, "replicates", 2.5),
-        ("rate-study", {"study": {"n_ladder": [200.9, 400.2]}}, "n_ladder", 200.9),
-        ("rate-study", {"study": {"n_ladder": [200, True]}}, "n_ladder", True),
-        ("rate-study", {"estimation": {"m_fit": 10.5}}, "m_fit", 10.5),
-        ("rate-study", {"estimation": {"m_inv": False}}, "m_inv", False),
-        ("rate-study", {"estimation": {"grid_m": 60.5}}, "grid_m", 60.5),
-        ("rate-study", {"x_grid": {"x_points": 30.5}}, "x_points", 30.5),
-    ], ids=["n", "n-bool", "n-inf", "seed", "study-seed", "replicates", "ladder", "ladder-bool",
-            "m_fit", "m_inv-bool", "grid_m", "x_points"])
-    def test_count_that_is_not_a_whole_number(self, tmp_path, command, config, key, value):
-        # each is rejected before anything is drawn
-        message = self._run(tmp_path, [command, "--model", "cp_exp"], config)
-        assert message == f"{key} must be a whole number, got {value!r}"
-
-    def test_integral_float_count_reads_as_int(self, tmp_path):
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"n": 10.0, "seed": 3.0}))
-        by_file, by_flag = tmp_path / "file", tmp_path / "flag"
-        assert main(["simulate", "--model", "cp_exp", "--config", str(conf),
-                     "--out", str(by_file)]) == 0
-        assert main(["simulate", "--model", "cp_exp", "-n", "10", "--seed", "3",
-                     "--out", str(by_flag)]) == 0
-        assert _manifest(by_file)["config"] == _manifest(by_flag)["config"]
-        assert (by_file / "sample.csv").read_bytes() == (by_flag / "sample.csv").read_bytes()
-
-    def test_manifest_estimation_entry_reads_back(self, tmp_path):
-        # a manifest's estimation entry is a config
-        csv = _run_simulate(tmp_path / "sim", n=50)
-        first, second = tmp_path / "first", tmp_path / "second"
-        assert main(["estimate", str(csv), "--eps", "0.3", "--out", str(first)]) == 0
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"estimation": _manifest(first)["config"]["estimation"]}))
-        assert main(["estimate", str(csv), "--config", str(conf), "--out", str(second)]) == 0
-        for name in ("triplet.json", "laplace_curve.csv", "levy_density.csv"):
-            assert (first / name).read_bytes() == (second / name).read_bytes()
-
-    @pytest.mark.parametrize("config, key", [
-        ({"study": {"replicates": "many"}}, "'replicates'"),
-        ({"study": {"n_ladder": [200, "x"]}}, "'n_ladder'"),
-        ({"study": [1]}, "'study'"),
-    ], ids=["text", "ladder", "section"])
-    def test_bad_study_section(self, tmp_path, config, key):
-        assert key in self._run(tmp_path, ["rate-study"], config)
-
-    @pytest.mark.parametrize("argv, config", [
-        (["--vn", "99"], {}),
-        ([], {"estimation": {"vn": 99}}),
-    ], ids=["flag", "config"])
-    def test_rate_study_rejects_vn(self, tmp_path, argv, config):
-        message = self._run(tmp_path, ["rate-study", "--n-ladder", "200,400", "--reps", "2"]
-                            + argv, config)
-        assert "bandwidth rule" in message
-        assert not (tmp_path / "out" / "mise_report.json").exists()
-
-
-@pytest.mark.parametrize("command, config, n", [
-    (["simulate", "--model", "cp_exp", "-n", str(10**29)], {}, 10**29),
-    (["simulate", "--model", "cp_exp"], {"n": 1e29}, int(1e29)),
-    (["rate-study", "--n-ladder", f"200,{10**29}", "--reps", "2"], {}, 10**29),
-    (["simulate", "--model", "cp_exp", "-n", str(2**63 - 1)], {}, 2**63 - 1),
-], ids=["flag", "config", "ladder", "intp-max"])
-def test_oversized_sample_exits_2(tmp_path, command, config, n):
+@pytest.mark.parametrize("command, n", [
+    (["simulate", "--model", "cp_exp", "-n", str(10**29)], 10**29),
+    (["rate-study", "--n-ladder", f"200,{10**29}", "--reps", "2"], 10**29),
+    (["simulate", "--model", "cp_exp", "-n", str(2**63 - 1)], 2**63 - 1),
+], ids=["flag", "ladder", "intp-max"])
+def test_oversized_sample_exits_2(tmp_path, command, n):
     """A sample size beyond what numpy can size as a float64 array is a
     DomainError naming it, with a manifest, not a traceback from the draw."""
-    conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert main(command + ["--config", str(conf), "--out", str(out)]) == 2
+    assert main(command + ["--out", str(out)]) == 2
     man = _manifest(out)
     assert man["status"] == "error"
     assert man["error"]["type"] == "DomainError"
@@ -812,17 +686,14 @@ class TestModelTable:
         meta = json.loads((out / "sample.json").read_text())
         assert meta["model"] == {"model": "trunc_norm_cp", "lambda": 1.3, "q": 0.4, "alpha": 0.2}
 
-    @pytest.mark.parametrize("argv, config, key", [
-        (["simulate", "--model", "cp_exp", "--lam", "5", "--q", "0.3"], {}, "'lambda'"),
-        (["simulate", "--model", "cp_exp"], {"model": {"q": 0.3}}, "'q'"),
+    @pytest.mark.parametrize("argv, key", [
+        (["simulate", "--model", "cp_exp", "--lam", "5", "--q", "0.3"], "'lambda'"),
         (["rate-study", "--model", "trunc_norm_cp", "--mu", "1", "--beta", "0.4",
-          "--n-ladder", "200,400", "--reps", "2"], {}, "'mu'"),
-    ], ids=["simulate-flag", "simulate-config", "rate-study-flag"])
-    def test_key_of_another_kind_exits_2(self, tmp_path, argv, config, key):
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps(config))
+          "--n-ladder", "200,400", "--reps", "2"], "'mu'"),
+    ], ids=["simulate-flag", "rate-study-flag"])
+    def test_key_of_another_kind_exits_2(self, tmp_path, argv, key):
         out = tmp_path / "out"
-        assert main(argv + ["--config", str(conf), "--out", str(out)]) == 2
+        assert main(argv + ["--out", str(out)]) == 2
         man = _manifest(out)
         assert man["error"]["type"] == "DomainError"
         assert f"has no key {key}" in man["error"]["message"]
@@ -851,16 +722,22 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "sample.csv", "--seed", "1"],
-    ], ids=["estimate-seed"])
+        ["simulate", "--model", "cp_exp", "--config", "c.json"],
+        ["estimate", "sample.csv", "--config", "c.json"],
+        ["rate-study", "--config", "c.json"],
+        ["rate-study", "--vn", "5"],
+    ], ids=["estimate-seed", "simulate-config", "estimate-config", "rate-study-config",
+            "rate-study-vn"])
     def test_flag_a_command_ignores_is_rejected(self, tmp_path, argv):
-        # estimate draws nothing
+        # estimate draws nothing, settings come from flags alone, and
+        # rate-study takes V_n from its bandwidth rule
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
 
     def test_rate_study_help_omits_vn(self, capsys):
-        # rate-study takes V_n from its bandwidth rule and rejects --vn
+        # rate-study takes V_n from its bandwidth rule and has no --vn
         with pytest.raises(SystemExit) as exc:
             main(["rate-study", "--help"])
         assert exc.value.code == 0

@@ -339,7 +339,9 @@ class TestReplicateFailures:
                 median, quartiles = self._summary([(row[key] - truth) ** 2 for row in rows])
                 assert getattr(report, f"median_sq_err_{name}")[i] == median
                 assert report.quartiles[f"sq_err_{name}"][i] == quartiles
-            median, quartiles = self._summary([scores[row[:2]] for row in rows])
+            # each row ends with its replicate's score
+            assert [row[6] for row in rows] == [scores[row[:2]] for row in rows]
+            median, quartiles = self._summary([row[6] for row in rows])
             assert report.median_mise[i] == median
             assert report.quartiles["mise"][i] == quartiles
 
