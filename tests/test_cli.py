@@ -558,6 +558,21 @@ class TestRateStudyCommand:
         assert rc == 2
 
 
+class TestConfigErrors:
+    """A setting out of its range exits 2 with a manifest, before anything is drawn."""
+
+    def test_negative_seed(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["simulate", "--model", "cp_exp", "-n", "10", "--seed", "-1", "--out", str(out)])
+        man = _manifest(out)
+        assert rc == 2
+        assert man["status"] == "error"
+        assert man["error"]["type"] == "DomainError"
+        assert man["error"]["message"].startswith("seed must be")
+        assert man["outputs"] == []
+        assert not (out / "sample.csv").exists()
+
+
 @pytest.mark.parametrize("command, n", [
     (["simulate", "--model", "cp_exp", "-n", str(10**29)], 10**29),
     (["rate-study", "--n-ladder", f"200,{10**29}", "--reps", "2"], 10**29),
