@@ -63,7 +63,7 @@ def _model_from_args(args):
 def _estimation_config_from_args(args) -> EstimationConfig:
     """--grid-m sets both grid counts; without it, and for the --vn that
     rate-study does not take, EstimationConfig's defaults stay."""
-    settings = {k: getattr(args, k) for k in ("u0", "vn", "eps", "floor") if hasattr(args, k)}
+    settings = {k: getattr(args, k) for k in ("u0", "vn", "eps") if hasattr(args, k)}
     if args.grid_m is not None:
         settings.update(m_fit=args.grid_m, m_inv=args.grid_m)
     return EstimationConfig(**settings)
@@ -178,8 +178,6 @@ def _add_estimation_flags(parser: argparse.ArgumentParser, u0: float, x_points: 
     parser.add_argument("--grid-m", type=int, default=None, dest="grid_m",
                         help="grid count for both the fitting and inversion grids "
                              f"(default {EstimationConfig.m_fit} and {EstimationConfig.m_inv})")
-    parser.add_argument("--floor", type=float, default=None,
-                        help="ill-conditioning floor (default 10/sqrt(n))")
     parser.add_argument("--x-min", type=float, default=0.0, dest="x_min")
     parser.add_argument("--x-max", type=float, default=3.0, dest="x_max")
     parser.add_argument("--x-points", type=int, default=x_points, dest="x_points")

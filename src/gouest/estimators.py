@@ -60,9 +60,8 @@ class EstimationConfig:
     ``m_fit`` points span the one-sided fitting band [eps, 1] (scaled by
     ``vn``); ``m_inv + 1`` points span the symmetric inversion band [-1, 1].
     The fit counts every band point equally and the inversion's window is
-    the flat-top kernel; neither is a setting. ``floor`` is the
-    ill-conditioning threshold for the empirical Mellin denominator (None:
-    10/sqrt(n) at run time).
+    the flat-top kernel; neither is a setting, and neither is the
+    ill-conditioning threshold 10/sqrt(n) of :func:`laplace_curve`.
     """
 
     u0: float = 1.0
@@ -70,15 +69,11 @@ class EstimationConfig:
     eps: float = 0.1
     m_fit: int = 50
     m_inv: int = 200
-    floor: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("m_fit", "m_inv"):
             object.__setattr__(self, name, whole_number(name, getattr(self, name)))
-        positive = {"u0": self.u0, "vn": self.vn}
-        if self.floor is not None:
-            positive["floor"] = self.floor
-        for name, value in positive.items():
+        for name, value in (("u0", self.u0), ("vn", self.vn)):
             if not (0.0 < value < np.inf):
                 raise DomainError(f"{name} must be positive and finite, got {value}")
         if not (0.0 < self.eps < 1.0):
@@ -100,7 +95,9 @@ class TripletEstimate:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.mu_hat) and np.isfinite(self.lambda_hat)):
-            raise DomainError("triplet estimates must be finite")
+            raise DomainError(
+                f"mu_hat and lambda_hat must be finite, got {self.mu_hat}, {self.lambda_hat} "
+                f"at u0={self.config.u0:g}, vn={self.config.vn:g}")
 
 
 @dataclass
@@ -256,7 +253,7 @@ def run_algorithm1(curve: LaplaceCurve, config: EstimationConfig) -> TripletEsti
     least-squares slope through the origin of Im Y against v, and
     lambda_hat = sum_m Re Y(u0 + i a_m V) / M - mu_hat*u0, the band's mean
     of Re Y less the drift part. GridMismatch if the curve's grid or u0 is
-    not the config's."""
+    not the config's; DomainError, naming vn, if the fit overflows."""
     alphas = fit_alphas(config)
     if curve.v.size != alphas.size or not np.allclose(curve.v, alphas * config.vn,
                                                       rtol=1e-9, atol=1e-12):
@@ -265,8 +262,9 @@ def run_algorithm1(curve: LaplaceCurve, config: EstimationConfig) -> TripletEsti
             f"vn={config.vn} (m_fit={config.m_fit}, eps={config.eps})")
     if not np.isclose(curve.u0, config.u0, rtol=1e-12):
         raise GridMismatch(f"curve u0={curve.u0} differs from config u0={config.u0}")
-    mu_hat = float(np.sum(alphas * curve.y.imag) / (config.vn * np.sum(alphas**2)))
-    lambda_hat = float(np.sum(curve.y.real) / config.m_fit - mu_hat * config.u0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_hat = float(np.sum(alphas * curve.y.imag) / (config.vn * np.sum(alphas**2)))
+        lambda_hat = float(np.sum(curve.y.real) / config.m_fit - mu_hat * config.u0)
     return TripletEstimate(mu_hat=mu_hat, lambda_hat=lambda_hat,
                            ill_count=int(np.sum(curve.ill)), n=curve.n, config=config)
 
@@ -275,8 +273,7 @@ def _band(curve: LaplaceCurve, v: np.ndarray) -> LaplaceCurve:
     """The points of ``curve`` at the grid v, which its own grid contains."""
     i = np.searchsorted(curve.v, v)
     return LaplaceCurve(u0=curve.u0, v=curve.v[i], y=curve.y[i],
-                        denom_abs=curve.denom_abs[i], ill=curve.ill[i], n=curve.n,
-                        meta=dict(curve.meta))
+                        denom_abs=curve.denom_abs[i], ill=curve.ill[i], n=curve.n)
 
 
 def run_algorithm2(sample: Sample, config: EstimationConfig, x_grid) -> LevyDensityEstimate:
@@ -290,7 +287,7 @@ def run_algorithm2(sample: Sample, config: EstimationConfig, x_grid) -> LevyDens
     # the union grid, sorted without repeats: np.union1d would load numpy.ma
     v = np.sort(np.concatenate([v_fit, v_inv]))
     v = v[np.concatenate([[True], v[1:] != v[:-1]])]
-    both = laplace_curve(sample, config.u0, v, floor=config.floor)
+    both = laplace_curve(sample, config.u0, v)
     triplet = run_algorithm1(_band(both, v_fit), config)
     curve = _band(both, v_inv)
     fhat = estimate_fourier_nu_bar(curve, triplet.mu_hat, triplet.lambda_hat)
@@ -325,11 +322,4 @@ def write_levy_density_csv(estimate: LevyDensityEstimate, path: str | Path,
 
 
 def write_triplet_json(triplet: TripletEstimate, path: str | Path) -> Path:
-    payload = {
-        "mu_hat": triplet.mu_hat,
-        "lambda_hat": triplet.lambda_hat,
-        "ill_count": triplet.ill_count,
-        "n": triplet.n,
-        "config": asdict(triplet.config),
-    }
-    return write_json(path, payload)
+    return write_json(path, asdict(triplet))

@@ -11,7 +11,7 @@ zero-noise curve of :func:`laplace_curve_from_mellin`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ class LaplaceCurve:
     denom_abs: np.ndarray
     ill: np.ndarray
     n: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.v = np.asarray(self.v, dtype=float)
@@ -112,6 +111,14 @@ def _binned_moments(x_sorted: np.ndarray, u0: float, w: np.ndarray) -> np.ndarra
     sums: an infinite weight makes its sums inf or nan.
     """
     n = x_sorted.size
+    # past 2^52 the float64 log x holds no bit of the phase w log x, and the
+    # bin offsets u below hold none either; Python floats, so that an
+    # overflowing product is inf without a warning
+    log_x_max = max(-math.log(x_sorted[0]), math.log(x_sorted[-1]))
+    if float(w[-1]) * log_x_max >= 2.0**52:
+        raise DomainError(
+            f"largest |v| must be below 2^52 / largest |log x| = {2.0**52 / log_x_max:.6g}, "
+            f"got {w[-1]:.6g}")
     h, order = _bin_plan(w[-1])
     # sums_re/im[r, j, p] = sum_b cos/sin(w_r tau_b) mu_bpj
     sums_re = np.zeros((w.size, 2 * order))
@@ -155,7 +162,7 @@ def _binned_moments(x_sorted: np.ndarray, u0: float, w: np.ndarray) -> np.ndarra
     return np.einsum("rp,rjp->rj", taylor, sums)
 
 
-def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> LaplaceCurve:
+def laplace_curve(sample, u0: float, v_grid) -> LaplaceCurve:
     """Ratio-estimator curve Y_n(u0+iv) over an ordered v-grid.
 
     Both moments, M_n(u0+iv) and M_n(u0+1+iv), come from one pass over the
@@ -174,8 +181,12 @@ def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> Lapl
     most 2^-60 sum|c_k| per bin; the rest is rounding of the same order as
     a direct sum's, so the curve agrees with a direct sum to 1e-12 relative
     in Y and in |M_n(u0+1+iv)| on the estimators' grids. Negative v come
-    from the positive half by conjugation. Raises DomainError when a weight
-    overflows float64, which shows as a non-finite accumulated sum.
+    from the positive half by conjugation. A point is ill-conditioned when
+    |M_n(u0+1+iv)| is below the sampling-noise scale 10/sqrt(n) of the
+    empirical moment, where the ratio carries no signal. Raises DomainError
+    when a weight overflows float64, which shows as a non-finite accumulated
+    sum, and when max|v| * max|log x| reaches 2^52, past which the phases
+    v log x have no bits.
 
     The moments read only the multiset of values, so an ascending sample is
     passed as it is and any other is sorted into a copy: the caller's array
@@ -184,10 +195,6 @@ def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> Lapl
     values = sample.values
     if not (u0 > 0.0):
         raise DomainError(f"u0 must be positive, got {u0}")
-    if floor is None:
-        # below the sampling-noise scale of the empirical moment the ratio
-        # estimator carries no signal
-        floor = 10.0 / np.sqrt(values.size)
     v = np.asarray(v_grid, dtype=float)
     if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
         raise DomainError("need a nonempty, finite 1-d v-grid")
@@ -204,11 +211,10 @@ def laplace_curve(sample, u0: float, v_grid, floor: float | None = None) -> Lapl
     y = z * m1 / m2
     denom_abs = np.abs(m2)
     return LaplaceCurve(u0=float(u0), v=v, y=y, denom_abs=denom_abs,
-                        ill=denom_abs < floor, n=values.size,
-                        meta={"floor": float(floor)})
+                        ill=denom_abs < 10.0 / np.sqrt(values.size), n=values.size)
 
 
-def laplace_curve_from_mellin(mellin_fn, u0: float, v_grid, n: int = 0) -> LaplaceCurve:
+def laplace_curve_from_mellin(mellin_fn, u0: float, v_grid) -> LaplaceCurve:
     """Plug-in curve with the empirical moment replaced by an exact Mellin
     transform; by the moment recursion the result is the exact Laplace
     exponent. Used for zero-noise oracle checks. mellin_fn takes the whole
@@ -220,8 +226,7 @@ def laplace_curve_from_mellin(mellin_fn, u0: float, v_grid, n: int = 0) -> Lapla
     if np.any(m2 == 0.0):
         raise PoleError("Mellin denominator vanished on the curve grid")
     return LaplaceCurve(u0=float(u0), v=v, y=z * m1 / m2, denom_abs=np.abs(m2),
-                        ill=np.zeros(v.size, dtype=bool), n=int(n),
-                        meta={"plugin": True})
+                        ill=np.zeros(v.size, dtype=bool), n=0)
 
 
 def write_laplace_curve_csv(curve: LaplaceCurve, path: str | Path, model=None) -> Path:

@@ -78,8 +78,7 @@ class Sample:
         return int(self.values.size)
 
 
-def sample_stationary(model: SubordinatorModel, n: int, seed: int = 0, delta: float = 1.0,
-                      stream: int = 0) -> Sample:
+def sample_stationary(model: SubordinatorModel, n: int, seed: int = 0, stream: int = 0) -> Sample:
     """n draws of the model's stationary law (``model.stationary``) from the
     generator (seed, stream). The meta holds the model's config and law."""
     if not 1 <= n <= MAX_N:
@@ -87,7 +86,7 @@ def sample_stationary(model: SubordinatorModel, n: int, seed: int = 0, delta: fl
                           f"numpy can size; got {n}")
     values, law = model.stationary(n, make_generator(seed, stream))
     meta = {"model": model_to_config(model), **law}
-    return Sample(values=values, delta=delta, seed=seed, meta=meta)
+    return Sample(values=values, seed=seed, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from typing import ClassVar
 
@@ -237,18 +238,40 @@ class TestEstimate:
         assert "overflows" in err and "u0=29" in err and "max x = 1e+12" in err
         assert _manifest(out)["error"]["type"] == "DomainError"
 
-    @pytest.mark.parametrize("flags", ["--u0 29 --vn 30 --x-max 30", "--vn 1e200"],
+    @pytest.mark.parametrize("flags, ones", [("--u0 29 --vn 30 --x-max 30", False),
+                                             ("--vn 1e200", True)],
                              ids=["untilt", "bandwidth"])
-    def test_overflowing_inversion_exits_2(self, tmp_path, capsys, flags):
+    def test_overflowing_inversion_exits_2(self, tmp_path, capsys, flags, ones):
         # e^{u0 x} at x = 30, or the sum at vn = 1e200, overflows float64:
-        # no levy_density.csv of inf and nan
-        sample = _run_simulate(tmp_path / "sim", n=500)
+        # no levy_density.csv of inf and nan. Only a sample of ones, whose
+        # log x = 0 keeps the phases v log x exact, reaches the inversion at
+        # vn = 1e200; on any other the Mellin pass refuses that bandwidth.
+        if ones:
+            sample = tmp_path / "ones.csv"
+            sample.write_text("x\n" + "1\n" * 500)
+        else:
+            sample = _run_simulate(tmp_path / "sim", n=500)
         out = tmp_path / "est"
         assert main(["estimate", str(sample), *flags.split(), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "density inversion overflows float64" in err and "vn=" in err
         assert not (out / "levy_density.csv").exists()
         assert _manifest(out)["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize("vn", ["1e307", "1e308"])
+    def test_overflowing_fit_exits_2_naming_vn(self, tmp_path, vn):
+        # on a sample of ones Y is u0 + iv up to rounding at any bandwidth,
+        # so the fit's sums overflow: a DomainError naming vn, no warning
+        ones = tmp_path / "ones.csv"
+        ones.write_text("x\n" + "1\n" * 500)
+        out = tmp_path / "est"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", str(ones), "--vn", vn, "--out", str(out)]) == 2
+        error = _manifest(out)["error"]
+        assert error["type"] == "DomainError"
+        assert error["message"].startswith("mu_hat and lambda_hat must be finite")
+        assert f"vn={float(vn):g}" in error["message"]
 
     @pytest.mark.parametrize("sidecar", [
         "{not json", "[1]", '{"delta": "soon"}', '{"model": {"model": "nope"}}',
@@ -358,7 +381,7 @@ class TestEstimate:
     def test_constant_sample_flagged_not_fatal(self, tmp_path):
         # constant observations c are the pure-drift degenerate case: the
         # estimate is exactly 1/c, and a small c puts the Mellin denominator
-        # below the conditioning floor so every fit point is flagged
+        # below the conditioning threshold 10/sqrt(n), so every fit point is flagged
         const = tmp_path / "const.csv"
         const.write_text("x\n" + "0.05\n" * 64)
         out = tmp_path / "est"
@@ -615,15 +638,19 @@ def _reject_json_constant(name):
 @pytest.mark.parametrize("command, flags, field", [
     ("estimate", "--u0 inf", "u0"),
     ("estimate", "--vn inf", "vn"),
-    ("estimate", "--floor inf", "floor"),
     ("estimate", "--x-max inf", "x_max"),
     ("estimate", "--x-min=-inf", "x_min"),
+    # the 50 draws span |log x| <= 1.65, so past vn = 2.7e15 the phases
+    # v log x keep no bits; at 1.7e308 that product overflows
+    ("estimate", "--vn 1e16", "largest |v|"),
+    ("estimate", "--vn 1e307", "largest |v|"),
+    ("estimate", "--vn 1e308", "largest |v|"),
+    ("estimate", "--vn 1.7e308", "largest |v|"),
     ("rate-study", "--beta inf", "beta"),
     ("rate-study", "--beta nan", "beta"),
     ("rate-study", "--alpha-decay inf", "alpha"),
     ("rate-study", "--alpha-decay nan", "alpha"),
     ("rate-study", "--u0 inf", "u0"),
-    ("rate-study", "--floor inf", "floor"),
     ("rate-study", "--mu inf", "mu"),
     ("rate-study", "--model trunc_norm_cp --alpha inf", "alpha"),
     ("simulate", "--model cp_exp --mu inf", "mu"),
@@ -741,11 +768,14 @@ class TestParser:
         ["estimate", "sample.csv", "--config", "c.json"],
         ["rate-study", "--config", "c.json"],
         ["rate-study", "--vn", "5"],
+        ["estimate", "sample.csv", "--floor", "1"],
+        ["rate-study", "--floor", "1"],
     ], ids=["estimate-seed", "simulate-config", "estimate-config", "rate-study-config",
-            "rate-study-vn"])
+            "rate-study-vn", "estimate-floor", "rate-study-floor"])
     def test_flag_a_command_ignores_is_rejected(self, tmp_path, argv):
-        # estimate draws nothing, settings come from flags alone, and
-        # rate-study takes V_n from its bandwidth rule
+        # estimate draws nothing, settings come from flags alone, rate-study
+        # takes V_n from its bandwidth rule, and the ill-conditioning
+        # threshold is the fixed 10/sqrt(n)
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "out")])
         assert exc.value.code == 2

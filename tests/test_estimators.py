@@ -59,7 +59,6 @@ def _curve_on(v, y, u0=1.0, n=100):
         denom_abs=np.ones_like(v),
         ill=np.zeros(v.size, dtype=bool),
         n=n,
-        meta={},
     )
 
 
@@ -74,7 +73,6 @@ class TestConfig:
         cfg = EstimationConfig()
         assert (cfg.u0, cfg.vn, cfg.eps) == (1.0, 5.0, 0.1)
         assert (cfg.m_fit, cfg.m_inv) == (50, 200)
-        assert cfg.floor is None
 
     def test_weight_eps_synced(self):
         # the fit takes its band edge from the config: the slope is the
@@ -115,7 +113,7 @@ class TestConfig:
             with pytest.raises(DomainError, match="eps must be in"):
                 EstimationConfig(eps=eps)
 
-    @pytest.mark.parametrize("field", ["u0", "vn", "floor"])
+    @pytest.mark.parametrize("field", ["u0", "vn"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_is_rejected_by_name(self, field, value):
         with pytest.raises(DomainError, match=f"^{field} must be positive and finite"):

@@ -233,6 +233,9 @@ class TestLaplaceCurve:
             laplace_curve(s, 1.0, np.array([1.0, -1.0]))  # unordered
         with pytest.raises(DomainError):
             laplace_curve(s, 1.0, np.array([]))
+        # 2^53 * log 2 is past 2^52: log x keeps no bit of the phase v log x
+        with pytest.raises(DomainError, match=r"^largest \|v\| must be below"):
+            laplace_curve(s, 1.0, np.array([0.0, 2.0**53]))
 
     def test_plugin_curve_equals_laplace_exponent(self):
         v = np.linspace(-5.0, 5.0, 21)

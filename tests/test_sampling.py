@@ -224,7 +224,8 @@ class TestDispatch:
 
 class TestSampleIO:
     def test_round_trip(self, tmp_path):
-        s = sample_stationary(CPExp(a=0.7, b=1.8, mu=1.8), 200, seed=13, delta=0.5)
+        drawn = sample_stationary(CPExp(a=0.7, b=1.8, mu=1.8), 200, seed=13)
+        s = Sample(values=drawn.values, delta=0.5, seed=drawn.seed, meta=drawn.meta)
         csv_path, meta_path = write_sample_csv(s, tmp_path / "sample.csv")
         assert meta_path.suffix == ".json"
         back = read_sample_csv(csv_path)
