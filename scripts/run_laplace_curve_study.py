@@ -13,8 +13,8 @@ Writes, under --root (default results/):
   laplace_curve_study/   laplace_curve.csv (fig1), levy_density.csv, triplet.json,
                          manifest.json (estimate)
 
-The per-replicate estimates across the 1e3/1e4/1e5 ladder are
-scripts/run_rate_study.py's results/rate_study/replicates.csv.
+The per-replicate estimates across the half-decade ladder from 1e3 to 1e6
+are scripts/run_rate_study.py's results/rate_study/replicates.csv.
 
   scripts/run_laplace_curve_study.py [-n 10000] [--seed 1] [--root results]
 

@@ -23,7 +23,7 @@ from .estimators import (EstimationConfig, default_x_grid, run_algorithm2,
 # test_tracer_wraps_every_import_site_and_restores_them checks this import site
 from .mellin import laplace_curve, write_laplace_curve_csv
 from .models import MODELS, CPExp, TruncNormCP, model_from_config, model_to_config
-from .rates import (STUDY_X_POINTS, RateStudyConfig, mise, rate_study,
+from .rates import (REPLICATE_COLUMNS, STUDY_X_POINTS, RateStudyConfig, mise, rate_study,
                     write_mise_report_json)
 from .sampling import (read_sample_csv, sample_stationary, write_columns_csv, write_json,
                        write_sample_csv)
@@ -34,8 +34,6 @@ _EXAMPLE1_MODEL = CPExp(mu=1.8, a=0.7, b=0.2)
 _EXAMPLE2_MODEL = TruncNormCP(lam=1.0, q=0.5, alpha=0.1)
 # Parameters a model flag leaves out, by model kind.
 _MODEL_DEFAULTS = {c["model"]: c for c in map(model_to_config, (_EXAMPLE1_MODEL, _EXAMPLE2_MODEL))}
-# the columns of MiseReport.rows, as rate-study writes them
-_REPLICATE_COLUMNS = ("n", "replicate", "vn", "mu_hat", "lambda_hat", "ill_count", "mise")
 
 
 def _utc_now() -> str:
@@ -103,11 +101,8 @@ def _cmd_estimate(args, out_dir: Path, outputs: list) -> dict:
             model = model_from_config(sample.meta["model"])
         except DomainError as exc:
             raise DomainError(f"{Path(args.sample).with_suffix('.json')}: {exc}") from exc
-    # the estimators read only the multiset of values: sorted in place, the
-    # sample needs no sorted copy in laplace_curve
-    sample.values.sort()
     config = _estimation_config_from_args(args)
-    x_grid = default_x_grid(args.x_min, args.x_max, args.x_points)
+    x_grid = default_x_grid(x_max=args.x_max, x_points=args.x_points)
 
     density = run_algorithm2(sample, config, x_grid)
     triplet = density.triplet
@@ -135,10 +130,10 @@ def _cmd_rate_study(args, out_dir: Path, outputs: list) -> dict:
     # the study substitutes the rule's V_n at each n for the template's vn
     template = _estimation_config_from_args(args)
     report = rate_study(study, model, template, seed=args.seed,
-                        x_grid=default_x_grid(args.x_min, args.x_max, args.x_points))
+                        x_grid=default_x_grid(x_max=args.x_max, x_points=args.x_points))
     outputs.append(write_mise_report_json(report, out_dir / "mise_report.json"))
     outputs.append(write_columns_csv(out_dir / "replicates.csv",
-                                     dict(zip(_REPLICATE_COLUMNS, zip(*report.rows)))))
+                                     dict(zip(REPLICATE_COLUMNS, zip(*report.rows)))))
     return {"model": model_to_config(model), "seed": args.seed, "study": asdict(study),
             "slope_mu": report.slope_mu, "failures": len(report.failures)}
 
@@ -178,7 +173,6 @@ def _add_estimation_flags(parser: argparse.ArgumentParser, u0: float, x_points: 
     parser.add_argument("--grid-m", type=int, default=None, dest="grid_m",
                         help="grid count for both the fitting and inversion grids "
                              f"(default {EstimationConfig.m_fit} and {EstimationConfig.m_inv})")
-    parser.add_argument("--x-min", type=float, default=0.0, dest="x_min")
     parser.add_argument("--x-max", type=float, default=3.0, dest="x_max")
     parser.add_argument("--x-points", type=int, default=x_points, dest="x_points")
 

@@ -16,7 +16,6 @@ turns back into a density estimate.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -168,20 +167,6 @@ def estimate_fourier_nu_bar(curve: LaplaceCurve, mu_hat: float, lambda_hat: floa
     return -y_mirror + mu_hat * z_mirror + lambda_hat
 
 
-@functools.lru_cache(maxsize=1)
-def _half_phases(x_bytes: bytes, v_bytes: bytes) -> np.ndarray:
-    """[cos(v x) | sin(v x)] on the x-grid and the nonnegative half of the
-    inversion grid, both passed as float64 bytes; read-only, since every call
-    with the same grids shares it. Filled in place: a miss computes the new
-    matrix while the old entry is still held."""
-    vx = np.multiply.outer(np.frombuffer(x_bytes), np.frombuffer(v_bytes))
-    phases = np.empty((vx.shape[0], 2 * vx.shape[1]))
-    np.cos(vx, out=phases[:, :vx.shape[1]])
-    np.sin(vx, out=phases[:, vx.shape[1]:])
-    phases.flags.writeable = False
-    return phases
-
-
 def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEstimate:
     """Kernel-regularized inverse Fourier sum recovering the jump density.
 
@@ -203,11 +188,8 @@ def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEs
     conjugate-symmetric fhat, as the pipeline's is, gives b = conj(a) and a
     real a at v = 0, so a + b is real, a - b imaginary and the imaginary part
     exactly 0. einsum, not a BLAS product, so the result does not depend on
-    the BLAS build or its threads. The cosines and sines are memoized for the last (x-grid,
-    half-grid) pair, keyed by their bytes, so the replicates of a rate study
-    at one sample size, which share vn, m_inv and the x-grid, compute them
-    once. Raises DomainError when the un-tilting e^{u0 x} or the sum
-    overflows float64, which shows as a non-finite result.
+    the BLAS build or its threads. Raises DomainError when the un-tilting
+    e^{u0 x} or the sum overflows float64, which shows as a non-finite result.
     """
     fhat = np.asarray(fhat, dtype=complex)
     alphas = inversion_alphas(config)
@@ -220,7 +202,8 @@ def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEs
     v = alphas * config.vn
     coeff = fhat * flat_top(alphas)
     half = (config.m_inv + 1) // 2
-    cos_sin = _half_phases(x.tobytes(), v[half:].tobytes())
+    vx = np.multiply.outer(x, v[half:])
+    cos_sin = np.concatenate([np.cos(vx), np.sin(vx)], axis=1)
     a = coeff[half:]
     b = np.zeros_like(a)
     b[a.size - half:] = coeff[half - 1::-1]
@@ -270,24 +253,28 @@ def run_algorithm1(curve: LaplaceCurve, config: EstimationConfig) -> TripletEsti
 
 
 def _band(curve: LaplaceCurve, v: np.ndarray) -> LaplaceCurve:
-    """The points of ``curve`` at the grid v, which its own grid contains."""
+    """The points of ``curve`` at the grid v, which its own grid contains; of
+    two equal grid points, which carry the same row, the first is taken."""
     i = np.searchsorted(curve.v, v)
     return LaplaceCurve(u0=curve.u0, v=curve.v[i], y=curve.y[i],
                         denom_abs=curve.denom_abs[i], ill=curve.ill[i], n=curve.n)
 
 
 def run_algorithm2(sample: Sample, config: EstimationConfig, x_grid) -> LevyDensityEstimate:
-    """The estimation pipeline: one curve over the union of the one-sided
-    fitting band and the symmetric band (one pass over the sample), the fit
-    of (mu, lambda) on the first, the Fourier-transform estimate on the
-    second, and its inversion. The result keeps the fitted triplet and the
-    symmetric-band curve."""
+    """The estimation pipeline: one curve over the one-sided fitting band and
+    the symmetric band together (one pass over the sample), the fit of
+    (mu, lambda) on the first, the Fourier-transform estimate on the second,
+    and its inversion. The result keeps the fitted triplet and the
+    symmetric-band curve.
+
+    The estimators read only the multiset of values, so writable values are
+    sorted in place: the caller's array is reordered, and laplace_curve sorts
+    no copy of it. Read-only values are left as they are."""
+    if sample.values.flags.writeable:
+        sample.values.sort()
     v_fit = fit_alphas(config) * config.vn
     v_inv = inversion_alphas(config) * config.vn
-    # the union grid, sorted without repeats: np.union1d would load numpy.ma
-    v = np.sort(np.concatenate([v_fit, v_inv]))
-    v = v[np.concatenate([[True], v[1:] != v[:-1]])]
-    both = laplace_curve(sample, config.u0, v)
+    both = laplace_curve(sample, config.u0, np.sort(np.concatenate([v_fit, v_inv])))
     triplet = run_algorithm1(_band(both, v_fit), config)
     curve = _band(both, v_inv)
     fhat = estimate_fourier_nu_bar(curve, triplet.mu_hat, triplet.lambda_hat)

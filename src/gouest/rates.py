@@ -32,6 +32,8 @@ __all__ = [
 
 # Points of the x-grid a study scores MISE on when given none, over [0, 3].
 STUDY_X_POINTS = 151
+# The fields of each of MiseReport.rows, as replicates.csv names its columns.
+REPLICATE_COLUMNS = ("n", "replicate", "vn", "mu_hat", "lambda_hat", "ill_count", "mise")
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,8 @@ class RateStudyConfig:
 class MiseReport:
     """Per-n medians/quartiles of squared errors plus fitted log-log slopes.
 
-    ``rows`` holds one (n, replicate, vn, mu_hat, lambda_hat, ill_count,
-    mise) tuple per successful replicate, in ladder order.
+    ``rows`` holds one tuple per successful replicate, in ladder order, with
+    the fields named in ``REPLICATE_COLUMNS``.
     """
 
     n: list
@@ -182,9 +184,6 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
             stream = i_n * study.replicates + r
             try:
                 sample = sample_stationary(model, n, seed=seed, stream=stream)
-                # the estimators read only the multiset of values: sorted in
-                # place, the draw needs no sorted copy in laplace_curve
-                sample.values.sort()
                 estimate = run_algorithm2(sample, config, x_grid)
                 score = mise(estimate, model)
             except GouestError as exc:

@@ -442,7 +442,8 @@ class TestExperiments:
     @pytest.mark.parametrize("command", [["laplace_curve_study", "-n", "300"],
                                          ["density_recovery_study", "-n", "300"]])
     def test_figure_sample_is_sorted_in_place(self, tmp_path, monkeypatch, command):
-        # estimate sorts the sample it reads once, so laplace_curve sorts no copy of it
+        # run_algorithm2 sorts the sample it is given in place, so laplace_curve
+        # sorts no copy of it
         seen = []
 
         def spy(module, name):
@@ -639,7 +640,6 @@ def _reject_json_constant(name):
     ("estimate", "--u0 inf", "u0"),
     ("estimate", "--vn inf", "vn"),
     ("estimate", "--x-max inf", "x_max"),
-    ("estimate", "--x-min=-inf", "x_min"),
     # the 50 draws span |log x| <= 1.65, so past vn = 2.7e15 the phases
     # v log x keep no bits; at 1.7e308 that product overflows
     ("estimate", "--vn 1e16", "largest |v|"),
@@ -770,12 +770,15 @@ class TestParser:
         ["rate-study", "--vn", "5"],
         ["estimate", "sample.csv", "--floor", "1"],
         ["rate-study", "--floor", "1"],
+        ["estimate", "sample.csv", "--x-min", "0"],
+        ["rate-study", "--x-min", "0"],
     ], ids=["estimate-seed", "simulate-config", "estimate-config", "rate-study-config",
-            "rate-study-vn", "estimate-floor", "rate-study-floor"])
+            "rate-study-vn", "estimate-floor", "rate-study-floor", "estimate-x-min",
+            "rate-study-x-min"])
     def test_flag_a_command_ignores_is_rejected(self, tmp_path, argv):
         # estimate draws nothing, settings come from flags alone, rate-study
-        # takes V_n from its bandwidth rule, and the ill-conditioning
-        # threshold is the fixed 10/sqrt(n)
+        # takes V_n from its bandwidth rule, the ill-conditioning threshold is
+        # the fixed 10/sqrt(n), and a Levy density's support starts at 0
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "out")])
         assert exc.value.code == 2
@@ -841,7 +844,8 @@ assert "scipy" not in sys.modules
 
 
 def test_estimate_does_not_load_numpy_ma(tmp_path):
-    # the union grid is built without np.union1d, which loads numpy.ma
+    # run_algorithm2 concatenates and sorts its two bands, and np.union1d,
+    # which loads numpy.ma, has no part in it
     csv = _run_simulate(tmp_path / "sim", n=500)
     script = f"""
 import sys

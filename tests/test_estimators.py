@@ -13,6 +13,7 @@ Oracles:
 import json
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from gouest import (
     EstimationConfig,
     GridMismatch,
     LaplaceCurve,
+    Sample,
     TruncNormCP,
     default_x_grid,
     estimate_fourier_nu_bar,
@@ -44,7 +46,6 @@ from gouest import (
     write_levy_density_csv,
     write_triplet_json,
 )
-from gouest.estimators import _half_phases
 
 EX1 = CPExp(a=1.8, b=0.7, mu=0.2)
 
@@ -358,37 +359,6 @@ class TestInversion:
         assert np.all(np.abs(est.nu_hat - want.real) <= bound)
         assert np.all(np.abs(est.imag_residual - want.imag) <= bound)
 
-    def test_half_phases_are_memoized_by_value(self):
-        # a hit, a miss after cache_clear and a call after the caller's
-        # x-grid changed in place all give what a fresh computation gives
-        cfg = EstimationConfig(u0=2.0, vn=11.5)
-        rng = np.random.default_rng(9)
-        f = rng.normal(size=cfg.m_inv + 1) + 1j * rng.normal(size=cfg.m_inv + 1)
-        x = default_x_grid(0.0, 3.0, 151)
-        first = invert_levy_density(f, cfg, x)
-        again = invert_levy_density(f, cfg, x)
-        _half_phases.cache_clear()
-        fresh = invert_levy_density(f, cfg, x)
-        for est in (again, fresh):
-            np.testing.assert_array_equal(est.nu_hat, first.nu_hat)
-            np.testing.assert_array_equal(est.imag_residual, first.imag_residual)
-
-        x *= 0.5
-        moved = invert_levy_density(f, cfg, x)
-        _half_phases.cache_clear()
-        want = invert_levy_density(f, cfg, x.copy())
-        assert not np.array_equal(moved.nu_hat, first.nu_hat)
-        np.testing.assert_array_equal(moved.nu_hat, want.nu_hat)
-        np.testing.assert_array_equal(moved.imag_residual, want.imag_residual)
-
-        half = (cfg.m_inv + 1) // 2
-        v = inversion_alphas(cfg)[half:] * cfg.vn
-        cached = _half_phases(x.tobytes(), v.tobytes())
-        assert _half_phases.cache_info().hits >= 1
-        assert not cached.flags.writeable
-        with pytest.raises(ValueError):
-            cached[0, 0] = 0.0
-
     def test_tilt_relation(self):
         cfg = EstimationConfig()
         rng = np.random.default_rng(5)
@@ -477,7 +447,8 @@ class TestPipelines:
 
     def test_one_sample_pass(self, monkeypatch):
         # the density pipeline takes both bands from one curve over their
-        # union grid, so it passes over the sample once
+        # sorted concatenation, repeats included, so it passes over the sample
+        # once; laplace_curve computes each |v| of the grid once
         grids = []
         original = gouest.estimators.laplace_curve
 
@@ -491,7 +462,46 @@ class TestPipelines:
         run_algorithm2(s, cfg, default_x_grid())
         assert len(grids) == 1
         np.testing.assert_array_equal(
-            grids[0], np.union1d(cfg.vn * fit_alphas(cfg), cfg.vn * inversion_alphas(cfg)))
+            grids[0], np.sort(np.concatenate([cfg.vn * fit_alphas(cfg),
+                                              cfg.vn * inversion_alphas(cfg)])))
+        assert grids[0].size == 251 and np.unique(grids[0]).size == 242
+
+    def test_unsorted_sample_gives_the_sorted_result(self):
+        # the pipeline reads only the multiset of values and sorts the
+        # caller's array in place, unless it is read-only
+        cfg = EstimationConfig(u0=2.0, vn=7.0)
+        x = default_x_grid(0.0, 3.0, 31)
+        drawn = sample_stationary(CPExp(mu=1.8, a=0.7, b=1.8), 2000, seed=3).values
+        assert np.any(np.diff(drawn) < 0.0)
+        frozen = drawn.copy()
+        frozen.flags.writeable = False
+        ascending = run_algorithm2(Sample(values=np.sort(drawn)), cfg, x)
+        for values, after in ((drawn.copy(), np.sort(drawn)), (frozen, drawn)):
+            estimate = run_algorithm2(Sample(values=values), cfg, x)
+            np.testing.assert_array_equal(values, after)
+            assert ((estimate.triplet.mu_hat, estimate.triplet.lambda_hat,
+                     estimate.triplet.ill_count)
+                    == (ascending.triplet.mu_hat, ascending.triplet.lambda_hat,
+                        ascending.triplet.ill_count))
+            np.testing.assert_array_equal(estimate.curve.y, ascending.curve.y)
+            for name in ("nu_hat", "nu_bar_hat", "imag_residual"):
+                np.testing.assert_array_equal(getattr(estimate, name), getattr(ascending, name))
+
+    def test_concurrent_pipelines_give_the_serial_results(self):
+        # the pipeline keeps no state between calls, so two calls with other
+        # bandwidths and x-grids on two threads give what each gives alone
+        jobs = [(sample_stationary(CPExp(mu=1.8, a=0.7, b=1.8), 3000, seed=seed),
+                 EstimationConfig(u0=2.0, vn=vn), default_x_grid(0.0, x_max, points))
+                for seed, vn, x_max, points in ((5, 4.0, 3.0, 151), (6, 9.0, 2.0, 41))]
+        serial = [run_algorithm2(*job) for job in jobs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda job: run_algorithm2(*job), jobs, timeout=120))
+        for a, b in zip(serial, threaded):
+            assert (a.triplet.mu_hat, a.triplet.lambda_hat) == (b.triplet.mu_hat,
+                                                                b.triplet.lambda_hat)
+            np.testing.assert_array_equal(a.curve.y, b.curve.y)
+            np.testing.assert_array_equal(a.nu_hat, b.nu_hat)
+            np.testing.assert_array_equal(a.imag_residual, b.imag_residual)
 
 
 class TestSerialization:
