@@ -51,8 +51,6 @@ def _ladder(raw: str) -> tuple:
 def _model_from_args(args):
     """The reference model of --model's kind with each model flag given in
     place of its parameter; model_from_config builds the result."""
-    if args.model is None:
-        raise DomainError("no model given: pass --model")
     given = {key: getattr(args, key) for cls in MODELS.values() for key in cls.keys
              if getattr(args, key) is not None}
     return model_from_config({**_MODEL_DEFAULTS.get(args.model, {}), "model": args.model, **given})
@@ -135,6 +133,7 @@ def _cmd_rate_study(args, out_dir: Path, outputs: list) -> dict:
     outputs.append(write_columns_csv(out_dir / "replicates.csv",
                                      dict(zip(REPLICATE_COLUMNS, zip(*report.rows)))))
     return {"model": model_to_config(model), "seed": args.seed, "study": asdict(study),
+            "estimation": {k: v for k, v in asdict(template).items() if k != "vn"},
             "slope_mu": report.slope_mu, "failures": len(report.failures)}
 
 
@@ -149,9 +148,9 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
     parser.add_argument("--out", required=True, help="output directory")
 
 
-def _add_model_flags(parser: argparse.ArgumentParser, model: str | None = None) -> None:
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     """--model, and one --<field> per field name of the MODELS classes."""
-    parser.add_argument("--model", choices=list(MODELS), default=model)
+    parser.add_argument("--model", choices=list(MODELS), default=_EXAMPLE1_MODEL.kind)
     flags: dict = {}  # field name -> its config key (the dest), help text and kinds
     for cls in MODELS.values():
         for f, key in zip(fields(cls), cls.keys):
@@ -161,9 +160,8 @@ def _add_model_flags(parser: argparse.ArgumentParser, model: str | None = None) 
                             help=f"{text} ({', '.join(kinds)})")
 
 
-def _add_estimation_flags(parser: argparse.ArgumentParser, u0: float, x_points: int,
-                          vn: bool = True) -> None:
-    parser.add_argument("--u0", type=float, default=u0,
+def _add_estimation_flags(parser: argparse.ArgumentParser, x_points: int, vn: bool = True) -> None:
+    parser.add_argument("--u0", type=float, default=EstimationConfig.u0,
                         help="real part of the Mellin line (default %(default)s)")
     if vn:
         parser.add_argument("--vn", type=float, default=EstimationConfig.vn,
@@ -192,13 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate the triplet and Levy density from a sample CSV")
     p.add_argument("sample", help="sample CSV file (header 'x')")
-    _add_estimation_flags(p, u0=EstimationConfig.u0, x_points=301)
+    _add_estimation_flags(p, x_points=301)
     _add_common(p, seed=False)
 
     p = sub.add_parser("rate-study", help="replicated convergence-rate study")
-    _add_model_flags(p, model="cp_exp")
-    p.add_argument("--n-ladder", default="1000,10000,100000", dest="n_ladder",
-                   help="comma-separated sample sizes (default %(default)s)")
+    _add_model_flags(p)
+    p.add_argument("--n-ladder", default=",".join(map(str, RateStudyConfig.n_ladder)),
+                   dest="n_ladder", help="comma-separated sample sizes (default %(default)s)")
     p.add_argument("--reps", type=int, default=RateStudyConfig.replicates,
                    help="replicates (default %(default)s)")
     p.add_argument("--s", type=float, default=RateStudyConfig.smoothness,
@@ -211,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decay", choices=["polynomial", "exponential"],
                    default=RateStudyConfig.decay_class)
     # V_n at each n comes from the bandwidth rule, so rate-study takes no --vn
-    _add_estimation_flags(p, u0=29.0, x_points=STUDY_X_POINTS, vn=False)
+    _add_estimation_flags(p, x_points=STUDY_X_POINTS, vn=False)
     _add_common(p)
     return parser
 

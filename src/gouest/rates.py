@@ -43,12 +43,12 @@ class RateStudyConfig:
     ``decay_class`` selects the bandwidth rule; ``beta`` (polynomial Mellin
     decay) or ``alpha`` (exponential decay) feeds it, and the one it does not
     read must be None; ``smoothness`` is the kernel-order parameter s, a
-    float (a tilted density with a jump has s near 1/2).
+    float (1/2 by default: each built-in model's tilted density jumps).
     """
 
-    n_ladder: tuple
+    n_ladder: tuple = (1000, 3162, 10000, 31623, 100000, 316228, 1000000)
     replicates: int = 25
-    smoothness: float = 0.0
+    smoothness: float = 0.5
     beta: float | None = None
     alpha: float | None = None
     decay_class: str = "polynomial"
@@ -113,6 +113,8 @@ def choose_vn_polynomial(n: int, beta: float, s: float) -> float:
     V_n = n^{1/(2 beta + 2 s + 3)}."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
+    if beta < 0.0:
+        raise DomainError(f"beta must be >= 0, got {beta}")
     denom = 2.0 * beta + 2.0 * s + 3.0
     if denom <= 0.0:
         raise DomainError(f"rate exponent denominator must be positive, got {denom}")

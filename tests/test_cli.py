@@ -17,7 +17,7 @@ import pytest
 import gouest
 import gouest.models
 from gouest import MODELS, EstimationConfig, RateStudyConfig, __version__
-from gouest.cli import build_parser, main
+from gouest.cli import _ladder, build_parser, main
 
 
 def _run_simulate(out, n=60, seed=3, model=("cp_exp", "0.7", "1.8", "1.8")):
@@ -117,6 +117,15 @@ class TestSimulate:
         )
         assert rc == 3
         assert _manifest(out)["error"]["type"] == "TruncationError"
+
+    def test_default_model_is_example_1(self, tmp_path):
+        # without model flags, simulate draws the cp_exp model of Example 1
+        bare, given = tmp_path / "bare", tmp_path / "given"
+        assert main(["simulate", "-n", "50", "--out", str(bare)]) == 0
+        assert main(["simulate", "--model", "cp_exp", "--mu", "1.8", "--a", "0.7", "--b", "0.2",
+                     "-n", "50", "--out", str(given)]) == 0
+        for name in ("sample.csv", "sample.json"):
+            assert (bare / name).read_bytes() == (given / name).read_bytes(), name
 
     @pytest.mark.parametrize("command", [
         ["simulate", "-n", "200"],
@@ -515,10 +524,10 @@ class TestRateStudyCommand:
     def test_fractional_smoothness_is_recorded(self, tmp_path):
         out = tmp_path / "rs"
         rc = main(["rate-study", "--model", "cp_exp", "--n-ladder", "200,400", "--reps", "2",
-                   "--s", "0.5", "--out", str(out)])
+                   "--s", "0.25", "--out", str(out)])
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["study"]["smoothness"] == 0.5
+        assert manifest["config"]["study"]["smoothness"] == 0.25
 
     def test_x_points_and_seed_flags_reach_the_study(self, tmp_path):
         out = tmp_path / "rs"
@@ -544,13 +553,28 @@ class TestRateStudyCommand:
         assert f"reads no {name}" in man["error"]["message"]
         assert man["outputs"] == []
 
+    def test_negative_beta_exits_2_before_any_draw(self, tmp_path):
+        # at beta = -1.4 the rule would give V_n = n^(1/1.2), growing almost like n
+        out = tmp_path / "rs"
+        assert main(["rate-study", "--n-ladder", "200,400", "--reps", "2", "--beta", "-1.4",
+                     "--out", str(out)]) == 2
+        man = _manifest(out)
+        assert man["error"]["type"] == "DomainError"
+        assert man["error"]["message"] == "beta must be >= 0, got -1.4"
+        assert man["outputs"] == []
+
     def test_study_defaults_are_the_library_defaults(self, tmp_path):
         out = tmp_path / "rs"
         assert main(["rate-study", "--n-ladder", "200,400", "--out", str(out)]) == 0
-        study = _manifest(out)["config"]["study"]
+        config = _manifest(out)["config"]
+        study = config["study"]
         assert study["replicates"] == RateStudyConfig.replicates
         assert study["smoothness"] == RateStudyConfig.smoothness
         assert study["decay_class"] == RateStudyConfig.decay_class
+        # the estimation settings but vn, which the bandwidth rule sets per n
+        settings = dataclasses.asdict(EstimationConfig())
+        del settings["vn"]
+        assert config["estimation"] == settings
 
     def test_ladder_entry_that_is_not_an_integer_exits_2(self, tmp_path):
         out = tmp_path / "rs"
@@ -799,6 +823,14 @@ class TestParser:
                         if isinstance(a, argparse._SubParsersAction))
         model = next(a for a in commands.choices[command]._actions if a.dest == "model")
         assert model.choices == list(MODELS)
+
+    def test_rate_study_defaults_are_the_paper_setting(self):
+        # each default is read from its owner, without running a study
+        args = build_parser().parse_args(["rate-study", "--out", "x"])
+        assert args.model == "cp_exp"
+        assert args.u0 == EstimationConfig.u0
+        assert args.s == RateStudyConfig.smoothness
+        assert _ladder(args.n_ladder) == RateStudyConfig.n_ladder
 
     def test_out_is_required(self):
         with pytest.raises(SystemExit):

@@ -52,9 +52,14 @@ class TestBandwidthRules:
     def test_polynomial_domain(self):
         with pytest.raises(DomainError):
             choose_vn_polynomial(0, 0.4, 0)
-        # only a nonpositive exponent denominator 2 beta + 2 s + 3 is rejected
+        # a negative beta would let V_n grow almost like n: 200^(1/1.2) at -1.4
+        with pytest.raises(DomainError, match="^beta must be >= 0, got -1.4"):
+            choose_vn_polynomial(200, -1.4, 0.5)
         with pytest.raises(DomainError):
             choose_vn_polynomial(100, -2.0, 0)
+        # a nonpositive exponent denominator 2 beta + 2 s + 3 is rejected
+        with pytest.raises(DomainError, match="^rate exponent denominator"):
+            choose_vn_polynomial(100, 0.0, -2.0)
 
     def test_exponential_values(self):
         # log(n)/(2 alpha) - ((s+2)/alpha) loglog(n)
@@ -118,14 +123,18 @@ class TestRateStudyConfig:
 
     def test_bandwidth_dispatch(self):
         poly = RateStudyConfig(n_ladder=(100, 200), replicates=5, beta=0.4)
-        assert poly.bandwidth(10**5) == choose_vn_polynomial(10**5, 0.4, 0)
+        # at the default smoothness s = 0.5
+        assert poly.bandwidth(10**5) == choose_vn_polynomial(10**5, 0.4, 0.5)
+        negative = RateStudyConfig(n_ladder=(100, 200), replicates=5, beta=-1.4)
+        with pytest.raises(DomainError, match="^beta must be >= 0"):
+            negative.bandwidth(100)
         expo = RateStudyConfig(
             n_ladder=(10**5, 10**6),
             replicates=5,
             alpha=math.pi / 2,
             decay_class="exponential",
         )
-        assert expo.bandwidth(10**6) == choose_vn_exponential(10**6, math.pi / 2, 0)
+        assert expo.bandwidth(10**6) == choose_vn_exponential(10**6, math.pi / 2, 0.5)
 
     def test_fractional_smoothness(self):
         # s is a float: a tilted density with a jump has s near 1/2, and an
