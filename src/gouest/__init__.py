@@ -16,8 +16,7 @@ from .models import (MODELS, CPExp, SubordinatorModel, TruncNormCP, laplace_expo
 from .kernels import FLAT_TOP_PLATEAU, flat_top
 from .sampling import (Sample, make_generator, read_sample_csv, sample_stationary,
                        write_columns_csv, write_json, write_sample_csv)
-from .mellin import (LaplaceCurve, laplace_curve, laplace_curve_from_mellin, symmetric_grid,
-                     write_laplace_curve_csv)
+from .mellin import LaplaceCurve, laplace_curve, symmetric_grid, write_laplace_curve_csv
 from .estimators import (EstimationConfig, LevyDensityEstimate, TripletEstimate,
                          default_x_grid, estimate_fourier_nu_bar, fit_alphas,
                          invert_levy_density, inversion_alphas, run_algorithm1,
@@ -39,8 +38,7 @@ __all__ = [
     "Sample", "make_generator", "sample_stationary",
     "write_columns_csv", "write_json", "write_sample_csv", "read_sample_csv",
     # mellin
-    "LaplaceCurve", "laplace_curve", "laplace_curve_from_mellin",
-    "symmetric_grid", "write_laplace_curve_csv",
+    "LaplaceCurve", "laplace_curve", "symmetric_grid", "write_laplace_curve_csv",
     # estimators
     "EstimationConfig", "TripletEstimate", "LevyDensityEstimate", "fit_alphas",
     "inversion_alphas", "estimate_fourier_nu_bar", "invert_levy_density",

@@ -4,7 +4,8 @@ convergence-rate study, emitting plain CSV/JSON for downstream plotting.
 Exit codes: 0 success, 2 input error (a sample too large for memory
 included), 3 numerical degeneracy, 4 I/O failure. Every run writes a
 manifest.json listing command, config, seed, timestamps, and all output
-files — on failure as well as success.
+files — on failure as well as success, except when argparse rejects the
+arguments (exit 2) or the output directory cannot be created (exit 4).
 """
 
 from __future__ import annotations

@@ -284,15 +284,14 @@ def run_algorithm2(sample: Sample, config: EstimationConfig, x_grid) -> LevyDens
     return estimate
 
 
-def default_x_grid(x_min: float = 0.0, x_max: float = 3.0, x_points: int = 301) -> np.ndarray:
-    for name, value in (("x_min", x_min), ("x_max", x_max)):
-        if not np.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-    if not (x_max > x_min):
-        raise DomainError(f"need x_max > x_min, got [{x_min}, {x_max}]")
+def default_x_grid(x_max: float = 3.0, x_points: int = 301) -> np.ndarray:
+    if not np.isfinite(x_max):
+        raise DomainError(f"x_max must be finite, got {x_max}")
+    if not (x_max > 0.0):
+        raise DomainError(f"need x_max > 0, got {x_max}")
     if x_points < 2:
         raise DomainError(f"need x_points >= 2, got {x_points}")
-    return np.linspace(x_min, x_max, x_points)
+    return np.linspace(0.0, x_max, x_points)
 
 
 def write_levy_density_csv(estimate: LevyDensityEstimate, path: str | Path,

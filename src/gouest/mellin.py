@@ -4,8 +4,7 @@ The stationary observations satisfy a one-step moment recursion linking the
 Mellin transform M(z) = E[X^{z-1}] to the driving Laplace exponent:
 phi(z) = z * M(z) / M(z+1). Replacing M by the empirical moment
 M_n(z) = (1/n) sum X_k^{z-1} gives the estimator Y_n(z), the first stage of
-the estimation pipeline. A model's exact M (``CPExp.mellin``) gives the
-zero-noise curve of :func:`laplace_curve_from_mellin`.
+the estimation pipeline.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .sampling import write_columns_csv
 __all__ = [
     "LaplaceCurve",
     "laplace_curve",
-    "laplace_curve_from_mellin",
     "symmetric_grid",
     "write_laplace_curve_csv",
 ]
@@ -212,21 +210,6 @@ def laplace_curve(sample, u0: float, v_grid) -> LaplaceCurve:
     denom_abs = np.abs(m2)
     return LaplaceCurve(u0=float(u0), v=v, y=y, denom_abs=denom_abs,
                         ill=denom_abs < 10.0 / np.sqrt(values.size), n=values.size)
-
-
-def laplace_curve_from_mellin(mellin_fn, u0: float, v_grid) -> LaplaceCurve:
-    """Plug-in curve with the empirical moment replaced by an exact Mellin
-    transform; by the moment recursion the result is the exact Laplace
-    exponent. Used for zero-noise oracle checks. mellin_fn takes the whole
-    z-array at once, as ``CPExp.mellin`` does."""
-    v = np.asarray(v_grid, dtype=float)
-    z = u0 + 1j * v
-    m1 = np.asarray(mellin_fn(z), dtype=complex)
-    m2 = np.asarray(mellin_fn(z + 1.0), dtype=complex)
-    if np.any(m2 == 0.0):
-        raise PoleError("Mellin denominator vanished on the curve grid")
-    return LaplaceCurve(u0=float(u0), v=v, y=z * m1 / m2, denom_abs=np.abs(m2),
-                        ill=np.zeros(v.size, dtype=bool), n=0)
 
 
 def write_laplace_curve_csv(curve: LaplaceCurve, path: str | Path, model=None) -> Path:

@@ -11,9 +11,8 @@ Each model class holds its config ``kind`` and ``keys`` (one per field; a
 field's metadata holds its CLI ``help``), ``drift``, ``jump_mass`` and three
 array methods: ``phi``, the Laplace exponent -log E[exp(-z*xi_1)] on the
 closed upper half-plane; ``nu``, the Levy density; ``stationary(n, rng)``,
-n draws of A = int_0^inf e^{-xi_t} dt and the law's metadata.
-``CPExp.mellin`` is its stationary law's Mellin transform. ``MODELS`` maps
-each kind to its class, and the module functions wrap the methods.
+n draws of A = int_0^inf e^{-xi_t} dt and the law's metadata. ``MODELS``
+maps each kind to its class, and the module functions wrap the methods.
 """
 
 from __future__ import annotations
@@ -92,24 +91,6 @@ class CPExp:
         np.maximum(raw, np.finfo(float).tiny, out=raw)
         raw /= self.mu
         return raw, {"law": "beta"}
-
-    def mellin(self, z):
-        """Exact Mellin transform E[A^{z-1}] of the stationary law for
-        Re(z) > -b: exp of log-gamma differences that vanish at z = 1, so
-        M(1) = 1 exactly; conjugate-symmetric as laplace_exponent is."""
-        from scipy import special
-
-        w = np.asarray(z, dtype=complex)
-        if np.any(w.real <= -self.b):
-            raise DomainError(f"need Re(z) > {-self.b}, got {w[w.real <= -self.b].flat[0]}")
-        lg, a, b, mu = special.loggamma, self.a, self.b, self.mu
-
-        def m(u):
-            if mu == 0.0:  # Gamma(b+1, rate a)
-                return np.exp(lg(b + u) - lg(complex(b + 1.0)) - (u - 1.0) * np.log(a))
-            return np.exp((1.0 - u) * np.log(mu) + lg(b + u) - lg(complex(b + 1.0))
-                          + lg(complex(b + 1.0 + a / mu)) - lg(b + u + a / mu))
-        return _conjugate_symmetric(m, w)
 
 
 @dataclass(frozen=True)

@@ -848,7 +848,7 @@ def _run_fresh(script, cwd):
 
 
 def test_cp_exp_commands_run_without_scipy_special(tmp_path):
-    # scipy.special loads only for trunc_norm_cp and CPExp.mellin, so a fresh
+    # scipy.special loads only for trunc_norm_cp, so a fresh
     # interpreter estimates and studies cp_exp without it
     script = """
 import sys
@@ -875,15 +875,18 @@ assert "scipy" not in sys.modules
     _run_fresh(script, tmp_path)
 
 
-def test_estimate_does_not_load_numpy_ma(tmp_path):
+@pytest.mark.parametrize("argv", [["estimate", "sim/sample.csv", "--u0", "29", "--vn", "30"],
+                                  ["simulate", "--model", "cp_exp", "-n", "2000"]],
+                         ids=["estimate", "simulate"])
+def test_estimate_does_not_load_numpy_ma(tmp_path, argv):
     # run_algorithm2 concatenates and sorts its two bands, and np.union1d,
-    # which loads numpy.ma, has no part in it
-    csv = _run_simulate(tmp_path / "sim", n=500)
+    # which loads numpy.ma, has no part in it; nor has simulate's draw or write
+    _run_simulate(tmp_path / "sim", n=500)
     script = f"""
 import sys
 from gouest.cli import main
 before = "numpy.ma" in sys.modules
-assert main(["estimate", {str(csv)!r}, "--u0", "29", "--vn", "30", "--out", "est"]) == 0
+assert main({argv + ["--out", "out"]!r}) == 0
 assert before or "numpy.ma" not in sys.modules
 """
     _run_fresh(script, tmp_path)

@@ -79,7 +79,7 @@ class TestComplexErf:
 
 
 class TestComplexLogGamma:
-    """scipy's complex log-gamma, which CPExp.mellin relies on."""
+    """scipy's complex log-gamma, which the tests' Mellin oracle relies on."""
 
     def test_real_values(self):
         assert special.loggamma(5.0 + 0j).real == pytest.approx(math.log(24.0), rel=1e-14)
