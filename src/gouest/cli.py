@@ -68,10 +68,10 @@ def _estimation_config_from_args(args) -> EstimationConfig:
 
 def _rule_beta(model) -> float:
     """The polynomial Mellin decay exponent beta = jump_mass/drift of a model
-    with drift, which the bandwidth rule takes when no --beta is given."""
+    with drift, which the bandwidth rule takes when no decay parameter is given."""
     if model.drift <= 0.0:
-        raise DomainError("polynomial decay class needs --beta (cannot derive "
-                          "jump_mass/mu for a driftless model)")
+        raise DomainError("a driftless model needs --beta or --alpha-decay (cannot "
+                          "derive jump_mass/mu)")
     return model.jump_mass / model.drift
 
 
@@ -121,11 +121,10 @@ def _cmd_estimate(args, out_dir: Path, outputs: list) -> dict:
 def _cmd_rate_study(args, out_dir: Path, outputs: list) -> dict:
     model = _model_from_args(args)
     beta = args.beta
-    if beta is None and args.decay == "polynomial":
+    if beta is None and args.alpha_decay is None:
         beta = _rule_beta(model)
     study = RateStudyConfig(n_ladder=_ladder(args.n_ladder), replicates=args.reps,
-                            smoothness=args.s, beta=beta, alpha=args.alpha_decay,
-                            decay_class=args.decay)
+                            smoothness=args.s, beta=beta, alpha=args.alpha_decay)
     # the study substitutes the rule's V_n at each n for the template's vn
     template = _estimation_config_from_args(args)
     report = rate_study(study, model, template, seed=args.seed,
@@ -206,9 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None,
                    help="polynomial Mellin decay exponent (default jump_mass/mu)")
     p.add_argument("--alpha-decay", type=float, default=None, dest="alpha_decay",
-                   help="exponential Mellin decay rate")
-    p.add_argument("--decay", choices=["polynomial", "exponential"],
-                   default=RateStudyConfig.decay_class)
+                   help="exponential Mellin decay rate (selects the exponential rule)")
     # V_n at each n comes from the bandwidth rule, so rate-study takes no --vn
     _add_estimation_flags(p, x_points=STUDY_X_POINTS, vn=False)
     _add_common(p)

@@ -9,7 +9,7 @@ rate alpha).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +40,10 @@ REPLICATE_COLUMNS = ("n", "replicate", "vn", "mu_hat", "lambda_hat", "ill_count"
 class RateStudyConfig:
     """Inputs of a replicated convergence study across a ladder of sample sizes.
 
-    ``decay_class`` selects the bandwidth rule; ``beta`` (polynomial Mellin
-    decay) or ``alpha`` (exponential decay) feeds it, and the one it does not
-    read must be None; ``smoothness`` is the kernel-order parameter s, a
-    float (1/2 by default: each built-in model's tilted density jumps).
+    Exactly one of ``beta`` (polynomial Mellin decay) and ``alpha``
+    (exponential decay) is given, and it selects the bandwidth rule that
+    reads it; ``smoothness`` is the kernel-order parameter s, a float (1/2
+    by default: each built-in model's tilted density jumps).
     """
 
     n_ladder: tuple = (1000, 3162, 10000, 31623, 100000, 316228, 1000000)
@@ -51,7 +51,6 @@ class RateStudyConfig:
     smoothness: float = 0.5
     beta: float | None = None
     alpha: float | None = None
-    decay_class: str = "polynomial"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_ladder",
@@ -71,19 +70,16 @@ class RateStudyConfig:
         for name, value in (("beta", self.beta), ("alpha", self.alpha)):
             if value is not None and not np.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
-        if self.decay_class not in ("polynomial", "exponential"):
-            raise DomainError(f"unknown decay class {self.decay_class!r}")
-        # each rule reads one decay parameter, and the other must not be given
-        reads, unread = (("beta", "alpha") if self.decay_class == "polynomial"
-                         else ("alpha", "beta"))
-        if getattr(self, reads) is None:
-            raise DomainError(f"{self.decay_class} decay class requires {reads}")
-        if getattr(self, unread) is not None:
-            raise DomainError(f"{self.decay_class} decay class reads no {unread}, "
-                              f"got {unread}={getattr(self, unread)}")
+        if (self.beta is None) == (self.alpha is None):
+            raise DomainError("give one of beta (polynomial decay) and alpha (exponential "
+                              f"decay), got beta={self.beta}, alpha={self.alpha}")
+
+    @property
+    def decay_class(self) -> str:
+        return "polynomial" if self.alpha is None else "exponential"
 
     def bandwidth(self, n: int) -> float:
-        if self.decay_class == "polynomial":
+        if self.alpha is None:
             return choose_vn_polynomial(n, self.beta, self.smoothness)
         return choose_vn_exponential(n, self.alpha, self.smoothness)
 
@@ -101,11 +97,12 @@ class MiseReport:
     median_sq_err_lambda: list
     median_mise: list
     slope_mu: float
+    slope_lambda: float
     slope_mise: float
-    quartiles: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-    rows: list = field(default_factory=list)
+    quartiles: dict
+    failures: list
+    meta: dict
+    rows: list
 
 
 def choose_vn_polynomial(n: int, beta: float, s: float) -> float:
@@ -214,6 +211,7 @@ def rate_study(study: RateStudyConfig, model: SubordinatorModel,
         median_sq_err_lambda=medians["sq_err_lambda"],
         median_mise=medians["mise"],
         slope_mu=_log_log_slope(study.n_ladder, medians["sq_err_mu"]),
+        slope_lambda=_log_log_slope(study.n_ladder, medians["sq_err_lambda"]),
         slope_mise=_log_log_slope(study.n_ladder, medians["mise"]),
         quartiles=quartiles,
         failures=failures,
@@ -233,5 +231,6 @@ def write_mise_report_json(report: MiseReport, path: str | Path) -> Path:
     settings (``meta``)."""
     payload = asdict(report)
     del payload["rows"]
-    payload.update(slope_mu=_json_safe(report.slope_mu), slope_mise=_json_safe(report.slope_mise))
+    payload.update({key: _json_safe(getattr(report, key))
+                    for key in ("slope_mu", "slope_lambda", "slope_mise")})
     return write_json(path, payload)

@@ -16,7 +16,7 @@ import pytest
 
 import gouest
 import gouest.models
-from gouest import MODELS, EstimationConfig, RateStudyConfig, __version__
+from gouest import MODELS, EstimationConfig, RateStudyConfig, __version__, choose_vn_exponential
 from gouest.cli import _ladder, build_parser, main
 
 
@@ -514,6 +514,7 @@ class TestRateStudyCommand:
             "median_sq_err_lambda",
             "median_mise",
             "slope_mu",
+            "slope_lambda",
             "slope_mise",
             "quartiles",
             "failures",
@@ -540,18 +541,32 @@ class TestRateStudyCommand:
         assert _manifest(out)["config"]["seed"] == 5
         assert _manifest(out)["seed"] == 5
 
-    @pytest.mark.parametrize("argv, name", [
-        (["--alpha-decay", "1.5708"], "alpha"),
-        (["--decay", "exponential", "--alpha-decay", "1.5708", "--beta", "0.4"], "beta"),
-    ], ids=["alpha-polynomial", "beta-exponential"])
-    def test_decay_parameter_the_rule_does_not_read_exits_2(self, tmp_path, argv, name):
+    def test_both_decay_parameters_exit_2(self, tmp_path):
+        # each decay parameter selects its own bandwidth rule
         out = tmp_path / "rs"
-        assert main(["rate-study", "--n-ladder", "200,400", "--reps", "2", *argv,
-                     "--out", str(out)]) == 2
+        assert main(["rate-study", "--n-ladder", "200,400", "--reps", "2", "--beta", "0.4",
+                     "--alpha-decay", "1.5708", "--out", str(out)]) == 2
         man = _manifest(out)
         assert man["error"]["type"] == "DomainError"
-        assert f"reads no {name}" in man["error"]["message"]
+        assert "beta=0.4, alpha=1.5708" in man["error"]["message"]
         assert man["outputs"] == []
+
+    def test_alpha_decay_alone_selects_the_exponential_rule(self, tmp_path):
+        out = tmp_path / "rs"
+        assert main(["rate-study", "--alpha-decay", "0.01", "--s", "0", "--n-ladder",
+                     "8000,16000", "--reps", "2", "--x-points", "31", "--out", str(out)]) == 0
+        rows = np.genfromtxt(out / "replicates.csv", delimiter=",", names=True)
+        assert list(rows["vn"]) == [choose_vn_exponential(int(n), 0.01, 0.0) for n in rows["n"]]
+        meta = json.loads((out / "mise_report.json").read_text())["meta"]
+        assert meta["decay_class"] == "exponential"
+
+    def test_driftless_model_without_a_decay_parameter_exits_2(self, tmp_path):
+        # beta = jump_mass/mu has no value without drift
+        out = tmp_path / "rs"
+        assert main(["rate-study", "--model", "trunc_norm_cp", "--n-ladder", "200,400",
+                     "--out", str(out)]) == 2
+        message = _manifest(out)["error"]["message"]
+        assert message.startswith("a driftless model needs --beta or --alpha-decay")
 
     def test_negative_beta_exits_2_before_any_draw(self, tmp_path):
         # at beta = -1.4 the rule would give V_n = n^(1/1.2), growing almost like n
@@ -570,7 +585,10 @@ class TestRateStudyCommand:
         study = config["study"]
         assert study["replicates"] == RateStudyConfig.replicates
         assert study["smoothness"] == RateStudyConfig.smoothness
-        assert study["decay_class"] == RateStudyConfig.decay_class
+        # the rule follows from the decay parameter: beta, from the model
+        assert "decay_class" not in study
+        assert json.loads((out / "mise_report.json").read_text())["meta"]["decay_class"] == (
+            "polynomial")
         # the estimation settings but vn, which the bandwidth rule sets per n
         settings = dataclasses.asdict(EstimationConfig())
         del settings["vn"]
@@ -796,13 +814,15 @@ class TestParser:
         ["rate-study", "--floor", "1"],
         ["estimate", "sample.csv", "--x-min", "0"],
         ["rate-study", "--x-min", "0"],
+        ["rate-study", "--decay", "exponential"],
     ], ids=["estimate-seed", "simulate-config", "estimate-config", "rate-study-config",
             "rate-study-vn", "estimate-floor", "rate-study-floor", "estimate-x-min",
-            "rate-study-x-min"])
+            "rate-study-x-min", "rate-study-decay"])
     def test_flag_a_command_ignores_is_rejected(self, tmp_path, argv):
         # estimate draws nothing, settings come from flags alone, rate-study
         # takes V_n from its bandwidth rule, the ill-conditioning threshold is
-        # the fixed 10/sqrt(n), and a Levy density's support starts at 0
+        # the fixed 10/sqrt(n), a Levy density's support starts at 0, and the
+        # decay parameter given selects the bandwidth rule
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "out")])
         assert exc.value.code == 2

@@ -90,36 +90,36 @@ class TestRateStudyConfig:
             RateStudyConfig(n_ladder=(100, 50), replicates=5, beta=0.4)
         with pytest.raises(DomainError):
             RateStudyConfig(n_ladder=(100, 200), replicates=1, beta=0.4)
-        with pytest.raises(DomainError):
-            RateStudyConfig(n_ladder=(100, 200), replicates=5)  # no beta
-        with pytest.raises(DomainError):
-            RateStudyConfig(
-                n_ladder=(100, 200), replicates=5, beta=0.4, decay_class="weird"
-            )
-        with pytest.raises(DomainError):
-            RateStudyConfig(
-                n_ladder=(100, 200), replicates=5, decay_class="exponential"
-            )  # no alpha
+        with pytest.raises(DomainError, match="^give one of beta .* got beta=None, alpha=None$"):
+            RateStudyConfig(n_ladder=(100, 200), replicates=5)  # neither given
         # a fractional count is an error, not truncated
         with pytest.raises(DomainError, match="^n_ladder must be a whole number"):
             RateStudyConfig(n_ladder=(200.9, 400.2), replicates=5, beta=0.4)
         with pytest.raises(DomainError, match="^replicates must be a whole number"):
             RateStudyConfig(n_ladder=(100, 200), replicates=2.5, beta=0.4)
 
+    # the parameter that selects each rule, at a valid value
+    RULE_PARAMS = {"polynomial": {"beta": 0.4}, "exponential": {"alpha": 1.0}}
+
     @pytest.mark.parametrize("decay", ["polynomial", "exponential"])
     @pytest.mark.parametrize("field", ["beta", "alpha"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_decay_parameter_is_rejected_by_name(self, decay, field, value):
-        # a given beta or alpha must be finite whichever rule reads it
-        decay_params = {"beta": 0.4, "alpha": 1.0, field: value}
+        # a given beta or alpha must be finite, alone or beside the other
+        # rule's parameter: the finiteness check comes before the one-of check
+        decay_params = {**self.RULE_PARAMS[decay], field: value}
         with pytest.raises(DomainError, match=f"^{field} must be finite"):
-            RateStudyConfig(n_ladder=(100, 200), replicates=5, decay_class=decay, **decay_params)
+            RateStudyConfig(n_ladder=(100, 200), replicates=5, **decay_params)
 
     @pytest.mark.parametrize("decay, unread", [("polynomial", "alpha"), ("exponential", "beta")])
     def test_decay_parameter_the_rule_does_not_read_is_rejected(self, decay, unread):
-        with pytest.raises(DomainError, match=f"^{decay} decay class reads no {unread}, "):
-            RateStudyConfig(n_ladder=(100, 200), replicates=5, decay_class=decay,
-                            beta=0.4, alpha=1.0)
+        # each parameter selects its own rule, so a second one, even a zero
+        # one, is a parameter the selected rule would not read
+        decay_params = {**self.RULE_PARAMS[decay], unread: 0.0}
+        beta, alpha = decay_params["beta"], decay_params["alpha"]
+        with pytest.raises(DomainError, match=r"^give one of beta \(polynomial decay\) and "
+                           rf"alpha \(exponential decay\), got beta={beta}, alpha={alpha}$"):
+            RateStudyConfig(n_ladder=(100, 200), replicates=5, **decay_params)
 
     def test_bandwidth_dispatch(self):
         poly = RateStudyConfig(n_ladder=(100, 200), replicates=5, beta=0.4)
@@ -128,13 +128,10 @@ class TestRateStudyConfig:
         negative = RateStudyConfig(n_ladder=(100, 200), replicates=5, beta=-1.4)
         with pytest.raises(DomainError, match="^beta must be >= 0"):
             negative.bandwidth(100)
-        expo = RateStudyConfig(
-            n_ladder=(10**5, 10**6),
-            replicates=5,
-            alpha=math.pi / 2,
-            decay_class="exponential",
-        )
+        # alpha alone selects the exponential rule
+        expo = RateStudyConfig(n_ladder=(10**5, 10**6), replicates=5, alpha=math.pi / 2)
         assert expo.bandwidth(10**6) == choose_vn_exponential(10**6, math.pi / 2, 0.5)
+        assert (poly.decay_class, expo.decay_class) == ("polynomial", "exponential")
 
     def test_fractional_smoothness(self):
         # s is a float: a tilted density with a jump has s near 1/2, and an
@@ -215,6 +212,7 @@ class TestRateStudy:
             self.STUDY, BETA_MODEL, self.TEMPLATE, seed=0
         )
         assert report.slope_mu == pytest.approx(0.0, abs=1e-12)
+        assert report.slope_lambda == pytest.approx(0.0, abs=1e-12)
         for med in report.median_sq_err_mu:
             assert med == pytest.approx((2.0 - 1.8) ** 2, rel=1e-12)
 
@@ -250,6 +248,7 @@ class TestRateStudy:
             "median_sq_err_lambda",
             "median_mise",
             "slope_mu",
+            "slope_lambda",
             "slope_mise",
             "quartiles",
             "failures",
