@@ -10,13 +10,13 @@ inversion.
 
 __version__ = "0.1.0"
 
-from .errors import DomainError, GouestError, GridMismatch, PoleError, TruncationError
+from .errors import DomainError, GouestError, PoleError, TruncationError
 from .models import (MODELS, CPExp, SubordinatorModel, TruncNormCP, laplace_exponent,
                      levy_density, model_from_config, model_to_config)
 from .kernels import FLAT_TOP_PLATEAU, flat_top
 from .sampling import (Sample, make_generator, read_sample_csv, sample_stationary,
                        write_columns_csv, write_json, write_sample_csv)
-from .mellin import LaplaceCurve, laplace_curve, symmetric_grid, write_laplace_curve_csv
+from .mellin import LaplaceCurve, laplace_curve, write_laplace_curve_csv
 from .estimators import (EstimationConfig, LevyDensityEstimate, TripletEstimate,
                          default_x_grid, estimate_fourier_nu_bar, fit_alphas,
                          invert_levy_density, inversion_alphas, run_algorithm1,
@@ -28,7 +28,6 @@ __all__ = [
     "__version__",
     # errors
     "GouestError", "PoleError", "TruncationError", "DomainError",
-    "GridMismatch",
     # models
     "SubordinatorModel", "CPExp", "TruncNormCP", "MODELS",
     "laplace_exponent", "levy_density", "model_from_config", "model_to_config",
@@ -38,7 +37,7 @@ __all__ = [
     "Sample", "make_generator", "sample_stationary",
     "write_columns_csv", "write_json", "write_sample_csv", "read_sample_csv",
     # mellin
-    "LaplaceCurve", "laplace_curve", "symmetric_grid", "write_laplace_curve_csv",
+    "LaplaceCurve", "laplace_curve", "write_laplace_curve_csv",
     # estimators
     "EstimationConfig", "TripletEstimate", "LevyDensityEstimate", "fit_alphas",
     "inversion_alphas", "estimate_fourier_nu_bar", "invert_levy_density",

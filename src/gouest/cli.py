@@ -93,13 +93,7 @@ def _cmd_estimate(args, out_dir: Path, outputs: list) -> dict:
         sample = read_sample_csv(args.sample)
     except FileNotFoundError as exc:
         raise DomainError(f"sample file not found: {args.sample}") from exc
-    # a sample whose sidecar names its model is scored against that model
-    model = None
-    if "model" in sample.meta:
-        try:
-            model = model_from_config(sample.meta["model"])
-        except DomainError as exc:
-            raise DomainError(f"{Path(args.sample).with_suffix('.json')}: {exc}") from exc
+    model = sample.model  # a sample whose sidecar names its model is scored against it
     config = _estimation_config_from_args(args)
     x_grid = default_x_grid(x_max=args.x_max, x_points=args.x_points)
 

@@ -15,7 +15,3 @@ class TruncationError(GouestError):
 
 class DomainError(GouestError):
     """Argument outside the mathematical domain of the operation."""
-
-
-class GridMismatch(GouestError):
-    """Fourier input grid is inconsistent with the configured inversion grid."""

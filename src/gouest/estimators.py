@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch
+from .errors import DomainError
 from .kernels import flat_top
-from .mellin import LaplaceCurve, laplace_curve, symmetric_grid
+from .mellin import LaplaceCurve, laplace_curve
 from .models import levy_density
 from .sampling import Sample, write_columns_csv, write_json
 
@@ -142,14 +142,15 @@ def fit_alphas(config: EstimationConfig) -> np.ndarray:
 
 
 def inversion_alphas(config: EstimationConfig) -> np.ndarray:
-    """Symmetric inversion grid alpha_m = (2m - M)/M, m = 0..M, with exact
-    mirror pairs alpha_{M-m} = -alpha_m."""
-    return symmetric_grid(1.0, config.m_inv)
+    """Symmetric inversion grid alpha_m = (2m - M)/M, m = 0..M, built from integers
+    so that alpha_{M-m} = -alpha_m exactly and laplace_curve computes each |v| once."""
+    m = np.arange(config.m_inv + 1)
+    return (2 * m - config.m_inv) / config.m_inv
 
 
 def _check_symmetric(curve: LaplaceCurve) -> None:
     if not np.allclose(curve.v + curve.v[::-1], 0.0, atol=1e-9 * max(1.0, float(np.max(np.abs(curve.v))))):
-        raise GridMismatch("Fourier estimation requires an exactly symmetric v-grid")
+        raise DomainError("Fourier estimation requires an exactly symmetric v-grid")
 
 
 def estimate_fourier_nu_bar(curve: LaplaceCurve, mu_hat: float, lambda_hat: float):
@@ -194,7 +195,7 @@ def invert_levy_density(fhat, config: EstimationConfig, x_grid) -> LevyDensityEs
     fhat = np.asarray(fhat, dtype=complex)
     alphas = inversion_alphas(config)
     if fhat.shape != alphas.shape:
-        raise GridMismatch(
+        raise DomainError(
             f"fhat has {fhat.size} points but config m_inv={config.m_inv} needs {alphas.size}")
     x = np.asarray(x_grid, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -235,16 +236,16 @@ def run_algorithm1(curve: LaplaceCurve, config: EstimationConfig) -> TripletEsti
     mu_hat = sum_m a_m Im Y(u0 + i a_m V) / (V sum_m a_m^2), the
     least-squares slope through the origin of Im Y against v, and
     lambda_hat = sum_m Re Y(u0 + i a_m V) / M - mu_hat*u0, the band's mean
-    of Re Y less the drift part. GridMismatch if the curve's grid or u0 is
-    not the config's; DomainError, naming vn, if the fit overflows."""
+    of Re Y less the drift part. DomainError if the curve's grid or u0 is
+    not the config's, or, naming vn, if the fit overflows."""
     alphas = fit_alphas(config)
     if curve.v.size != alphas.size or not np.allclose(curve.v, alphas * config.vn,
                                                       rtol=1e-9, atol=1e-12):
-        raise GridMismatch(
+        raise DomainError(
             f"curve grid does not match the fitting grid eps + j(1-eps)/M scaled by "
             f"vn={config.vn} (m_fit={config.m_fit}, eps={config.eps})")
     if not np.isclose(curve.u0, config.u0, rtol=1e-12):
-        raise GridMismatch(f"curve u0={curve.u0} differs from config u0={config.u0}")
+        raise DomainError(f"curve u0={curve.u0} differs from config u0={config.u0}")
     with np.errstate(over="ignore", invalid="ignore"):
         mu_hat = float(np.sum(alphas * curve.y.imag) / (config.vn * np.sum(alphas**2)))
         lambda_hat = float(np.sum(curve.y.real) / config.m_fit - mu_hat * config.u0)

@@ -22,7 +22,6 @@ from .sampling import write_columns_csv
 __all__ = [
     "LaplaceCurve",
     "laplace_curve",
-    "symmetric_grid",
     "write_laplace_curve_csv",
 ]
 
@@ -62,14 +61,6 @@ _BLOCK = 8192
 _PHASES = 2**18
 _TAYLOR_TAIL = 2.0**-60
 _FACTORIALS = np.array([float(math.factorial(p)) for p in range(16)])
-
-
-def symmetric_grid(v_max: float, m: int) -> np.ndarray:
-    """The m+1 points v_max*(2k - m)/m, k = 0..m, built from integer indices
-    so that v and -v are exact negatives and laplace_curve computes each
-    |v| once."""
-    k = np.arange(m + 1)
-    return (2 * k - m) / m * v_max
 
 
 def _bin_plan(w_max: float) -> tuple[float, int]:

@@ -17,6 +17,7 @@ maps each kind to its class, and the module functions wrap the methods.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import astuple, dataclass, field, fields
 from typing import ClassVar, Union
 
@@ -205,7 +206,7 @@ def model_from_config(config: dict) -> SubordinatorModel:
         {"model": "trunc_norm_cp", "lambda": 1.0, "q": 0.5, "alpha": 0.1}
 
     Raises DomainError for a missing key, an unknown kind, a key that is
-    not the kind's, or a parameter that is not a number.
+    not the kind's, or a parameter that is not a number (a string or bool).
     """
     if not isinstance(config, dict) or "model" not in config:
         raise DomainError(f"model config must be an object with a 'model' key, got {config!r}")
@@ -222,11 +223,18 @@ def model_from_config(config: dict) -> SubordinatorModel:
         if key not in config:
             raise DomainError(f"{kind} config missing key {key!r}")
         try:
-            params.append(float(config[key]))
-        except (TypeError, ValueError) as exc:
+            params.append(json_number(config[key]))
+        except (TypeError, OverflowError) as exc:
             raise DomainError(f"{kind} parameter {key!r} must be a number, "
                               f"got {config[key]!r}") from exc
     return cls(*params)
+
+
+def json_number(value) -> float:
+    """float(value) for a real number other than a bool, else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
 
 
 def model_to_config(model: SubordinatorModel) -> dict:

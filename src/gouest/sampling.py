@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .models import SubordinatorModel, model_to_config
+from .models import SubordinatorModel, json_number, model_from_config, model_to_config
 
 __all__ = [
     "Sample",
@@ -52,12 +52,14 @@ class Sample:
     """Stationary observations X_1..X_n, all strictly positive.
 
     ``delta`` is the observation spacing (bookkeeping only; the estimators
-    use the values as exchangeable stationary draws).
+    use the values as exchangeable stationary draws). ``model`` drew them,
+    when known, and ``meta`` holds its law.
     """
 
     values: np.ndarray
     delta: float = 1.0
     seed: int | None = None
+    model: SubordinatorModel | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -80,13 +82,12 @@ class Sample:
 
 def sample_stationary(model: SubordinatorModel, n: int, seed: int = 0, stream: int = 0) -> Sample:
     """n draws of the model's stationary law (``model.stationary``) from the
-    generator (seed, stream). The meta holds the model's config and law."""
+    generator (seed, stream). The meta holds the model's law."""
     if not 1 <= n <= MAX_N:
         raise DomainError(f"need n >= 1 and at most {MAX_N}, the largest float64 array "
                           f"numpy can size; got {n}")
     values, law = model.stationary(n, make_generator(seed, stream))
-    meta = {"model": model_to_config(model), **law}
-    return Sample(values=values, seed=seed, meta=meta)
+    return Sample(values=values, seed=seed, model=model, meta=law)
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +124,13 @@ def write_sample_csv(sample: Sample, csv_path: str | Path) -> tuple[Path, Path]:
     csv_path = write_columns_csv(csv_path, {"x": sample.values})
     meta_path = csv_path.with_suffix(".json")
     meta = {
-        "model": sample.meta.get("model"),
+        "model": None if sample.model is None else model_to_config(sample.model),
         "seed": sample.seed,
         "n": sample.n,
         "delta": sample.delta,
     }
-    extra = {k: v for k, v in sample.meta.items() if k != "model"}
-    if extra:
-        meta["extra"] = extra
+    if sample.meta:
+        meta["extra"] = sample.meta
     return csv_path, write_json(meta_path, meta)
 
 
@@ -142,10 +142,10 @@ def read_sample_csv(csv_path: str | Path) -> Sample:
     integer-based parser; any other layout goes through ``np.loadtxt``. Both
     give every value bitwise equal to ``float(row)``.
 
-    The JSON sibling is optional; without it the sample gets delta=1 and no
-    seed. Raises DomainError on a malformed header or sidecar, on a sidecar
-    delta that is not positive and finite, and on non-finite or nonpositive
-    values.
+    The JSON sibling is optional; without it the sample gets delta=1, no
+    seed and no model. Raises DomainError on a malformed header or sidecar
+    (a delta that is not a positive and finite number, a model that
+    model_from_config rejects) and on non-finite or nonpositive values.
     """
     csv_path = Path(csv_path)
     values = _read_decimal_rows(csv_path)
@@ -153,21 +153,22 @@ def read_sample_csv(csv_path: str | Path) -> Sample:
         values = _loadtxt_rows(csv_path)
     if values.size == 0:
         raise DomainError(f"{csv_path}: no observations")
-    delta, seed, meta = 1.0, None, {}
+    delta, seed, model = 1.0, None, None
     meta_path = csv_path.with_suffix(".json")
     if meta_path.exists():
         try:
             with open(meta_path) as fh:
                 info = json.load(fh)
-            delta = float(info.get("delta", 1.0))
-        except (ValueError, TypeError, AttributeError) as exc:
+            delta = json_number(info.get("delta", 1.0))
+            model = None if info.get("model") is None else model_from_config(info["model"])
+        except DomainError as exc:
+            raise DomainError(f"{meta_path}: {exc}") from exc
+        except (ValueError, TypeError, OverflowError, AttributeError) as exc:
             raise DomainError(f"{meta_path}: malformed sample sidecar ({exc})") from exc
         if not (math.isfinite(delta) and delta > 0.0):
             raise DomainError(f"{meta_path}: delta must be positive and finite, got {delta}")
         seed = info.get("seed")
-        if info.get("model") is not None:
-            meta["model"] = info["model"]
-    return Sample(values=values, delta=delta, seed=seed, meta=meta)
+    return Sample(values=values, delta=delta, seed=seed, model=model)
 
 
 def _loadtxt_rows(csv_path: Path) -> np.ndarray:

@@ -170,6 +170,18 @@ class TestSimulate:
         meta = json.loads((out / "sample.json").read_text())
         assert meta["model"]["model"] == "trunc_norm_cp"
 
+    @pytest.mark.parametrize("argv, model", [
+        ([], gouest.CPExp(mu=1.8, a=0.7, b=0.2)),
+        (["--model", "trunc_norm_cp", "--lam", "1.3", "--q", "0.4"],
+         gouest.TruncNormCP(lam=1.3, q=0.4, alpha=0.1)),
+    ], ids=["cp_exp", "trunc_norm_cp"])
+    def test_sample_reads_back_with_its_model(self, tmp_path, argv, model):
+        out = tmp_path / "sim"
+        assert main(["simulate", *argv, "-n", "20", "--out", str(out)]) == 0
+        back = gouest.read_sample_csv(out / "sample.csv")
+        assert back.model == model
+        assert (back.n, back.seed, back.delta) == (20, 0, 1.0)
+
 
 class TestEstimate:
     def test_outputs_and_schemas(self, tmp_path):
@@ -285,7 +297,14 @@ class TestEstimate:
     @pytest.mark.parametrize("sidecar", [
         "{not json", "[1]", '{"delta": "soon"}', '{"model": {"model": "nope"}}',
         '{"model": 5}', '{"model": {"model": "cp_exp", "mu": "fast", "a": 1, "b": 1}}',
-    ], ids=["json", "list", "delta", "model-kind", "model-number", "model-parameter"])
+        '{"model": {"model": "cp_exp", "mu": "1.8", "a": 0.7, "b": 0.2}}',
+        '{"model": {"model": "cp_exp", "mu": "1_8", "a": 0.7, "b": 0.2}}',
+        '{"model": {"model": "cp_exp", "mu": 1.8, "a": true, "b": 0.2}}',
+        '{"model": {"model": "cp_exp", "mu": 1%s, "a": 0.7, "b": 0.2}}' % ("0" * 400),
+        '{"delta": "0.5"}', '{"delta": true}', '{"delta": 1%s}' % ("0" * 400),
+    ], ids=["json", "list", "delta", "model-kind", "model-number", "model-parameter",
+            "model-string", "model-underscored", "model-bool", "model-huge-int",
+            "delta-string", "delta-bool", "delta-huge-int"])
     def test_malformed_sidecar_exits_2(self, tmp_path, sidecar):
         csv = _run_simulate(tmp_path / "sim", n=50)
         csv.with_suffix(".json").write_text(sidecar)

@@ -27,11 +27,11 @@ from gouest import (
     Sample,
     TruncNormCP,
     fit_alphas,
+    inversion_alphas,
     laplace_curve,
     laplace_exponent,
     make_generator,
     sample_stationary,
-    symmetric_grid,
     write_laplace_curve_csv,
 )
 from gouest.mellin import _BLOCK, _FACTORIALS, _bin_plan
@@ -294,7 +294,7 @@ class TestSampleOrder:
         values = sample_stationary(BETA_MODEL, 20_000, seed=4).values
         ascending = np.sort(np.concatenate([values, values[:100]]))  # with ties
         orders = [ascending, make_generator(5).permutation(ascending), ascending[::-1].copy()]
-        v = symmetric_grid(30.0, 600)
+        v = inversion_alphas(EstimationConfig(m_inv=600)) * 30.0
         want = laplace_curve(_sample_of(ascending), 29.0, v)
         for order in orders:
             before = order.tobytes()
@@ -306,7 +306,7 @@ class TestSampleOrder:
     def test_ascending_sample_is_not_copied(self):
         # a sorted copy alone would hold the sample's bytes again
         s = _sample_of(np.sort(sample_stationary(BETA_MODEL, 200_000, seed=7).values))
-        v = symmetric_grid(30.0, 600)
+        v = inversion_alphas(EstimationConfig(m_inv=600)) * 30.0
         laplace_curve(s, 29.0, v)
         tracemalloc.start()
         try:
@@ -362,19 +362,19 @@ class TestPhaseRecurrence:
         config = EstimationConfig(u0=29.0, vn=30.0)
         x = sample_stationary(CPExp(mu=1.8, a=0.7, b=0.2), 10**5, seed=5).values
         self._assert_matches_direct(x, 29.0, config.vn * fit_alphas(config))
-        self._assert_matches_direct(x, 29.0, symmetric_grid(config.vn, config.m_inv))
+        self._assert_matches_direct(x, 29.0, inversion_alphas(config) * config.vn)
 
     def test_example2_grid_longer_than_a_reseed_interval(self):
         # 251 distinct |v| on fig3's grid (scripts/run_density_recovery_study.py)
         x = sample_stationary(TruncNormCP(lam=1.0, q=0.5, alpha=0.1), 10**4, seed=6).values
-        self._assert_matches_direct(x, 1.0, symmetric_grid(5.0, 500))
+        self._assert_matches_direct(x, 1.0, inversion_alphas(EstimationConfig(m_inv=500)) * 5.0)
 
     def test_smallest_positive_observation(self):
         # log(tiny) = -708, the most negative log of a normal float, so the
         # largest phase error any rounding produces
         rng = np.random.default_rng(7)
         x = np.append(rng.lognormal(size=999), np.finfo(float).tiny)
-        self._assert_matches_direct(x, 1.0, symmetric_grid(30.0, 600))
+        self._assert_matches_direct(x, 1.0, inversion_alphas(EstimationConfig(m_inv=600)) * 30.0)
 
     def test_irregular_grid(self):
         x = sample_stationary(TruncNormCP(lam=1.0, q=0.5, alpha=0.1), 10**4, seed=6).values
@@ -386,14 +386,14 @@ class TestPhaseRecurrence:
         config = EstimationConfig(u0=1.0, vn=200.0)
         x = sample_stationary(TruncNormCP(lam=1.0, q=0.5, alpha=0.1), 10**4, seed=6).values
         self._assert_matches_direct(x, 1.0, config.vn * fit_alphas(config))
-        self._assert_matches_direct(x, 1.0, symmetric_grid(config.vn, config.m_inv))
+        self._assert_matches_direct(x, 1.0, inversion_alphas(config) * config.vn)
 
     def test_phase_stage_runs_more_than_once(self):
         # log x spread over 42 units at h = 1/256 occupies more bins than
         # _BLOCK, so the pending bins reach it and the phase stage runs
         # mid-pass as well as at the end
         x = np.exp(np.random.default_rng(8).uniform(-40.0, 2.0, size=30_000))
-        v = symmetric_grid(200.0, 400)
+        v = inversion_alphas(EstimationConfig(m_inv=400)) * 200.0
         h, _ = _bin_plan(200.0)
         assert h == 1.0 / 256
         assert np.unique(np.floor(np.log(x) / h)).size > _BLOCK

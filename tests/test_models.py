@@ -29,13 +29,14 @@ from gouest import (
     MODELS,
     CPExp,
     DomainError,
+    EstimationConfig,
     PoleError,
     TruncNormCP,
+    inversion_alphas,
     laplace_exponent,
     levy_density,
     model_from_config,
     model_to_config,
-    symmetric_grid,
 )
 
 
@@ -326,7 +327,7 @@ class TestArrayLaplaceExponent:
     def test_figure_grids_match_the_scalar_formula(self, model, u0, v_max, m):
         # NumPy's complex division rounds differently from CPython's by a few
         # ulp, so the array path matches the per-point formula to 1e-15, not bitwise
-        z = u0 + 1j * symmetric_grid(v_max, m)
+        z = u0 + 1j * (inversion_alphas(EstimationConfig(m_inv=m)) * v_max)
         want = np.array([_phi_scalar_reference(model, complex(zj)) for zj in z])
         got = laplace_exponent(model, z)
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
@@ -385,3 +386,16 @@ class TestModelConfig:
     def test_non_numeric_parameter_names_its_key(self, value):
         with pytest.raises(DomainError, match="'mu'"):
             model_from_config({"model": "cp_exp", "mu": value, "a": 0.7, "b": 0.2})
+
+    @pytest.mark.parametrize("value", ["1_8", "1.8", True, 10**400],
+                             ids=["underscored", "string", "bool", "huge-int"])
+    def test_parameter_must_be_a_json_number(self, value):
+        # float() reads "1_8" as 18.0, "1.8" as 1.8 and True as 1.0, and
+        # overflows on an int past the float range
+        with pytest.raises(DomainError) as info:
+            model_from_config({"model": "cp_exp", "mu": value, "a": 0.7, "b": 0.2})
+        assert str(info.value) == f"cp_exp parameter 'mu' must be a number, got {value!r}"
+
+    def test_int_parameter_reads_as_float(self):
+        assert model_from_config({"model": "cp_exp", "mu": 2, "a": 1, "b": 0.2}) == CPExp(
+            mu=2.0, a=1.0, b=0.2)

@@ -113,8 +113,8 @@ class TestGammaCase:
 
     def test_meta(self):
         s = sample_stationary(GAMMA_MODEL, 10, seed=0)
-        assert s.meta["law"] == "gamma"
-        assert s.meta["model"]["model"] == "cp_exp"
+        assert s.meta == {"law": "gamma"}
+        assert s.model == GAMMA_MODEL
 
 
 class TestBetaCase:
@@ -225,14 +225,15 @@ class TestDispatch:
 class TestSampleIO:
     def test_round_trip(self, tmp_path):
         drawn = sample_stationary(CPExp(a=0.7, b=1.8, mu=1.8), 200, seed=13)
-        s = Sample(values=drawn.values, delta=0.5, seed=drawn.seed, meta=drawn.meta)
+        s = Sample(values=drawn.values, delta=0.5, seed=drawn.seed, model=drawn.model,
+                   meta=drawn.meta)
         csv_path, meta_path = write_sample_csv(s, tmp_path / "sample.csv")
         assert meta_path.suffix == ".json"
         back = read_sample_csv(csv_path)
         np.testing.assert_array_equal(back.values, s.values)  # 17g round-trips exactly
         assert back.delta == s.delta
         assert back.seed == s.seed
-        assert back.meta["model"] == s.meta["model"]
+        assert back.model == s.model
 
     def test_header_and_line_endings(self, tmp_path):
         s = sample_stationary(GAMMA_MODEL, 3, seed=0)
@@ -257,6 +258,22 @@ class TestSampleIO:
         p.write_text("x\n1.5\n2.5\n")
         s = read_sample_csv(p)
         np.testing.assert_array_equal(s.values, [1.5, 2.5])
+        assert (s.delta, s.seed, s.model) == (1.0, None, None)
+
+    @pytest.mark.parametrize("model", [
+        '{"model": "cp_exp", "mu": 1.8, "a": true, "b": 0.2}',
+        '{"model": "cp_exp", "mu": "1_8", "a": 0.7, "b": 0.2}',
+        '{"model": "mystery"}',
+    ], ids=["bool", "string", "kind"])
+    def test_malformed_sidecar_model_names_the_sidecar(self, tmp_path, model):
+        # the reader parses the whole sidecar: its model is checked here, with
+        # no command involved
+        s = sample_stationary(GAMMA_MODEL, 5)
+        csv_path, meta_path = write_sample_csv(s, tmp_path / "s.csv")
+        meta_path.write_text(f'{{"model": {model}, "delta": 1.0}}')
+        with pytest.raises(DomainError) as info:
+            read_sample_csv(csv_path)
+        assert str(info.value).startswith(f"{meta_path}: ")
 
     def test_read_errors(self, tmp_path):
         empty = tmp_path / "empty.csv"
